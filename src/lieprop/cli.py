@@ -3,7 +3,8 @@ tables and basis exports, with machine-readable output.
 
 Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
 The environment variable LIEPROP_WORKERS caps the number of worker
-processes used to fan homology cells out in parallel (default 1).
+processes used to fan homology cells out in parallel (default 1); a
+value that is not an integer >= 1 is a usage error.
 """
 
 import argparse
@@ -50,10 +51,15 @@ class RunConfig:
 
 
 def _workers():
+    """LIEPROP_WORKERS as an int; ValueError unless it is an integer >= 1."""
+    raw = os.environ.get("LIEPROP_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("LIEPROP_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError("LIEPROP_WORKERS must be an integer >= 1, got %r" % raw)
+    return workers
 
 
 def _homology_pair(cell):
@@ -389,6 +395,11 @@ def main(argv=None):
                            suites=tuple(getattr(args, "suite", ())),
                            format=args.format, seed=args.seed, out=args.out,
                            trials=args.trials)
+        _workers()  # fail before any work starts
+        if args.command == "export-basis":
+            for flag in ("m", "n", "t"):
+                if getattr(args, flag) < 0:
+                    raise ValueError("--%s must be >= 0" % flag)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "dims":

@@ -19,7 +19,7 @@ classes is equality of representatives.
 import threading
 
 from .catlie import HomElem, compose, hom_dim, identity
-from .exactla import Echelon, primitive
+from .exactla import Echelon
 from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
                       delta1_dim, mu, mu_tilde_1)
 
@@ -143,7 +143,7 @@ def homology_cell(m, n):
             for i in range(dim1):
                 col = mu_tilde_1(Delta1Elem(m, n, {i: 1}))
                 if not ech.add(col.coords):
-                    kernel.append(Delta1Elem(m, n, primitive(ech.last_comb)))
+                    kernel.append(Delta1Elem(m, n, ech.last_comb))
             rank = ech.rank
             _cell_cache[key] = HomologyCell(
                 m, n, hom_dim(m, n) - rank, dim1 - rank, rank, ech, kernel)

@@ -5,29 +5,30 @@ terms with a positive denominator by the stdlib itself); plain ints are
 accepted everywhere and mix freely.  There is no floating point in this
 module, and none anywhere downstream of it.
 
-Two layers:
+`Echelon` is an incremental exact row-echelon span; it gives ranks,
+kernel bases, exact solves and a quotient normal form.  Rows are sparse
+``{column: int}`` dicts kept primitive (coprime integer entries,
+positive pivot in the row's smallest column).  Elimination is
+fraction-free (cross-multiply, then divide by the gcd), which keeps
+coefficients small without ever rounding.
 
-* `Echelon` -- an incremental exact row-echelon span.  Rows are sparse
-  ``{column: int}`` dicts kept primitive (coprime integer entries,
-  positive pivot).  Elimination is fraction-free (cross-multiply, then
-  divide by the gcd), which keeps coefficients small without ever
-  rounding.  An optional track records how each pivot row was formed
-  from the inserted vectors; this is what produces kernel vectors and
-  exact solves.  `Echelon.reduce` returns the canonical representative
-  of a vector modulo the span (the unique one vanishing on all pivot
-  columns), so it doubles as a quotient normal form.
+With ``track=True`` each pivot row also records how it was formed from
+the inserted vectors, as a pair ``(s, comb)`` of an int and a sparse
+dict of ints with
 
-* `RatMatrix` with `rank` / `kernel_basis` / `in_span` -- the small
-  matrix interface used by callers that think in terms of whole
-  matrices rather than streams of vectors.
+    s * row == sum_j comb[j] * inserted_vector_j,
+
+so tracking does no Fraction arithmetic either; this is what produces
+kernel vectors and exact solves.  `Echelon.reduce` returns the
+canonical representative of a vector modulo the span (the unique one
+vanishing on all pivot columns).  `in_span` is the one-shot membership
+test on tuples.
 """
 
 from fractions import Fraction
 from math import gcd
 
 Rat = Fraction
-
-SPARSE_DENSITY = Fraction(1, 4)  # storage switch only, not part of any contract
 
 
 def _as_frac_dict(vec):
@@ -37,51 +38,61 @@ def _as_frac_dict(vec):
     return {j: v for j, v in enumerate(vec) if v}
 
 
-def primitive(vec):
-    """Scale a sparse rational vector to coprime ints with positive leading entry."""
-    if not vec:
-        return {}
+def _cleared(vec):
+    """(den, ints) with den the lcm of the denominators and ints == den * vec."""
     den = 1
     for v in vec.values():
         if isinstance(v, Fraction):
             den = den * v.denominator // gcd(den, v.denominator)
-    ints = {j: int(v * den) for j, v in vec.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    lead = min(ints)
-    sign = -1 if ints[lead] < 0 else 1
-    g *= sign
+    return den, {j: int(v * den) for j, v in vec.items()}
+
+
+def primitive(vec):
+    """Scale a sparse rational vector to coprime ints with positive leading entry."""
+    if not vec:
+        return {}
+    _, ints = _cleared(vec)
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
     return {j: v // g for j, v in ints.items()}
 
 
 class Echelon:
     """Incremental exact row-echelon span over Q.
 
-    pivot="leading" takes each new row's smallest column as its pivot
-    (this is what makes `reduce` canonical); pivot="lightest" takes the
-    entry of least bit size, which limits coefficient growth during
-    plain rank/kernel runs.  Either way a single reduction pass over the
-    pivot rows in insertion order suffices: a pivot row never contains
-    the pivot columns of earlier rows.
+    Each new row takes its smallest column as its pivot, which is what
+    makes `reduce` canonical.  A single reduction pass over the pivot
+    rows in insertion order suffices: a pivot row never contains the
+    pivot columns of earlier rows.
+
+    `rows` holds ``(pivot_col, row, track)`` in insertion order, where
+    `track` is ``(s, comb)`` as in the module docstring, or None when
+    not tracking.
     """
 
-    def __init__(self, track=False, pivot="leading"):
-        self.rows = []          # (pivot_col, row_dict, comb_dict|None) in insertion order
+    def __init__(self, track=False):
+        self.rows = []          # (pivot_col, row_dict, (s, comb)|None) in insertion order
         self.pivot_cols = {}    # pivot_col -> index into rows
         self.track = track
         self.count = 0          # vectors fed in so far
         self.last_comb = None   # dependency of the last dependent vector, if tracking
-        self._pivot = pivot
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _eliminate(self, vec, comb):
-        """Fraction-free single pass; keeps `a*r - b*row` exact throughout."""
-        r = _as_frac_dict(vec)
-        for p, row, rcomb in self.rows:
+    def _eliminate(self, r, comb=None):
+        """Fraction-free single pass; keeps `r <- a*r - b*row` exact throughout.
+
+        Without `comb` the entries of `r` may be Fractions.  With `comb`
+        they must be ints, and the pass keeps a running scale S with
+        S * r == comb . inputs: each step sets
+        comb <- (a*s)*comb - (b*S)*rcomb and then S <- S*s.
+        Returns (r, S, comb).
+        """
+        scale = 1
+        for p, row, track in self.rows:
             b = r.get(p)
             if not b:
                 continue
@@ -97,47 +108,53 @@ class Echelon:
                     nr.pop(j, None)
             r = nr
             if comb is not None:
-                nc = {j: a * v for j, v in comb.items()}
+                s, rcomb = track
+                x = a * s
+                y = b * scale
+                nc = {j: x * v for j, v in comb.items()}
                 for j, v in rcomb.items():
-                    nv = nc.get(j, 0) - b * v
+                    nv = nc.get(j, 0) - y * v
                     if nv:
                         nc[j] = nv
                     else:
                         nc.pop(j, None)
                 comb = nc
-        return r, comb
+                scale *= s
+        return r, scale, comb
 
     def add(self, vec):
         """Insert a vector.  Returns True if the rank grew.
 
-        When tracking and the vector was dependent, `last_comb` holds an
-        integer combination c with sum_j c[j] * inserted_vector_j = 0 in
-        which c[self.count - 1] is nonzero.
+        When tracking, a vector holding Fractions is first cleared to
+        ints (times the lcm L of its denominators, starting its
+        combination at L), and the new row's (s, comb) is divided by
+        its content.  When the vector was dependent, `last_comb` holds
+        a primitive integer combination c with
+        sum_j c[j] * inserted_vector_j = 0 in which c[self.count - 1]
+        is nonzero.
         """
         idx = self.count
         self.count += 1
-        comb = {idx: 1} if self.track else None
-        r, comb = self._eliminate(vec, comb)
+        r = _as_frac_dict(vec)
+        if self.track:
+            den, r = _cleared(r)
+            r, scale, comb = self._eliminate(r, {idx: den})
+        else:
+            r, _, comb = self._eliminate(r)
         if not r:
             self.last_comb = primitive(comb) if self.track else None
             return False
-        if self._pivot == "lightest":
-            rp = primitive(r)
-            p = min(rp, key=lambda j: (abs(rp[j]).bit_length(), j))
-        else:
-            p = min(r)
+        p = min(r)
         row = primitive(r)
+        track = None
         if self.track:
-            # rescale comb by the same factor that primitivized the row
-            ref = next(iter(row))
-            scale = Fraction(row[ref], 1) / Fraction(r[ref])
-            comb = {j: v * scale for j, v in comb.items()}
-        if row[p] < 0:
-            row = {j: -v for j, v in row.items()}
-            if self.track:
-                comb = {j: -v for j, v in comb.items()}
+            s = scale * (r[p] // row[p])
+            g = gcd(s, *comb.values())
+            if s < 0:
+                g = -g
+            track = (s // g, {j: v // g for j, v in comb.items()})
         self.pivot_cols[p] = len(self.rows)
-        self.rows.append((p, row, comb))
+        self.rows.append((p, row, track))
         self.last_comb = None
         return True
 
@@ -171,110 +188,16 @@ class Echelon:
         return not self.reduce(vec)
 
     def solve(self, vec):
-        """Coefficients x with vec = sum_j x[j] * inserted_vector_j, or None."""
-        comb = {-1: 1}
-        r, comb = self._eliminate(vec, comb)
+        """Coefficients x with vec = sum_j x[j] * inserted_vector_j, or None.
+
+        Needs a tracking echelon.
+        """
+        den, r = _cleared(_as_frac_dict(vec))
+        r, _, comb = self._eliminate(r, {-1: den})
         if r:
             return None
         c0 = comb.pop(-1)
         return {j: Fraction(-v, c0) for j, v in comb.items()}
-
-
-class RatMatrix:
-    """Immutable exact rational matrix.
-
-    Entries are stored sparsely (dict keyed by (row, col)) when the
-    density is below 25% and as dense row lists otherwise; the threshold
-    is an internal knob, invisible to callers.
-    """
-
-    def __init__(self, rows, cols, entries):
-        self.rows = rows
-        self.cols = cols
-        sparse = {}
-        if isinstance(entries, dict):
-            for (i, j), v in entries.items():
-                if v:
-                    sparse[(i, j)] = Fraction(v)
-        else:
-            for i, row in enumerate(entries):
-                for j, v in enumerate(row):
-                    if v:
-                        sparse[(i, j)] = Fraction(v)
-        for (i, j) in sparse:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError("entry outside matrix shape")
-        total = rows * cols
-        if total and Fraction(len(sparse), total) < SPARSE_DENSITY:
-            self.entries = sparse
-            self.dense = False
-        else:
-            data = [[Fraction(0)] * cols for _ in range(rows)]
-            for (i, j), v in sparse.items():
-                data[i][j] = v
-            self.entries = data
-            self.dense = True
-
-    @classmethod
-    def from_rows(cls, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        return cls(rows, cols, row_lists)
-
-    def row(self, i):
-        if self.dense:
-            return {j: v for j, v in enumerate(self.entries[i]) if v}
-        return {j: v for (r, j), v in self.entries.items() if r == i}
-
-    def col(self, j):
-        if self.dense:
-            return {i: self.entries[i][j] for i in range(self.rows) if self.entries[i][j]}
-        return {i: v for (i, c), v in self.entries.items() if c == j}
-
-    def transpose(self):
-        if self.dense:
-            return RatMatrix(self.cols, self.rows,
-                             {(j, i): v for i, row in enumerate(self.entries)
-                              for j, v in enumerate(row) if v})
-        return RatMatrix(self.cols, self.rows,
-                         {(j, i): v for (i, j), v in self.entries.items()})
-
-    def rank(self):
-        ech = Echelon(pivot="lightest")
-        for i in range(self.rows):
-            ech.add(self.row(i))
-        return ech.rank
-
-    def kernel_basis(self):
-        """Basis of {v : self @ v = 0} as tuples of Fractions, one per free column."""
-        ech = Echelon(track=True, pivot="lightest")
-        out = []
-        for j in range(self.cols):
-            if not ech.add(self.col(j)):
-                comb = ech.last_comb
-                out.append(tuple(Fraction(comb.get(k, 0)) for k in range(self.cols)))
-        return out
-
-    def apply(self, v):
-        out = {}
-        for j, x in enumerate(v):
-            if not x:
-                continue
-            for i, a in self.col(j).items():
-                nv = out.get(i, 0) + a * x
-                if nv:
-                    out[i] = nv
-                else:
-                    out.pop(i, None)
-        return out
-
-
-def rank(m):
-    return m.rank()
-
-
-def kernel_basis(m):
-    return m.kernel_basis()
 
 
 def in_span(v, basis):

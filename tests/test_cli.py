@@ -151,3 +151,29 @@ def test_worker_fanout_matches_serial(capsys, monkeypatch):
     monkeypatch.setenv("LIEPROP_WORKERS", "2")
     _, fanned = run_cli(capsys, "homology", "--max-m", "3", "--format", "csv")
     assert serial == fanned
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_invalid_workers_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("LIEPROP_WORKERS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--max-m", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "LIEPROP_WORKERS" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--m", "--n", "--t"])
+def test_export_basis_rejects_negative_sizes(capsys, flag):
+    argv = {"--m": "2", "--n": "1", "--t": "0"}
+    argv[flag] = "-1"
+    args = ["export-basis", "--space", "ce"]
+    for k, v in argv.items():
+        args += [k, v]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "%s must be >= 0" % flag in captured.err

@@ -5,7 +5,7 @@ from lieprop.catlie import HomElem, compose, hom_dim, identity
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop.exactla import in_span
+from lieprop.exactla import Echelon, in_span
 from lieprop.mudelta import Delta1Elem, delta1_dim, iota, mu, mu_tilde_1
 
 
@@ -176,3 +176,18 @@ def test_euler_small():
     for m in range(6):
         for n in range(6):
             assert syzygy_euler_check(m, n)
+
+
+def test_homology_cells_pinned_to_untracked_echelon():
+    # (5, 3) has pivot rows whose tracked scale s is not 1; (6, 2) is larger
+    for m, n in [(5, 3), (6, 2)]:
+        cell = homology_cell(m, n)
+        plain = Echelon()
+        for i in range(delta1_dim(m, n)):
+            plain.add(mu_tilde_1(Delta1Elem(m, n, {i: 1})).coords)
+        assert [(p, row) for p, row, _ in cell.boundaries.rows] == \
+            [(p, row) for p, row, _ in plain.rows]
+        assert len(cell.kernel) == delta1_dim(m, n) - plain.rank
+        for z in cell.kernel:
+            assert mu_tilde_1(z).is_zero()
+    assert any(s != 1 for _, _, (s, _) in homology_cell(5, 3).boundaries.rows)

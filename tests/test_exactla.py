@@ -1,8 +1,31 @@
 import random
 from fractions import Fraction
 
-from lieprop.exactla import (Echelon, Rat, RatMatrix, in_span, kernel_basis,
-                             primitive, rank)
+import pytest
+
+from lieprop.exactla import Echelon, Rat, in_span, primitive
+
+
+def _rank(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+def _kernel(rows, cols):
+    """Kernel basis of the matrix `rows` (cols columns): one dependency per
+    column that is dependent on the columns before it."""
+    ech = Echelon(track=True)
+    out = []
+    for j in range(cols):
+        if not ech.add({i: row[j] for i, row in enumerate(rows)}):
+            out.append(ech.last_comb)
+    return out
+
+
+def _apply(rows, v):
+    return [sum(row[j] * x for j, x in v.items()) for row in rows]
 
 
 def test_rat_lowest_terms_positive_denominator():
@@ -15,28 +38,28 @@ def test_rat_lowest_terms_positive_denominator():
 
 
 def test_rank_identity():
-    assert rank(RatMatrix.from_rows([[1, 0], [0, 1]])) == 2
+    assert _rank([[1, 0], [0, 1]]) == 2
 
 
 def test_rank_zero_matrix():
-    assert rank(RatMatrix(3, 4, {})) == 0
+    assert _rank([[0] * 4 for _ in range(3)]) == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert _rank([[1, 2], [2, 4]]) == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.from_rows([[1, 0], [0, 1]])) == []
+    assert _kernel([[1, 0], [0, 1]], 2) == []
 
 
 def test_kernel_zero_matrix_full():
-    ker = kernel_basis(RatMatrix(2, 3, {}))
+    ker = _kernel([[0] * 3 for _ in range(2)], 3)
     assert len(ker) == 3
 
 
 def test_kernel_one_relation():
-    (v,) = kernel_basis(RatMatrix.from_rows([[1, 1]]))
+    (v,) = _kernel([[1, 1]], 2)
     assert v[0] == -v[1] != 0
 
 
@@ -66,15 +89,14 @@ def test_rank_nullity_and_kernel_exactness_random():
     for _ in range(40):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = RatMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
-             for _ in range(rows)])
-        r = m.rank()
-        ker = m.kernel_basis()
+        m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(cols)]
+             for _ in range(rows)]
+        r = _rank(m)
+        ker = _kernel(m, cols)
         assert r + len(ker) == cols
-        assert m.transpose().rank() == r
+        assert _rank([list(col) for col in zip(*m)]) == r
         for v in ker:
-            assert not m.apply(v), "kernel vector does not map to zero"
+            assert not any(_apply(m, v)), "kernel vector does not map to zero"
 
 
 def test_echelon_reduce_is_canonical():
@@ -106,9 +128,68 @@ def test_primitive_normalizes_sign_and_content():
     assert primitive({2: Fraction(-2, 3), 5: Fraction(4, 3)}) == {2: 1, 5: -2}
 
 
-def test_dense_and_sparse_storage_agree():
+def test_sparse_and_dense_rank_three_agree():
     entries = {(0, 0): 1, (1, 1): 1, (2, 2): 1}
-    sparse = RatMatrix(3, 30, {(i, j * 10): v for (i, j), v in entries.items()})
-    dense = RatMatrix(3, 3, {(i, j): v for (i, j), v in entries.items()})
-    assert not sparse.dense and dense.dense
-    assert sparse.rank() == dense.rank() == 3
+    sparse = [{j * 10: v for (i, j), v in entries.items() if i == k} for k in range(3)]
+    dense = [[entries.get((i, j), 0) for j in range(3)] for i in range(3)]
+    assert _rank(sparse) == _rank(dense) == 3
+
+
+# ---------------------------------------------------------------- integer tracking
+
+def _stream(rng, kind, count, width):
+    """Random vectors in a low-rank subspace, so that some are dependent.
+
+    kind "int" gives int entries, "frac" Fractions with denominators,
+    "frac1" only Fraction(k, 1) entries.
+    """
+    base = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(1, width))]
+    out = []
+    for _ in range(count):
+        coef = [rng.randint(-2, 2) for _ in base]
+        vec = [sum(c * b[j] for c, b in zip(coef, base)) for j in range(width)]
+        if kind == "frac":
+            vec = [Fraction(v, rng.randint(1, 6)) for v in vec]
+        elif kind == "frac1":
+            vec = [Fraction(v, 1) for v in vec]
+        out.append({j: v for j, v in enumerate(vec) if v})
+    return out
+
+
+def _combine(comb, inputs):
+    out = {}
+    for i, c in comb.items():
+        for j, v in inputs[i].items():
+            out[j] = out.get(j, 0) + c * v
+    return {j: v for j, v in out.items() if v}
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "frac1"])
+def test_tracked_combinations_are_exact_ints(kind):
+    rng = random.Random({"int": 11, "frac": 12, "frac1": 13}[kind])
+    for _ in range(30):
+        inputs = _stream(rng, kind, rng.randint(1, 10), rng.randint(1, 6))
+        tracked, plain = Echelon(track=True), Echelon()
+        for k, vec in enumerate(inputs):
+            grew = tracked.add(vec)
+            assert grew == plain.add(vec)
+            if grew:
+                assert tracked.last_comb is None
+            else:
+                dep = tracked.last_comb
+                assert dep.get(k, 0) != 0 and max(dep) == k
+                assert all(type(c) is int for c in dep.values())
+                assert primitive(dep) == dep
+                assert not _combine(dep, inputs)
+        for _, row, (s, comb) in tracked.rows:
+            assert type(s) is int and s > 0
+            assert all(type(c) is int for c in comb.values())
+            assert {j: s * v for j, v in row.items()} == _combine(comb, inputs)
+        assert [(p, row) for p, row, _ in tracked.rows] == \
+            [(p, row) for p, row, _ in plain.rows]
+        target_comb = {i: rng.randint(-3, 3) for i in range(len(inputs))}
+        target = _combine(target_comb, inputs)
+        x = tracked.solve(target)
+        assert x is not None and _combine(x, inputs) == target
+        outside = {max((j for v in inputs for j in v), default=0) + 1: 1}
+        assert tracked.solve(outside) is None
