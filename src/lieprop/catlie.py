@@ -14,18 +14,12 @@ lexicographic order.  Composition grafts trees and renormalizes through
 is coordinate equality.
 """
 
+import functools
 import itertools
-import threading
 from typing import NamedTuple
 
 from . import freelie
-
-_lock = threading.RLock()  # cache builders call one another
-_surj_cache = {}
-_basis_cache = {}
-_index_cache = {}
-_dim_cache = {}
-_compose_cache = {}
+from .exactla import SparseElem, axpy
 
 
 class BasisMorphism(NamedTuple):
@@ -35,33 +29,26 @@ class BasisMorphism(NamedTuple):
     trees: tuple  # trees[j-1] = index into lie_basis(fiber over output j)
 
 
+@functools.cache
 def surjections(m, n):
     """All surjective value lists [m] ->> [n], lexicographically ordered."""
-    key = (m, n)
-    try:
-        return _surj_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _surj_cache:
-            out = []
-            f = [0] * m
+    out = []
+    f = [0] * m
 
-            def rec(pos, covered):
-                missing = n - bin(covered).count("1")
-                if m - pos < missing:
-                    return
-                if pos == m:
-                    out.append(tuple(f))
-                    return
-                for v in range(1, n + 1):
-                    f[pos] = v
-                    rec(pos + 1, covered | (1 << (v - 1)))
+    def rec(pos, covered):
+        missing = n - bin(covered).count("1")
+        if m - pos < missing:
+            return
+        if pos == m:
+            out.append(tuple(f))
+            return
+        for v in range(1, n + 1):
+            f[pos] = v
+            rec(pos + 1, covered | (1 << (v - 1)))
 
-            if n >= 0:
-                rec(0, 0)
-            _surj_cache[key] = tuple(out)
-    return _surj_cache[key]
+    if n >= 0:
+        rec(0, 0)
+    return tuple(out)
 
 
 def fibers(f, n):
@@ -72,20 +59,15 @@ def fibers(f, n):
     return tuple(tuple(fib) for fib in out)
 
 
+@functools.cache
 def hom_dim(m, n):
     """dim Hom(m, n), by direct enumeration over surjections."""
-    key = (m, n)
-    try:
-        return _dim_cache[key]
-    except KeyError:
-        pass
     total = 0
     for f in surjections(m, n):
         prod = 1
         for fib in fibers(f, n):
             prod *= freelie.lie_dim(len(fib))
         total += prod
-    _dim_cache[key] = total
     return total
 
 
@@ -102,135 +84,82 @@ def stirling_cycle(m, n):
     return row[n]
 
 
+@functools.cache
 def hom_basis(m, n):
-    key = (m, n)
-    try:
-        return _basis_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _basis_cache:
-            out = []
-            for f in surjections(m, n):
-                ranges = [range(freelie.lie_dim(len(fib))) for fib in fibers(f, n)]
-                for trees in itertools.product(*ranges):
-                    out.append(BasisMorphism(m, n, f, trees))
-            _basis_cache[key] = tuple(out)
-    return _basis_cache[key]
+    out = []
+    for f in surjections(m, n):
+        ranges = [range(freelie.lie_dim(len(fib))) for fib in fibers(f, n)]
+        for trees in itertools.product(*ranges):
+            out.append(BasisMorphism(m, n, f, trees))
+    return tuple(out)
 
 
+@functools.cache
 def hom_index(m, n):
-    key = (m, n)
-    try:
-        return _index_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _index_cache:
-            _index_cache[key] = {bm: i for i, bm in enumerate(hom_basis(m, n))}
-    return _index_cache[key]
+    return {bm: i for i, bm in enumerate(hom_basis(m, n))}
 
 
-class HomElem:
+class HomElem(SparseElem):
     """Element of Hom(m, n): sparse rational coordinates over hom_basis(m, n)."""
 
-    __slots__ = ("m", "n", "coords")
+    __slots__ = ("m", "n")
 
     def __init__(self, m, n, coords=None):
         self.m = m
         self.n = n
-        self.coords = {i: c for i, c in (coords or {}).items() if c}
+        super().__init__(coords)
 
-    @classmethod
-    def zero(cls, m, n):
-        return cls(m, n)
+    def cell(self):
+        return (self.m, self.n)
 
     @classmethod
     def from_basis(cls, bm, coeff=1):
         idx = hom_index(bm.m, bm.n)[bm]
         return cls(bm.m, bm.n, {idx: coeff})
 
-    def is_zero(self):
-        return not self.coords
-
-    def scale(self, c):
-        if not c:
-            return HomElem(self.m, self.n)
-        return HomElem(self.m, self.n, {i: c * v for i, v in self.coords.items()})
-
-    def _same_cell(self, other):
-        if self.m != other.m or self.n != other.n:
-            raise ValueError("hom-space mismatch: (%d,%d) vs (%d,%d)"
-                             % (self.m, self.n, other.m, other.n))
-
-    def __add__(self, other):
-        self._same_cell(other)
-        out = dict(self.coords)
-        for i, v in other.coords.items():
-            nv = out.get(i, 0) + v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-        return HomElem(self.m, self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, HomElem) and self.m == other.m
-                and self.n == other.n and self.coords == other.coords)
-
-    def __repr__(self):
-        return "HomElem(%d, %d, %r)" % (self.m, self.n, self.coords)
-
     def terms(self):
         basis = hom_basis(self.m, self.n)
         return [(c, basis[i]) for i, c in sorted(self.coords.items())]
 
 
-def _tree_of(bm, j):
-    """The actual basis tree sitting over output j of a basis morphism."""
-    fib = fibers(bm.f, bm.n)[j - 1]
-    return freelie.lie_basis(fib)[bm.trees[j - 1]]
+@functools.cache
+def basis_trees(bm):
+    """The basis trees of a basis morphism, one per output."""
+    return tuple(freelie.lie_basis(fib)[t] for fib, t in zip(fibers(bm.f, bm.n), bm.trees))
 
 
+def emit(trees, index):
+    """Coordinates of the morphism with one (possibly non-basis) tree per output.
+
+    Input i goes to the output whose tree holds the leaf i, so the
+    source arity is the leaf count.  Each tree is normalized and the
+    products of the coordinates are looked up in `index` (a dict from
+    basis morphism to coordinate index: `hom_index`, or a sub-basis
+    index such as `mudelta.delta1_basis(m, n)[2]`).
+    """
+    n = len(trees)
+    per_output = []
+    f = {}
+    for j, tree in enumerate(trees, start=1):
+        for leaf in freelie.leaves(tree):
+            f[leaf] = j
+        per_output.append(sorted(freelie.normalize_tree(tree).items()))
+    m = len(f)
+    fk = tuple(f[i] for i in range(1, m + 1))
+    stack = [((), 1)]
+    for items in per_output:
+        stack = [(ts + (idx,), c * v) for ts, c in stack for idx, v in items]
+    # distinct tree tuples are distinct basis morphisms: nothing to accumulate
+    return {index[BasisMorphism(m, n, fk, ts)]: c for ts, c in stack}
+
+
+@functools.cache
 def compose_basis(g, f):
     """Coordinates of g o f for basis morphisms (f first, then g); cached."""
-    key = (g, f)
-    try:
-        return _compose_cache[key]
-    except KeyError:
-        pass
     if f.n != g.m:
         raise ValueError("inner arities differ")
-    w = tuple(g.f[v - 1] for v in f.f)
-    f_fibs = fibers(f.f, f.n)
-    sub = {i: freelie.lie_basis(f_fibs[i - 1])[f.trees[i - 1]] for i in range(1, f.n + 1)}
-    per_output = []
-    for j in range(1, g.n + 1):
-        grafted = freelie.graft(_tree_of(g, j), sub)
-        per_output.append(freelie.normalize_tree(grafted))
-    out = {}
-    index = hom_index(f.m, g.n)
-    for combo in itertools.product(*(sorted(c.items()) for c in per_output)):
-        coeff = 1
-        trees = []
-        for idx, c in combo:
-            coeff *= c
-            trees.append(idx)
-        bm = BasisMorphism(f.m, g.n, w, tuple(trees))
-        i = index[bm]
-        nv = out.get(i, 0) + coeff
-        if nv:
-            out[i] = nv
-        else:
-            del out[i]
-    _compose_cache[key] = out
-    return out
+    sub = dict(enumerate(basis_trees(f), start=1))
+    return emit(tuple(freelie.graft(t, sub) for t in basis_trees(g)), hom_index(f.m, g.n))
 
 
 def compose(g, f):
@@ -243,13 +172,7 @@ def compose(g, f):
     for gi, gc in g.coords.items():
         G = g_basis[gi]
         for fi, fc in f.coords.items():
-            c = gc * fc
-            for i, v in compose_basis(G, f_basis[fi]).items():
-                nv = out.get(i, 0) + c * v
-                if nv:
-                    out[i] = nv
-                else:
-                    del out[i]
+            axpy(out, compose_basis(G, f_basis[fi]), gc * fc)
     return HomElem(f.m, g.n, out)
 
 
@@ -268,16 +191,12 @@ def boxplus(f, g):
         F = f_basis[fi]
         for gi, gc in g.coords.items():
             G = g_basis[gi]
-            # shifted fibers are order-isomorphic, so tree indices carry over
+            # shifted fibers are order-isomorphic, so tree indices carry over;
+            # distinct pairs give distinct basis morphisms
             bm = BasisMorphism(f.m + g.m, f.n + g.n,
                                F.f + tuple(v + f.n for v in G.f),
                                F.trees + G.trees)
-            i = index[bm]
-            nv = out.get(i, 0) + fc * gc
-            if nv:
-                out[i] = nv
-            else:
-                del out[i]
+            out[index[bm]] = fc * gc
     return HomElem(f.m + g.m, f.n + g.n, out)
 
 

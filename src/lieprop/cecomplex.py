@@ -22,20 +22,16 @@ against the symmetric-group module supported at a single object (with
 its Yoneda oracle).
 """
 
+import functools
 import itertools
-import threading
 from fractions import Fraction
 from math import factorial
 
-from . import freelie
-from .catlie import BasisMorphism, HomElem, compose, fibers, hom_basis, hom_dim, hom_index
-from .exactla import Echelon
+from .catlie import (BasisMorphism, HomElem, basis_trees, compose, emit, hom_basis,
+                     hom_dim, hom_index)
+from .exactla import Echelon, axpy
 from .mudelta import (Delta1Elem, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
-
-_lock = threading.RLock()
-_perm_cache = {}
-_ce_basis_cache = {}
 
 
 def _sgn(sigma):
@@ -55,34 +51,27 @@ def _sgn(sigma):
     return sign
 
 
+@functools.cache
 def _tail_perms(m, n, t):
     """Index permutation and sign of every tail permutation on Hom(m, n+t).
 
     Permuting the last t outputs maps basis morphisms to basis morphisms
     with coefficient one, so each sigma is returned as (sign, index map).
     """
-    key = (m, n, t)
-    try:
-        return _perm_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _perm_cache:
-            basis = hom_basis(m, n + t)
-            index = hom_index(m, n + t)
-            out = []
-            for sigma in itertools.permutations(range(1, t + 1)):
-                full = tuple(range(1, n + 1)) + tuple(n + v for v in sigma)
-                imap = []
-                for bm in basis:
-                    nf = tuple(full[v - 1] for v in bm.f)
-                    ntrees = [0] * bm.n
-                    for j in range(1, bm.n + 1):
-                        ntrees[full[j - 1] - 1] = bm.trees[j - 1]
-                    imap.append(index[(bm.__class__)(bm.m, bm.n, nf, tuple(ntrees))])
-                out.append((_sgn(sigma), tuple(imap)))
-            _perm_cache[key] = tuple(out)
-    return _perm_cache[key]
+    basis = hom_basis(m, n + t)
+    index = hom_index(m, n + t)
+    out = []
+    for sigma in itertools.permutations(range(1, t + 1)):
+        full = tuple(range(1, n + 1)) + tuple(n + v for v in sigma)
+        imap = []
+        for bm in basis:
+            nf = tuple(full[v - 1] for v in bm.f)
+            ntrees = [0] * bm.n
+            for j in range(1, bm.n + 1):
+                ntrees[full[j - 1] - 1] = bm.trees[j - 1]
+            imap.append(index[BasisMorphism(bm.m, bm.n, nf, tuple(ntrees))])
+        out.append((_sgn(sigma), tuple(imap)))
+    return tuple(out)
 
 
 def e_t_apply(w, n, t):
@@ -94,93 +83,48 @@ def e_t_apply(w, n, t):
     out = {}
     scale = Fraction(1, factorial(t))
     for sign, imap in _tail_perms(w.m, n, t):
-        for i, c in w.coords.items():
-            j = imap[i]
-            nv = out.get(j, 0) + sign * c
-            if nv:
-                out[j] = nv
-            else:
-                del out[j]
+        axpy(out, {imap[i]: c for i, c in w.coords.items()}, sign)
     return HomElem(w.m, w.n, {j: scale * c for j, c in out.items()})
 
 
+@functools.cache
 def ce_basis(m, n, t):
     """Deterministic echelon basis of the degree-t term, as HomElems."""
-    key = (m, n, t)
-    try:
-        return _ce_basis_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _ce_basis_cache:
-            dim = hom_dim(m, n + t)
-            if t <= 1:
-                out = tuple(HomElem(m, n + t, {i: 1}) for i in range(dim))
-            else:
-                ech = Echelon()
-                for i in range(dim):
-                    ech.add(e_t_apply(HomElem(m, n + t, {i: 1}), n, t).coords)
-                out = tuple(HomElem(m, n + t, dict(row)) for _, row, _ in ech.rows)
-            _ce_basis_cache[key] = out
-    return _ce_basis_cache[key]
+    dim = hom_dim(m, n + t)
+    if t <= 1:
+        return tuple(HomElem(m, n + t, {i: 1}) for i in range(dim))
+    ech = Echelon()
+    for i in range(dim):
+        ech.add(e_t_apply(HomElem(m, n + t, {i: 1}), n, t).coords)
+    return tuple(HomElem(m, n + t, dict(row)) for _, row, _ in ech.rows)
 
 
 def ce_dim(m, n, t):
     return len(ce_basis(m, n, t))
 
 
-def _emit_hom(m, out_trees):
-    """Normalize one tree per output and distribute into hom coordinates."""
-    n = len(out_trees)
-    f = [0] * m
-    per_output = []
-    for j, tree in enumerate(out_trees, start=1):
-        for leaf in freelie.leaves(tree):
-            f[leaf - 1] = j
-        per_output.append(sorted(freelie.normalize_tree(tree).items()))
-    index = hom_index(m, n)
-    out = {}
-    stack = [((), 1)]
-    for items in per_output:
-        stack = [(trees + (idx,), c * v) for trees, c in stack for idx, v in items]
-    fk = tuple(f)
-    for trees, c in stack:
-        i = index[BasisMorphism(m, n, fk, trees)]
-        nv = out.get(i, 0) + c
-        if nv:
-            out[i] = nv
-        else:
-            del out[i]
-    return out
-
-
 def _diff_basis(bm, n, t):
     """The CE differential of a single basis morphism, before re-projection."""
-    fibs = fibers(bm.f, bm.n)
-    trees = [freelie.lie_basis(fibs[j])[bm.trees[j]] for j in range(bm.n)]
+    trees = basis_trees(bm)
     ordinary = trees[:n]
     tail = trees[n:]
+    index = hom_index(bm.m, n + t - 1)
     out = {}
 
     def accumulate(sign, out_trees):
-        for i, c in _emit_hom(bm.m, out_trees).items():
-            nv = out.get(i, 0) + sign * c
-            if nv:
-                out[i] = nv
-            else:
-                del out[i]
+        axpy(out, emit(out_trees, index), sign)
 
     for i in range(t):
         sign = 1 if i % 2 == 0 else -1
         rest = tail[:i] + tail[i + 1:]
         for a in range(n):
-            merged = ordinary[:a] + [(ordinary[a], tail[i])] + ordinary[a + 1:]
-            accumulate(sign, tuple(merged) + tuple(rest))
+            merged = ordinary[:a] + ((ordinary[a], tail[i]),) + ordinary[a + 1:]
+            accumulate(sign, merged + rest)
     for i in range(t):
         for j in range(i + 1, t):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            rest = [tail[k] for k in range(t) if k not in (i, j)]
-            accumulate(sign, tuple(ordinary) + ((tail[i], tail[j]),) + tuple(rest))
+            rest = tuple(tail[k] for k in range(t) if k not in (i, j))
+            accumulate(sign, ordinary + ((tail[i], tail[j]),) + rest)
     return out
 
 
@@ -193,12 +137,7 @@ def ce_diff(m, n, t, x):
     out = {}
     basis = hom_basis(m, n + t)
     for idx, c in x.coords.items():
-        for i, v in _diff_basis(basis[idx], n, t).items():
-            nv = out.get(i, 0) + c * v
-            if nv:
-                out[i] = nv
-            else:
-                del out[i]
+        axpy(out, _diff_basis(basis[idx], n, t), c)
     return e_t_apply(HomElem(m, n + t - 1, out), n, t - 1)
 
 

@@ -37,6 +37,8 @@ class RunConfig:
     def __post_init__(self):
         if self.max_m < 1:
             raise ValueError("--max-m must be >= 1")
+        if self.trials < 0:
+            raise ValueError("--trials must be >= 0")
         bad = [s for s in self.suites if s not in SUITES + ("all",)]
         if bad:
             raise ValueError("unknown suite(s): %s" % ", ".join(bad))
@@ -340,8 +342,6 @@ def cmd_export_basis(config, m, n, space, t):
         items = [{"f": list(bm.f), "trees": list(bm.trees)} for bm in bms]
     else:
         items = [{"coords": {str(i): [c.numerator, c.denominator]
-                             if hasattr(c, "numerator") and hasattr(c, "denominator")
-                             and not isinstance(c, int) else [int(c), 1]
                              for i, c in sorted(x.coords.items())}}
                  for x in cecomplex.ce_basis(m, n, t)]
     payload = {"config": config.as_dict(),

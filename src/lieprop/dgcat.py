@@ -16,15 +16,12 @@ representatives against the echelonized boundary span, so equality of
 classes is equality of representatives.
 """
 
-import threading
+import functools
 
 from .catlie import HomElem, compose, hom_dim, identity
 from .exactla import Echelon
 from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
                       delta1_dim, mu, mu_tilde_1)
-
-_lock = threading.RLock()
-_cell_cache = {}
 
 
 class DGHom:
@@ -129,25 +126,17 @@ class HomologyCell:
         return [HomElem(self.m, self.n, dict(row)) for _, row, _ in self.boundaries.rows]
 
 
+@functools.cache
 def homology_cell(m, n):
-    key = (m, n)
-    try:
-        return _cell_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _cell_cache:
-            dim1 = delta1_dim(m, n)
-            ech = Echelon(track=True)
-            kernel = []
-            for i in range(dim1):
-                col = mu_tilde_1(Delta1Elem(m, n, {i: 1}))
-                if not ech.add(col.coords):
-                    kernel.append(Delta1Elem(m, n, ech.last_comb))
-            rank = ech.rank
-            _cell_cache[key] = HomologyCell(
-                m, n, hom_dim(m, n) - rank, dim1 - rank, rank, ech, kernel)
-    return _cell_cache[key]
+    dim1 = delta1_dim(m, n)
+    ech = Echelon(track=True)
+    kernel = []
+    for i in range(dim1):
+        col = mu_tilde_1(Delta1Elem(m, n, {i: 1}))
+        if not ech.add(col.coords):
+            kernel.append(Delta1Elem(m, n, ech.last_comb))
+    rank = ech.rank
+    return HomologyCell(m, n, hom_dim(m, n) - rank, dim1 - rank, rank, ech, kernel)
 
 
 def h0_reduce(w):

@@ -23,12 +23,86 @@ kernel vectors and exact solves.  `Echelon.reduce` returns the
 canonical representative of a vector modulo the span (the unique one
 vanishing on all pivot columns).  `in_span` is the one-shot membership
 test on tuples.
+
+`axpy` is the one sparse accumulate, `out += c * vec` with cancelled
+entries dropped, and `SparseElem` is the base of the element types of
+the downstream modules: sparse coordinates over the basis of one cell.
 """
 
 from fractions import Fraction
 from math import gcd
 
 Rat = Fraction
+
+
+def axpy(out, vec, c=1):
+    """out += c * vec in place for sparse dicts, dropping entries that cancel."""
+    for j, v in vec.items():
+        nv = out.get(j, 0) + c * v
+        if nv:
+            out[j] = nv
+        else:
+            out.pop(j, None)
+    return out
+
+
+class SparseElem:
+    """Sparse vector over the basis of one cell: ``coords`` maps a basis
+    index to its nonzero coefficient.
+
+    A subclass stores its cell in its own slots and returns it from
+    `cell()` in constructor order, so ``type(x)(*x.cell(), coords)``
+    rebuilds x.  Elements of different types, or of different cells,
+    never compare equal, and adding them raises ValueError.  ``coords``
+    is read-only: cached results are shared between callers.
+    """
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords=None):
+        self.coords = {i: c for i, c in (coords or {}).items() if c}
+
+    def cell(self):
+        raise NotImplementedError
+
+    @classmethod
+    def zero(cls, *cell):
+        return cls(*cell)
+
+    def _like(self, coords):
+        return type(self)(*self.cell(), coords)
+
+    def _check_cell(self, other):
+        if type(self) is not type(other) or self.cell() != other.cell():
+            raise ValueError("cell mismatch: %s%r vs %s%r" % (
+                type(self).__name__, self.cell(), type(other).__name__, other.cell()))
+
+    def is_zero(self):
+        return not self.coords
+
+    def scale(self, c):
+        if not c:
+            return self._like(None)
+        return self._like({i: c * v for i, v in self.coords.items()})
+
+    def __add__(self, other):
+        self._check_cell(other)
+        return self._like(axpy(dict(self.coords), other.coords))
+
+    def __sub__(self, other):
+        self._check_cell(other)
+        return self._like(axpy(dict(self.coords), other.coords, -1))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.cell() == other.cell()
+                and self.coords == other.coords)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__,
+                           ", ".join(map(repr, self.cell() + (self.coords,))))
 
 
 def _as_frac_dict(vec):
@@ -97,28 +171,11 @@ class Echelon:
             if not b:
                 continue
             a = row[p]
-            nr = {}
-            for j, v in r.items():
-                nr[j] = a * v
-            for j, v in row.items():
-                nv = nr.get(j, 0) - b * v
-                if nv:
-                    nr[j] = nv
-                else:
-                    nr.pop(j, None)
-            r = nr
+            r = axpy({j: a * v for j, v in r.items()}, row, -b)
             if comb is not None:
                 s, rcomb = track
                 x = a * s
-                y = b * scale
-                nc = {j: x * v for j, v in comb.items()}
-                for j, v in rcomb.items():
-                    nv = nc.get(j, 0) - y * v
-                    if nv:
-                        nc[j] = nv
-                    else:
-                        nc.pop(j, None)
-                comb = nc
+                comb = axpy({j: x * v for j, v in comb.items()}, rcomb, -b * scale)
                 scale *= s
         return r, scale, comb
 
@@ -171,14 +228,7 @@ class Echelon:
             if not b:
                 continue
             a = row[p]
-            nr = {j: a * v for j, v in r.items()}
-            for j, v in row.items():
-                nv = nr.get(j, 0) - b * v
-                if nv:
-                    nr[j] = nv
-                else:
-                    nr.pop(j, None)
-            r = nr
+            r = axpy({j: a * v for j, v in r.items()}, row, -b)
             scale *= a
         if scale != 1:
             r = {j: Fraction(v, scale) for j, v in r.items()}

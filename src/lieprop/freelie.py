@@ -24,15 +24,11 @@ hashable value; ints in practice) and a bracket is a pair
 ``(left, right)``.
 """
 
+import functools
 import itertools
-import threading
 from math import factorial
 
-_lock = threading.RLock()  # cache builders call one another
-_basis_cache = {}       # sorted label tuple -> tuple of trees
-_perm_index_cache = {}  # sorted label tuple -> {perm tuple: basis index}
-_expansion_cache = {}   # sorted label tuple -> tuple of word->coeff dicts
-_normal_cache = {}      # tree -> coords dict (treated as read-only)
+from .exactla import SparseElem, axpy
 
 
 def leaves(tree):
@@ -56,20 +52,8 @@ def expand(tree):
     left, right = expand(tree[0]), expand(tree[1])
     out = {}
     for wl, cl in left.items():
-        for wr, cr in right.items():
-            c = cl * cr
-            w = wl + wr
-            nv = out.get(w, 0) + c
-            if nv:
-                out[w] = nv
-            else:
-                del out[w]
-            w = wr + wl
-            nv = out.get(w, 0) - c
-            if nv:
-                out[w] = nv
-            else:
-                del out[w]
+        axpy(out, {wl + wr: cr for wr, cr in right.items()}, cl)
+        axpy(out, {wr + wl: cr for wr, cr in right.items()}, -cl)
     return out
 
 
@@ -82,95 +66,50 @@ def lie_dim(k):
 
 def lie_basis(labels):
     """The left-normed basis trees of Lie(S), S given as a sorted tuple."""
-    labels = tuple(labels)
-    try:
-        return _basis_cache[labels]
-    except KeyError:
-        pass
-    with _lock:
-        if labels not in _basis_cache:
-            if list(labels) != sorted(set(labels)):
-                raise ValueError("labels must be a sorted tuple of distinct values")
-            out = []
-            if labels:
-                head, rest = labels[0], labels[1:]
-                for perm in itertools.permutations(rest):
-                    t = head
-                    for s in perm:
-                        t = (t, s)
-                    out.append(t)
-            _basis_cache[labels] = tuple(out)
-    return _basis_cache[labels]
+    return _lie_basis(tuple(labels))
 
 
+@functools.cache
+def _lie_basis(labels):
+    if list(labels) != sorted(set(labels)):
+        raise ValueError("labels must be a sorted tuple of distinct values")
+    out = []
+    if labels:
+        head, rest = labels[0], labels[1:]
+        for perm in itertools.permutations(rest):
+            t = head
+            for s in perm:
+                t = (t, s)
+            out.append(t)
+    return tuple(out)
+
+
+@functools.cache
 def _perm_index(labels):
-    try:
-        return _perm_index_cache[labels]
-    except KeyError:
-        pass
-    with _lock:
-        if labels not in _perm_index_cache:
-            rest = labels[1:]
-            _perm_index_cache[labels] = {
-                perm: i for i, perm in enumerate(itertools.permutations(rest))
-            }
-    return _perm_index_cache[labels]
+    return {perm: i for i, perm in enumerate(itertools.permutations(labels[1:]))}
 
 
 def basis_expansions(labels):
     """Expansions of the basis trees, cached per label set."""
-    labels = tuple(labels)
-    try:
-        return _expansion_cache[labels]
-    except KeyError:
-        pass
-    with _lock:
-        if labels not in _expansion_cache:
-            _expansion_cache[labels] = tuple(expand(t) for t in lie_basis(labels))
-    return _expansion_cache[labels]
+    return _basis_expansions(tuple(labels))
 
 
-class LieElem:
+@functools.cache
+def _basis_expansions(labels):
+    return tuple(expand(t) for t in _lie_basis(labels))
+
+
+class LieElem(SparseElem):
     """Element of Lie(S): sparse rational coordinates over the left-normed basis."""
 
-    __slots__ = ("labels", "coords")
+    __slots__ = ("labels",)
 
     def __init__(self, labels, coords=None):
         self.labels = tuple(labels)
-        self.coords = {i: c for i, c in (coords or {}).items() if c}
+        super().__init__(coords)
 
-    def is_zero(self):
-        return not self.coords
-
-    def scale(self, c):
-        if not c:
-            return LieElem(self.labels)
-        return LieElem(self.labels, {i: c * v for i, v in self.coords.items()})
-
-    def __add__(self, other):
-        if self.labels != other.labels:
-            raise ValueError("label sets differ")
-        out = dict(self.coords)
-        for i, v in other.coords.items():
-            nv = out.get(i, 0) + v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-        return LieElem(self.labels, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, LieElem) and self.labels == other.labels
-                and self.coords == other.coords)
-
-    def __repr__(self):
-        return "LieElem(%r, %r)" % (self.labels, self.coords)
+    def cell(self):
+        return (self.labels,)
 
     def terms(self):
         """(coefficient, basis tree) pairs."""
@@ -184,47 +123,29 @@ def _check_multilinear(tree, labels):
         raise ValueError("tree is not multilinear over %r" % (labels,))
 
 
+@functools.cache
 def normalize_tree(tree):
     """Coordinates of a single multilinear tree (read-only cached dict)."""
-    try:
-        return _normal_cache[tree]
-    except (KeyError, TypeError):
-        pass
     labels = tuple(sorted(leaves(tree)))
     _check_multilinear(tree, labels)
-    coords = _solve([(1, tree)], labels)
-    try:
-        _normal_cache[tree] = coords
-    except TypeError:
-        pass
-    return coords
+    return _solve([(1, tree)], labels)
 
 
 def _solve(terms, labels):
     """Read coordinates off the a1-initial words, then certify by re-expansion."""
     words = {}
     for c, tree in terms:
-        for w, e in expand(tree).items():
-            nv = words.get(w, 0) + c * e
-            if nv:
-                words[w] = nv
-            else:
-                del words[w]
+        axpy(words, expand(tree), c)
     head = labels[0]
     index = _perm_index(labels)
     coords = {}
     for w, c in words.items():
         if w[0] == head:
             coords[index[w[1:]]] = c
-    expansions = basis_expansions(labels)
+    expansions = _basis_expansions(labels)
     residue = dict(words)
     for i, c in coords.items():
-        for w, e in expansions[i].items():
-            nv = residue.get(w, 0) - c * e
-            if nv:
-                residue[w] = nv
-            else:
-                del residue[w]
+        axpy(residue, expansions[i], -c)
     if residue:
         raise AssertionError("expansion escaped the basis span; broken input tree")
     return coords
@@ -247,12 +168,7 @@ def normalize_terms(terms):
         if not c:
             continue
         _check_multilinear(tree, labels)
-        for i, v in normalize_tree(tree).items():
-            nv = out.get(i, 0) + c * v
-            if nv:
-                out[i] = nv
-            else:
-                del out[i]
+        axpy(out, normalize_tree(tree), c)
     return LieElem(labels, out)
 
 

@@ -29,39 +29,29 @@ identity, the Lie-action identity and the square-zero interchange that
 makes the degree-one composition consistent.
 """
 
-import threading
+import functools
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, boxplus, compose, fibers,
+from .catlie import (BasisMorphism, HomElem, basis_trees, boxplus, compose, emit,
                      hom_basis, hom_dim, hom_index, identity, perm_hom)
-
-_lock = threading.RLock()
-_delta1_cache = {}
-_pi_cache = {}
+from .exactla import SparseElem, axpy
 
 
+@functools.cache
 def delta1_basis(m, n):
     """Sub-basis of Hom(m, n+1) with a singleton fiber over output n+1.
 
     Returns (full_indices, basis_morphisms, index_of) with the ambient
     hom-basis order preserved.
     """
-    key = (m, n)
-    try:
-        return _delta1_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _delta1_cache:
-            full = []
-            bms = []
-            for i, bm in enumerate(hom_basis(m, n + 1)):
-                if bm.f.count(n + 1) == 1:
-                    full.append(i)
-                    bms.append(bm)
-            index_of = {bm: s for s, bm in enumerate(bms)}
-            _delta1_cache[key] = (tuple(full), tuple(bms), index_of)
-    return _delta1_cache[key]
+    full = []
+    bms = []
+    for i, bm in enumerate(hom_basis(m, n + 1)):
+        if bm.f.count(n + 1) == 1:
+            full.append(i)
+            bms.append(bm)
+    index_of = {bm: s for s, bm in enumerate(bms)}
+    return (tuple(full), tuple(bms), index_of)
 
 
 def delta1_dim(m, n):
@@ -70,52 +60,18 @@ def delta1_dim(m, n):
     return m * hom_dim(m - 1, n)
 
 
-class Delta1Elem:
+class Delta1Elem(SparseElem):
     """Element of delta1(m, n), coordinates over the sub-basis."""
 
-    __slots__ = ("m", "n", "coords")
+    __slots__ = ("m", "n")
 
     def __init__(self, m, n, coords=None):
         self.m = m
         self.n = n
-        self.coords = {i: c for i, c in (coords or {}).items() if c}
+        super().__init__(coords)
 
-    @classmethod
-    def zero(cls, m, n):
-        return cls(m, n)
-
-    def is_zero(self):
-        return not self.coords
-
-    def scale(self, c):
-        if not c:
-            return Delta1Elem(self.m, self.n)
-        return Delta1Elem(self.m, self.n, {i: c * v for i, v in self.coords.items()})
-
-    def __add__(self, other):
-        if (self.m, self.n) != (other.m, other.n):
-            raise ValueError("delta1 cell mismatch")
-        out = dict(self.coords)
-        for i, v in other.coords.items():
-            nv = out.get(i, 0) + v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
-        return Delta1Elem(self.m, self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        return (isinstance(other, Delta1Elem) and self.m == other.m
-                and self.n == other.n and self.coords == other.coords)
-
-    def __repr__(self):
-        return "Delta1Elem(%d, %d, %r)" % (self.m, self.n, self.coords)
+    def cell(self):
+        return (self.m, self.n)
 
 
 def include_delta1(z):
@@ -138,6 +94,7 @@ def project_delta1(w):
     return Delta1Elem(m, n, out)
 
 
+@functools.cache
 def mu(n):
     """The canonical element of Hom(n+1, n); mu(0) = 0."""
     if n < 0:
@@ -187,57 +144,18 @@ def adjoint_append(front, x_tree):
                  for i in range(len(front)))
 
 
-def _emit(front, s):
-    """Normalize the front trees and emit delta1 sub-basis coordinates.
-
-    `front` holds one (possibly non-basis) tree per ordinary output and
-    `s` is the label of the lone input over the last output.
-    """
-    n = len(front)
-    m = 1 + sum(len(freelie.leaves(t)) for t in front)
-    f = [0] * m
-    per_output = []
-    for j, tree in enumerate(front, start=1):
-        for leaf in freelie.leaves(tree):
-            f[leaf - 1] = j
-        per_output.append(sorted(freelie.normalize_tree(tree).items()))
-    f[s - 1] = n + 1
-    _, _, index_of = delta1_basis(m, n)
-    out = {}
-    stack = [((), 1)]
-    for items in per_output:
-        stack = [(trees + (idx,), c * v) for trees, c in stack for idx, v in items]
-    for trees, c in stack:
-        bm = BasisMorphism(m, n + 1, tuple(f), trees + (0,))
-        i = index_of[bm]
-        nv = out.get(i, 0) + c
-        if nv:
-            out[i] = nv
-        else:
-            del out[i]
-    return out
-
-
+@functools.cache
 def _pi_rec(front, last):
-    key = (front, last)
-    try:
-        return _pi_cache[key]
-    except KeyError:
-        pass
     if not isinstance(last, tuple):
-        out = _emit(front, last)
-    else:
-        x, y = last
-        out = {}
-        for sign, first, second in ((1, x, y), (-1, y, x)):
-            for appended in adjoint_append(front, first):
-                for i, c in _pi_rec(appended, second).items():
-                    nv = out.get(i, 0) + sign * c
-                    if nv:
-                        out[i] = nv
-                    else:
-                        del out[i]
-    _pi_cache[key] = out
+        # the lone input `last` over output n+1 is a one-leaf tree
+        n = len(front)
+        m = 1 + sum(len(freelie.leaves(t)) for t in front)
+        return emit(front + (last,), delta1_basis(m, n)[2])
+    x, y = last
+    out = {}
+    for sign, first, second in ((1, x, y), (-1, y, x)):
+        for appended in adjoint_append(front, first):
+            axpy(out, _pi_rec(appended, second), sign)
     return out
 
 
@@ -245,20 +163,12 @@ def pi(w):
     """The retraction Hom(m, n+1) ->> delta1(m, n)."""
     if w.n < 1:
         raise ValueError("pi needs target arity >= 1")
-    m, n = w.m, w.n - 1
-    basis = hom_basis(m, n + 1)
+    basis = hom_basis(w.m, w.n)
     out = {}
     for idx, c in w.coords.items():
-        bm = basis[idx]
-        fibs = fibers(bm.f, bm.n)
-        trees = tuple(freelie.lie_basis(fibs[j])[bm.trees[j]] for j in range(bm.n))
-        for i, v in _pi_rec(trees[:-1], trees[-1]).items():
-            nv = out.get(i, 0) + c * v
-            if nv:
-                out[i] = nv
-            else:
-                del out[i]
-    return Delta1Elem(m, n, out)
+        trees = basis_trees(basis[idx])
+        axpy(out, _pi_rec(trees[:-1], trees[-1]), c)
+    return Delta1Elem(w.m, w.n - 1, out)
 
 
 def delta1_act_left(g, z):

@@ -24,17 +24,13 @@ The two computation paths share no code beyond exact linear algebra,
 which is the point.
 """
 
+import functools
 import itertools
-import threading
 
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
-from .exactla import Echelon
+from .exactla import Echelon, axpy
 from .mudelta import delta1_act_in
-
-_lock = threading.RLock()
-_weight_cache = {}
-_bracket_cache = {}
 
 
 def _mobius(n):
@@ -98,6 +94,7 @@ def _word_col(word, d):
     return i
 
 
+@functools.cache
 def weight_basis(d, w):
     """(trees, solver) for the weight-w component of the free Lie algebra.
 
@@ -105,37 +102,24 @@ def weight_basis(d, w):
     d^w-dimensional word space; `solver.solve` converts any expansion
     back into Lyndon-basis coordinates.
     """
-    key = (d, w)
-    try:
-        return _weight_cache[key]
-    except KeyError:
-        pass
-    with _lock:
-        if key not in _weight_cache:
-            trees = tuple(lyndon_bracketing(word) for word in lyndon_words(d, w))
-            solver = Echelon(track=True)
-            for t in trees:
-                vec = {_word_col(word, d): c for word, c in freelie.expand(t).items()}
-                if not solver.add(vec):
-                    raise AssertionError("Lyndon basis expansions must be independent")
-            _weight_cache[key] = (trees, solver)
-    return _weight_cache[key]
+    trees = tuple(lyndon_bracketing(word) for word in lyndon_words(d, w))
+    solver = Echelon(track=True)
+    for t in trees:
+        vec = {_word_col(word, d): c for word, c in freelie.expand(t).items()}
+        if not solver.add(vec):
+            raise AssertionError("Lyndon basis expansions must be independent")
+    return trees, solver
 
 
+@functools.cache
 def _bracket_coords(d, w, tree, letter):
     """Coordinates of [tree, letter] in the weight-(w+1) Lyndon basis."""
-    key = (d, tree, letter)
-    try:
-        return _bracket_cache[key]
-    except KeyError:
-        pass
     _, solver = weight_basis(d, w + 1)
     vec = {_word_col(word, d): c
            for word, c in freelie.expand((tree, letter)).items()}
     coords = solver.solve(vec)
     if coords is None:
         raise AssertionError("bracket escaped the Lyndon span")
-    _bracket_cache[key] = coords
     return coords
 
 
@@ -177,15 +161,9 @@ def weighted_complex_homology(d, n, w):
                     u = comp[slot]
                     tree = weight_basis(d, u)[0][idxs[slot]]
                     target_comp = comp[:slot] + (u + 1,) + comp[slot + 1:]
-                    for bidx, c in _bracket_coords(d, u, tree, letter).items():
-                        tgt = (target_comp,
-                               idxs[:slot] + (bidx,) + idxs[slot + 1:])
-                        j = c0_index[tgt]
-                        nv = col.get(j, 0) + c
-                        if nv:
-                            col[j] = nv
-                        else:
-                            del col[j]
+                    coords = _bracket_coords(d, u, tree, letter)
+                    axpy(col, {c0_index[(target_comp, idxs[:slot] + (b,) + idxs[slot + 1:])]: c
+                               for b, c in coords.items()})
                 rank_ech.add(col)
     rank = rank_ech.rank
     return len(c0_index) - rank, c1_dim - rank
@@ -269,13 +247,7 @@ def schur_dim(module, d):
         for tau in stab_gens:
             mat = module.act(tau)
             for r in range(dim):
-                row = dict(mat[r])
-                nv = row.get(r, 0) - 1
-                if nv:
-                    row[r] = nv
-                else:
-                    row.pop(r, None)
-                ech.add(row)
+                ech.add(axpy(dict(mat[r]), {r: 1}, -1))
         total += dim - ech.rank
     return total
 

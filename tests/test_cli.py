@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from lieprop import cecomplex
 from lieprop.cli import RunConfig, build_parser, main
 
 
@@ -177,3 +179,32 @@ def test_export_basis_rejects_negative_sizes(capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "%s must be >= 0" % flag in captured.err
+
+
+@pytest.mark.parametrize("trials", ["-1", "-3"])
+def test_negative_trials_usage_error(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--max-m", "2", "--suite", "catlie", "--trials", trials])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be >= 0" in captured.err
+
+
+def test_zero_trials_allowed(capsys):
+    code, out = run_cli(capsys, "verify", "--max-m", "2", "--suite", "catlie",
+                        "--trials", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["suites"] == [{"name": "catlie", "pass": True, "cases": 6}]
+
+
+def test_export_basis_ce_coords_are_exact(capsys):
+    code, out = run_cli(capsys, "export-basis", "--m", "4", "--n", "1",
+                        "--space", "ce", "--t", "2")
+    assert code == 0
+    exported = json.loads(out)["basis"]
+    expected = cecomplex.ce_basis(4, 1, 2)
+    assert len(exported) == len(expected)
+    for item, x in zip(exported, expected):
+        coords = {int(i): Fraction(num, den) for i, (num, den) in item["coords"].items()}
+        assert coords == x.coords

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieprop.exactla import Echelon, Rat, in_span, primitive
+from lieprop.exactla import Echelon, Rat, axpy, in_span, primitive
 
 
 def _rank(rows):
@@ -193,3 +193,12 @@ def test_tracked_combinations_are_exact_ints(kind):
         assert x is not None and _combine(x, inputs) == target
         outside = {max((j for v in inputs for j in v), default=0) + 1: 1}
         assert tracked.solve(outside) is None
+
+
+def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
+    out = {0: 2, 1: Fraction(1, 3), 3: 1}
+    res = axpy(out, {0: 1, 1: Fraction(1, 6), 2: 4}, -2)
+    assert res is out
+    assert out == {3: 1, 2: -8}
+    assert axpy({}, {5: 7}) == {5: 7}
+    assert axpy({5: 7}, {5: 1}, 0) == {5: 7}
