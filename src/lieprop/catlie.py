@@ -112,6 +112,9 @@ class HomElem(SparseElem):
     def cell(self):
         return (self.m, self.n)
 
+    def dim(self):
+        return hom_dim(self.m, self.n)
+
     @classmethod
     def from_basis(cls, bm, coeff=1):
         idx = hom_index(bm.m, bm.n)[bm]

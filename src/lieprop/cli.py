@@ -400,6 +400,8 @@ def main(argv=None):
             for flag in ("m", "n", "t"):
                 if getattr(args, flag) < 0:
                     raise ValueError("--%s must be >= 0" % flag)
+            if args.n > args.m:
+                raise ValueError("--n must be <= --m (Hom(m, n) is zero for n > m)")
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "dims":

@@ -9,8 +9,11 @@ module, and none anywhere downstream of it.
 kernel bases, exact solves and a quotient normal form.  Rows are sparse
 ``{column: int}`` dicts kept primitive (coprime integer entries,
 positive pivot in the row's smallest column).  Elimination is
-fraction-free (cross-multiply, then divide by the gcd), which keeps
-coefficients small without ever rounding.
+integer-only and fraction-free: every incoming vector is first cleared
+of denominators (times the lcm of its denominators), each step
+cross-multiplies (``r <- a*r - b*row``), and a new row is divided by
+its content, which keeps coefficients small without ever rounding.  No
+Fraction enters the elimination loop, tracked or not.
 
 With ``track=True`` each pivot row also records how it was formed from
 the inserted vectors, as a pair ``(s, comb)`` of an int and a sparse
@@ -21,8 +24,8 @@ dict of ints with
 so tracking does no Fraction arithmetic either; this is what produces
 kernel vectors and exact solves.  `Echelon.reduce` returns the
 canonical representative of a vector modulo the span (the unique one
-vanishing on all pivot columns).  `in_span` is the one-shot membership
-test on tuples.
+vanishing on all pivot columns); it eliminates in ints and divides
+once at the end.  `in_span` is the one-shot membership test on tuples.
 
 `axpy` is the one sparse accumulate, `out += c * vec` with cancelled
 entries dropped, and `SparseElem` is the base of the element types of
@@ -50,19 +53,31 @@ class SparseElem:
     """Sparse vector over the basis of one cell: ``coords`` maps a basis
     index to its nonzero coefficient.
 
-    A subclass stores its cell in its own slots and returns it from
-    `cell()` in constructor order, so ``type(x)(*x.cell(), coords)``
-    rebuilds x.  Elements of different types, or of different cells,
-    never compare equal, and adding them raises ValueError.  ``coords``
-    is read-only: cached results are shared between callers.
+    A subclass stores its cell in its own slots before calling
+    ``super().__init__``, returns it from `cell()` in constructor order,
+    so ``type(x)(*x.cell(), coords)`` rebuilds x, and returns the
+    dimension of the cell from `dim()`.  A basis index outside
+    ``range(dim())`` raises ValueError.  Elements of different types,
+    or of different cells, never compare equal, and adding them raises
+    ValueError.  ``coords`` is read-only: cached results are shared
+    between callers.
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, coords=None):
-        self.coords = {i: c for i, c in (coords or {}).items() if c}
+        self.coords = coords = {i: c for i, c in (coords or {}).items() if c}
+        if coords:
+            lo, hi, dim = min(coords), max(coords), self.dim()
+            if lo < 0 or hi >= dim:
+                raise ValueError("%s(%s): basis index %r outside range(%d)" % (
+                    type(self).__name__, ", ".join(map(repr, self.cell())),
+                    lo if lo < 0 else hi, dim))
 
     def cell(self):
+        raise NotImplementedError
+
+    def dim(self):
         raise NotImplementedError
 
     @classmethod
@@ -157,10 +172,11 @@ class Echelon:
         return len(self.rows)
 
     def _eliminate(self, r, comb=None):
-        """Fraction-free single pass; keeps `r <- a*r - b*row` exact throughout.
+        """Fraction-free single pass over int entries: `r <- a*r - b*row`.
 
-        Without `comb` the entries of `r` may be Fractions.  With `comb`
-        they must be ints, and the pass keeps a running scale S with
+        `r` must be a dict the caller owns; it may be updated in place.
+
+        With `comb` the pass keeps a running scale S with
         S * r == comb . inputs: each step sets
         comb <- (a*s)*comb - (b*S)*rcomb and then S <- S*s.
         Returns (r, S, comb).
@@ -171,7 +187,9 @@ class Echelon:
             if not b:
                 continue
             a = row[p]
-            r = axpy({j: a * v for j, v in r.items()}, row, -b)
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+            axpy(r, row, -b)
             if comb is not None:
                 s, rcomb = track
                 x = a * s
@@ -182,19 +200,18 @@ class Echelon:
     def add(self, vec):
         """Insert a vector.  Returns True if the rank grew.
 
-        When tracking, a vector holding Fractions is first cleared to
-        ints (times the lcm L of its denominators, starting its
-        combination at L), and the new row's (s, comb) is divided by
-        its content.  When the vector was dependent, `last_comb` holds
-        a primitive integer combination c with
+        A vector holding Fractions is first cleared to ints (times the
+        lcm L of its denominators); when tracking, its combination
+        starts at L and the new row's (s, comb) is divided by its
+        content.  When the vector was dependent, `last_comb` holds a
+        primitive integer combination c with
         sum_j c[j] * inserted_vector_j = 0 in which c[self.count - 1]
         is nonzero.
         """
         idx = self.count
         self.count += 1
-        r = _as_frac_dict(vec)
+        den, r = _cleared(_as_frac_dict(vec))
         if self.track:
-            den, r = _cleared(r)
             r, scale, comb = self._eliminate(r, {idx: den})
         else:
             r, _, comb = self._eliminate(r)
@@ -219,19 +236,24 @@ class Echelon:
         """Canonical representative of `vec` modulo the span.
 
         The result vanishes on every pivot column and is unchanged if
-        already reduced; entries are Fractions or ints.  Does not insert.
+        already reduced.  The vector is cleared to ints (times the lcm
+        L of its denominators) and eliminated in ints, which scales it
+        by the product P of the pivots used; the entries are divided by
+        L * P once, at the end, so they are ints when L * P is 1 and
+        Fractions otherwise.  Does not insert.
         """
-        r = _as_frac_dict(vec)
-        scale = 1
+        den, r = _cleared(_as_frac_dict(vec))
         for p, row, _ in self.rows:
             b = r.get(p)
             if not b:
                 continue
             a = row[p]
-            r = axpy({j: a * v for j, v in r.items()}, row, -b)
-            scale *= a
-        if scale != 1:
-            r = {j: Fraction(v, scale) for j, v in r.items()}
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+                den *= a
+            axpy(r, row, -b)
+        if den != 1:
+            r = {j: Fraction(v, den) for j, v in r.items()}
         return r
 
     def contains(self, vec):

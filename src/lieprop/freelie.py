@@ -111,6 +111,9 @@ class LieElem(SparseElem):
     def cell(self):
         return (self.labels,)
 
+    def dim(self):
+        return lie_dim(len(self.labels))
+
     def terms(self):
         """(coefficient, basis tree) pairs."""
         basis = lie_basis(self.labels)

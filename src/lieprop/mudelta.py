@@ -73,6 +73,9 @@ class Delta1Elem(SparseElem):
     def cell(self):
         return (self.m, self.n)
 
+    def dim(self):
+        return delta1_dim(self.m, self.n)
+
 
 def include_delta1(z):
     """Coordinate inclusion delta1(m, n) -> Hom(m, n+1)."""

@@ -26,6 +26,7 @@ which is the point.
 
 import functools
 import itertools
+from math import comb, factorial
 
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
@@ -222,33 +223,65 @@ def h_modules(w, n):
             SwModule(w, len(cell.kernel), act1))
 
 
-def schur_dim(module, d):
-    """dim(M (x)_{S_w} (Q^d)^{(x) w}), the coinvariants of the diagonal action.
+def _partitions(w, largest=None):
+    """Partitions of w as non-increasing tuples of positive parts."""
+    if w == 0:
+        return [()]
+    out = []
+    for first in range(min(w, largest or w), 0, -1):
+        for rest in _partitions(w - first, first):
+            out.append((first,) + rest)
+    return out
 
-    Computed as dim(M (x) V^{(x) w}) minus the rank of the balancing
-    relation span.  The relations never mix distinct S_w-orbits of the
-    word basis of V^{(x) w}, so the rank is accumulated orbit by orbit:
-    the block of the orbit of a word with stabilizer H contributes
-    (|orbit| - 1) * dim M plus the rank of {m h - m : h generating H}.
-    """
+
+def _young_coinvariant_dim(module, parts):
+    """dim M_{S_lambda}: dim M minus the rank of {m tau - m} over the
+    adjacent transpositions tau inside the consecutive blocks of `parts`."""
     w, dim = module.w, module.dim
-    total = 0
-    for rep in itertools.combinations_with_replacement(range(1, d + 1), w):
-        stab_gens = []
-        for pos in range(w - 1):
-            if rep[pos] == rep[pos + 1]:
-                tau = list(range(1, w + 1))
-                tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
-                stab_gens.append(tuple(tau))
-        if not stab_gens:
-            total += dim  # free orbit: relations collapse it to one copy of M
-            continue
-        ech = Echelon()
-        for tau in stab_gens:
+    ech = Echelon()
+    start = 0
+    for size in parts:
+        for pos in range(start, start + size - 1):
+            tau = list(range(1, w + 1))
+            tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
             mat = module.act(tau)
             for r in range(dim):
                 ech.add(axpy(dict(mat[r]), {r: 1}, -1))
-        total += dim - ech.rank
+        start += size
+    return dim - ech.rank
+
+
+def schur_dim(module, d):
+    """dim(M (x)_{S_w} (Q^d)^{(x) w}), the coinvariants of the diagonal action.
+
+    The balancing relations never mix distinct S_w-orbits of the word
+    basis of V^{(x) w}, and the orbit of a word with stabilizer H
+    contributes dim M_H = dim M - rank{m h - m}.  The stabilizer of a
+    sorted word whose letters occur alpha_1, ..., alpha_k times is the
+    Young subgroup S_alpha of its consecutive blocks.  Rearranging alpha
+    gives a conjugate subgroup g S_alpha g^-1, and m -> m g maps the
+    relations of one onto those of the other, so dim M_H depends only on
+    the partition lambda of w that sorts alpha.  Counting the sorted
+    words of each content type,
+
+        schur_dim(M, d) = sum over lambda |- w with k = l(lambda) <= d of
+                          C(d, k) * k! / prod_v m_v(lambda)! * dim M_{S_lambda},
+
+    where m_v(lambda) is the number of parts equal to v: C(d, k) picks
+    the k letters and k! / prod_v m_v! the distinct ways to give them
+    the parts of lambda.  Each dim M_{S_lambda} is computed exactly, as
+    dim M minus the rank of {m tau - m} over the adjacent
+    transpositions tau inside the blocks of lambda.
+    """
+    total = 0
+    for parts in _partitions(module.w):
+        k = len(parts)
+        if k > d:
+            continue
+        words = comb(d, k) * factorial(k)
+        for v in set(parts):
+            words //= factorial(parts.count(v))
+        total += words * _young_coinvariant_dim(module, parts)
     return total
 
 

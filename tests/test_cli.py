@@ -181,6 +181,22 @@ def test_export_basis_rejects_negative_sizes(capsys, flag):
     assert "%s must be >= 0" % flag in captured.err
 
 
+@pytest.mark.parametrize("space", ["hom", "delta1", "ce"])
+def test_export_basis_rejects_n_above_m(capsys, space):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-basis", "--m", "2", "--n", "5", "--space", space])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be <= --m" in captured.err
+
+
+def test_export_basis_allows_n_equal_m(capsys):
+    code, out = run_cli(capsys, "export-basis", "--m", "3", "--n", "3")
+    assert code == 0
+    assert len(json.loads(out)["basis"]) == 6  # Hom(3, 3) is the group algebra of S_3
+
+
 @pytest.mark.parametrize("trials", ["-1", "-3"])
 def test_negative_trials_usage_error(capsys, trials):
     with pytest.raises(SystemExit) as exc:

@@ -48,3 +48,21 @@ def test_elements_of_different_types_never_add():
         HomElem(3, 2, {0: 1}) + Delta1Elem(3, 2, {0: 1})
     with pytest.raises(ValueError, match=r"\(3, 2\) vs HomElem\(3, 1\)"):
         HomElem(3, 2, {0: 1}) - HomElem(3, 1, {0: 1})
+
+
+@pytest.mark.parametrize("make, text", [
+    (lambda: LieElem((1, 2, 3), {2: 1}), r"LieElem\(\(1, 2, 3\)\): basis index 2 outside range\(2\)"),
+    (lambda: HomElem(3, 2, {99: 1}), r"HomElem\(3, 2\): basis index 99 outside range\(6\)"),
+    (lambda: HomElem(2, 5, {0: 1}), r"HomElem\(2, 5\): basis index 0 outside range\(0\)"),
+    (lambda: Delta1Elem(3, 1, {-1: Q, 0: 1}), r"Delta1Elem\(3, 1\): basis index -1 outside range\(3\)"),
+], ids=["lie", "hom", "hom-empty", "delta1-negative"])
+def test_out_of_range_basis_index_raises(make, text):
+    with pytest.raises(ValueError, match=text):
+        make()
+
+
+def test_last_basis_index_is_accepted():
+    assert LieElem((1, 2, 3), {1: 1}).terms() == [(1, ((1, 3), 2))]
+    assert HomElem(3, 2, {5: 1}).coords == {5: 1}
+    assert Delta1Elem(3, 1, {2: Q}).coords == {2: Q}
+    assert HomElem(3, 2, {99: 0}).is_zero()  # zero coefficients are dropped first

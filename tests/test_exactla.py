@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import lieprop.exactla as exactla
 from lieprop.exactla import Echelon, Rat, axpy, in_span, primitive
 
 
@@ -193,6 +195,45 @@ def test_tracked_combinations_are_exact_ints(kind):
         assert x is not None and _combine(x, inputs) == target
         outside = {max((j for v in inputs for j in v), default=0) + 1: 1}
         assert tracked.solve(outside) is None
+
+
+@pytest.mark.parametrize("kind", ["frac", "frac1"])
+def test_untracked_echelon_on_fractions_is_integer_only(kind, monkeypatch):
+    def int_axpy(out, vec, c=1):
+        assert type(c) is int
+        assert all(type(v) is int for v in out.values())
+        assert all(type(v) is int for v in vec.values())
+        return axpy(out, vec, c)
+
+    # every accumulate inside add and reduce sees ints only
+    monkeypatch.setattr(exactla, "axpy", int_axpy)
+    rng = random.Random({"frac": 21, "frac1": 22}[kind])
+    for _ in range(30):
+        width = rng.randint(1, 6)
+        inputs = _stream(rng, kind, rng.randint(1, 10), width)
+        ech, scaled, tracked = Echelon(), Echelon(), Echelon(track=True)
+        for vec in inputs:
+            den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+            k = den * rng.choice([-3, -2, -1, 1, 2, 5])
+            grew = ech.add(vec)
+            assert grew == scaled.add({j: int(k * v) for j, v in vec.items()})
+            tracked.add(vec)
+        for _, row, track in ech.rows:
+            assert track is None
+            assert all(type(v) is int for v in row.values())
+        assert ech.rows == scaled.rows
+        # vectors mostly outside the span
+        for _ in range(5):
+            v = {j: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(width + 1)}
+            v = {j: c for j, c in v.items() if c}
+            red = ech.reduce(v)
+            assert not any(p in red for p in ech.pivot_cols)
+            diff = axpy(dict(v), red, -1)
+            x = tracked.solve(diff)
+            assert x is not None and _combine(x, inputs) == diff
+            k = rng.choice([-4, -1, 2, 3])
+            assert ech.reduce({j: k * c for j, c in v.items()}) == \
+                {j: k * c for j, c in red.items()}
 
 
 def test_axpy_accumulates_in_place_and_drops_cancelled_entries():

@@ -1,6 +1,6 @@
 import itertools
 
-from lieprop.exactla import Echelon
+from lieprop.exactla import Echelon, axpy
 from lieprop.schur_oracle import (SwModule, compositions, cross_check,
                                   h_modules, is_lyndon, lyndon_bracketing,
                                   lyndon_words, necklace_dim, schur_dim,
@@ -71,31 +71,67 @@ def test_schur_dim_trivial_module():
         assert schur_dim(triv, d) == d
 
 
+def _regular_module(w):
+    perms = list(itertools.permutations(range(1, w + 1)))
+    index = {p: i for i, p in enumerate(perms)}
+
+    def act(tau):
+        rows = []
+        for p in perms:
+            q = tuple(p[t - 1] for t in tau)  # right multiplication
+            rows.append({index[q]: 1})
+        return rows
+
+    return SwModule(w, len(perms), act)
+
+
+def _act_sgn(tau):
+    # adjacent transpositions act by -1
+    return [{0: -1}]
+
+
+def _orbit_schur_dim(module, d):
+    """Reference: one relation echelon per S_w-orbit of words, with the
+    orbit of each sorted word taken directly (no grouping by partition)."""
+    w, dim = module.w, module.dim
+    total = 0
+    for rep in itertools.combinations_with_replacement(range(1, d + 1), w):
+        ech = Echelon()
+        for pos in range(w - 1):
+            if rep[pos] == rep[pos + 1]:
+                tau = list(range(1, w + 1))
+                tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
+                mat = module.act(tau)
+                for r in range(dim):
+                    ech.add(axpy(dict(mat[r]), {r: 1}, -1))
+        total += dim - ech.rank
+    return total
+
+
 def test_schur_dim_regular_module():
     # regular representation of S_w: M (x)_{S_w} V^{(x) w} is free of
     # rank one, so the dimension is d^w
     for w in (2, 3):
-        perms = list(itertools.permutations(range(1, w + 1)))
-        index = {p: i for i, p in enumerate(perms)}
-
-        def act(tau, perms=perms, index=index):
-            rows = []
-            for p in perms:
-                q = tuple(p[t - 1] for t in tau)  # right multiplication
-                rows.append({index[q]: 1})
-            return rows
-
-        reg = SwModule(w, len(perms), act)
+        reg = _regular_module(w)
         for d in (1, 2, 3):
             assert schur_dim(reg, d) == d ** w
 
 
-def test_schur_dim_sign_module():
-    def act_sgn(tau):
-        # adjacent transpositions act by -1
-        return [{0: -1}]
+def test_schur_dim_partition_formula_matches_orbit_loop():
+    for w in range(1, 6):
+        for n in range(0, 3):
+            for module in h_modules(w, n):
+                for d in (1, 2, 3):
+                    assert schur_dim(module, d) == _orbit_schur_dim(module, d), (w, n, d)
+    for module in (_regular_module(4), SwModule(4, 1, _act_sgn)):
+        for d in (1, 2, 3, 4, 5):
+            assert schur_dim(module, d) == _orbit_schur_dim(module, d)
+    assert schur_dim(_regular_module(4), 3) == 3 ** 4
+    assert schur_dim(SwModule(4, 1, _act_sgn), 5) == 5  # exterior fourth power of Q^5
 
-    sgn2 = SwModule(2, 1, act_sgn)
+
+def test_schur_dim_sign_module():
+    sgn2 = SwModule(2, 1, _act_sgn)
     assert schur_dim(sgn2, 1) == 0
     assert schur_dim(sgn2, 2) == 1  # exterior square of Q^2
 
@@ -126,10 +162,7 @@ def test_schur_dim_matches_literal_relation_rank():
                     ech.add(row)
         return dim * len(words) - ech.rank
 
-    def act_sgn(tau):
-        return [{0: -1}]
-
-    sgn3 = SwModule(3, 1, act_sgn)
+    sgn3 = SwModule(3, 1, _act_sgn)
     for d in (1, 2, 3):
         assert schur_dim(sgn3, d) == literal(sgn3, d)
 
@@ -156,4 +189,12 @@ def test_cross_check_small_grid():
     for d in (1, 2):
         for n in range(0, 3):
             for w in range(1, 4):
+                assert cross_check(d, n, w), (d, n, w)
+
+
+def test_cross_check_oracle_grid():
+    # the whole d <= 3, n <= 2, w <= 6 grid of the oracle benchmark workload
+    for d in (1, 2, 3):
+        for n in range(0, 3):
+            for w in range(1, 7):
                 assert cross_check(d, n, w), (d, n, w)
