@@ -333,6 +333,15 @@ def cmd_verify(config):
     return 0 if ok else 1
 
 
+def _space_dim(space, m, n, t):
+    """Dimension of the space whose basis `export-basis` prints."""
+    if space == "hom":
+        return hom_dim(m, n)
+    if space == "delta1":
+        return delta1_dim(m, n)
+    return cecomplex.ce_dim(m, n, t)
+
+
 def cmd_export_basis(config, m, n, space, t):
     if space == "hom":
         bms = hom_basis(m, n)
@@ -402,6 +411,10 @@ def main(argv=None):
                     raise ValueError("--%s must be >= 0" % flag)
             if args.n > args.m:
                 raise ValueError("--n must be <= --m (Hom(m, n) is zero for n > m)")
+            if not _space_dim(args.space, args.m, args.n, args.t):
+                raise ValueError("the %s basis for --m %d --n %d%s is empty" % (
+                    args.space, args.m, args.n,
+                    " --t %d" % args.t if args.space == "ce" else ""))
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "dims":

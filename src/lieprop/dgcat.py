@@ -10,16 +10,18 @@ degree-1 part through mu_tilde_1 and satisfies the Leibniz rule
     d(g o f) = dg o f + (-1)^{|g|} g o df.
 
 Homology is computed cell by cell from the matrix of mu_tilde_1 in the
-fixed bases: the kernel gives H1, the image span gives the boundary
-data defining H0.  H0 classes are handled as canonical reduced
-representatives against the echelonized boundary span, so equality of
-classes is equality of representatives.
+fixed bases.  One untracked echelon of its columns gives the rank, so
+both dimensions, and is the boundary data defining H0: H0 classes are
+handled as canonical reduced representatives against it, so equality
+of classes is equality of representatives.  The kernel basis spanning
+H1 is built only when something reads `HomologyCell.kernel`, by
+`exactla.kernel` on the same columns, and is then cached per cell.
 """
 
 import functools
 
 from .catlie import HomElem, compose, hom_dim, identity
-from .exactla import Echelon
+from .exactla import Echelon, kernel
 from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
                       delta1_dim, mu, mu_tilde_1)
 
@@ -110,33 +112,45 @@ def check_leibniz(m, n, p):
 class HomologyCell:
     """Homology data of one cell: dims, boundary span and kernel basis."""
 
-    __slots__ = ("m", "n", "h0_dim", "h1_dim", "rank", "boundaries", "kernel")
+    __slots__ = ("m", "n", "h0_dim", "h1_dim", "rank", "boundaries")
 
-    def __init__(self, m, n, h0_dim, h1_dim, rank, boundaries, kernel):
+    def __init__(self, m, n, h0_dim, h1_dim, rank, boundaries):
         self.m = m
         self.n = n
         self.h0_dim = h0_dim
         self.h1_dim = h1_dim
         self.rank = rank
         self.boundaries = boundaries  # Echelon spanning im(mu_tilde_1)
-        self.kernel = kernel          # list of Delta1Elem spanning ker(mu_tilde_1)
+
+    @property
+    def kernel(self):
+        """Tuple of Delta1Elem spanning ker(mu_tilde_1), built on first access."""
+        return _cell_kernel(self.m, self.n)
 
     def h0_boundary_basis(self):
         """Echelonized spanning set of the boundary space, as HomElems."""
         return [HomElem(self.m, self.n, dict(row)) for _, row, _ in self.boundaries.rows]
 
 
+def _mu_columns(m, n):
+    """The columns of mu_tilde_1 on the cell, one per delta1 basis element."""
+    return (mu_tilde_1(Delta1Elem(m, n, {i: 1})).coords for i in range(delta1_dim(m, n)))
+
+
 @functools.cache
 def homology_cell(m, n):
-    dim1 = delta1_dim(m, n)
-    ech = Echelon(track=True)
-    kernel = []
-    for i in range(dim1):
-        col = mu_tilde_1(Delta1Elem(m, n, {i: 1}))
-        if not ech.add(col.coords):
-            kernel.append(Delta1Elem(m, n, ech.last_comb))
+    ech = Echelon()
+    for col in _mu_columns(m, n):
+        ech.add(col)
     rank = ech.rank
-    return HomologyCell(m, n, hom_dim(m, n) - rank, dim1 - rank, rank, ech, kernel)
+    return HomologyCell(m, n, hom_dim(m, n) - rank, delta1_dim(m, n) - rank, rank, ech)
+
+
+@functools.cache
+def _cell_kernel(m, n):
+    """One kernel vector per column of mu_tilde_1 that depends on the
+    columns before it, supported on it and the independent ones before it."""
+    return tuple(Delta1Elem(m, n, z) for z in kernel(list(_mu_columns(m, n))))
 
 
 def h0_reduce(w):

@@ -6,14 +6,14 @@ accepted everywhere and mix freely.  There is no floating point in this
 module, and none anywhere downstream of it.
 
 `Echelon` is an incremental exact row-echelon span; it gives ranks,
-kernel bases, exact solves and a quotient normal form.  Rows are sparse
-``{column: int}`` dicts kept primitive (coprime integer entries,
-positive pivot in the row's smallest column).  Elimination is
-integer-only and fraction-free: every incoming vector is first cleared
-of denominators (times the lcm of its denominators), each step
-cross-multiplies (``r <- a*r - b*row``), and a new row is divided by
-its content, which keeps coefficients small without ever rounding.  No
-Fraction enters the elimination loop, tracked or not.
+exact solves and a quotient normal form, and `kernel` gives kernel
+bases.  Rows are sparse ``{column: int}`` dicts kept primitive (coprime
+integer entries, positive pivot in the row's smallest column).
+Elimination is integer-only and fraction-free: every incoming vector is
+first cleared of denominators (times the lcm of its denominators), each
+step cross-multiplies (``r <- a*r - b*row``), and a new row is divided
+by its content, which keeps coefficients small without ever rounding.
+No Fraction enters the elimination loop, tracked or not.
 
 With ``track=True`` each pivot row also records how it was formed from
 the inserted vectors, as a pair ``(s, comb)`` of an int and a sparse
@@ -22,10 +22,13 @@ dict of ints with
     s * row == sum_j comb[j] * inserted_vector_j,
 
 so tracking does no Fraction arithmetic either; this is what produces
-kernel vectors and exact solves.  `Echelon.reduce` returns the
-canonical representative of a vector modulo the span (the unique one
-vanishing on all pivot columns); it eliminates in ints and divides
-once at the end.  `in_span` is the one-shot membership test on tuples.
+exact solves.  `kernel` needs no tracking: it eliminates the rows of a
+matrix untracked, back-substitutes to reduced row echelon form and
+reads one kernel vector off each free column.  `Echelon.reduce`
+returns the canonical representative of a vector modulo the span (the
+unique one vanishing on all pivot columns); it eliminates in ints and
+divides once at the end.  `in_span` is the one-shot membership test on
+tuples.
 
 `axpy` is the one sparse accumulate, `out += c * vec` with cancelled
 entries dropped, and `SparseElem` is the base of the element types of
@@ -165,7 +168,6 @@ class Echelon:
         self.pivot_cols = {}    # pivot_col -> index into rows
         self.track = track
         self.count = 0          # vectors fed in so far
-        self.last_comb = None   # dependency of the last dependent vector, if tracking
 
     @property
     def rank(self):
@@ -203,10 +205,7 @@ class Echelon:
         A vector holding Fractions is first cleared to ints (times the
         lcm L of its denominators); when tracking, its combination
         starts at L and the new row's (s, comb) is divided by its
-        content.  When the vector was dependent, `last_comb` holds a
-        primitive integer combination c with
-        sum_j c[j] * inserted_vector_j = 0 in which c[self.count - 1]
-        is nonzero.
+        content.
         """
         idx = self.count
         self.count += 1
@@ -216,7 +215,6 @@ class Echelon:
         else:
             r, _, comb = self._eliminate(r)
         if not r:
-            self.last_comb = primitive(comb) if self.track else None
             return False
         p = min(r)
         row = primitive(r)
@@ -229,7 +227,6 @@ class Echelon:
             track = (s // g, {j: v // g for j, v in comb.items()})
         self.pivot_cols[p] = len(self.rows)
         self.rows.append((p, row, track))
-        self.last_comb = None
         return True
 
     def reduce(self, vec):
@@ -270,6 +267,47 @@ class Echelon:
             return None
         c0 = comb.pop(-1)
         return {j: Fraction(-v, c0) for j, v in comb.items()}
+
+
+def kernel(columns):
+    """Kernel basis of the matrix with the given columns (sparse dicts,
+    lists or tuples), as primitive int dicts over the column indices.
+
+    There is one vector per free column f, a column that depends on the
+    columns before it, in increasing f.  The rows of the matrix are
+    eliminated untracked and then back-substituted to reduced row
+    echelon form R, whose pivot columns are exactly the columns that
+    are independent of the ones before them; the vector of f is
+    ``primitive({f: 1} + {p: -R_p[f] / R_p[p]})``.  It lies on f and the
+    independent columns before f, which fixes it up to scale.
+    """
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, v in _as_frac_dict(col).items():
+            rows.setdefault(i, {})[j] = v
+    ech = Echelon()
+    for i in sorted(rows):
+        ech.add(rows[i])
+    # back-substitution: the reduced rows R_q with q > p vanish on every
+    # pivot column but q, so clearing p's row of them needs one pass
+    reduced = {}
+    for p, row, _ in sorted(ech.rows, key=lambda t: t[0], reverse=True):
+        r = row
+        for q in [c for c in row if c in reduced]:
+            red = reduced[q]
+            a, b = red[q], r[q]
+            if a != 1 or r is row:
+                r = {j: a * v for j, v in r.items()}
+            axpy(r, red, -b)
+        reduced[p] = row if r is row else primitive(r)
+    pivots = sorted(reduced.items())
+    out = []
+    for f in range(len(columns)):
+        if f not in reduced:
+            vec = {p: Fraction(-red[f], red[p]) for p, red in pivots if f in red}
+            vec[f] = 1
+            out.append(primitive(vec))
+    return out
 
 
 def in_span(v, basis):

@@ -191,8 +191,13 @@ class SwModule:
         return self._cache[tau]
 
 
+@functools.cache
 def h_modules(w, n):
-    """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in."""
+    """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
+
+    Cached, so the action matrices each module caches are built once per
+    (w, n) and shared by every d of `cross_check`.
+    """
     cell = dgcat.homology_cell(w, n)
 
     reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]

@@ -191,6 +191,20 @@ def test_export_basis_rejects_n_above_m(capsys, space):
     assert "--n must be <= --m" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--m", "2", "--n", "2", "--space", "delta1"],   # delta1(m, m) lies in Hom(m, m + 1)
+    ["--m", "2", "--n", "1", "--space", "ce", "--t", "3"],
+    ["--m", "3", "--n", "0"],
+], ids=["delta1-n-equal-m", "ce-t-above-m-n", "hom-n-zero"])
+def test_export_basis_rejects_empty_basis(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["export-basis"] + argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "basis for --m" in captured.err and "is empty" in captured.err
+
+
 def test_export_basis_allows_n_equal_m(capsys):
     code, out = run_cli(capsys, "export-basis", "--m", "3", "--n", "3")
     assert code == 0

@@ -5,7 +5,8 @@ from lieprop.catlie import HomElem, compose, hom_dim, identity
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop.exactla import Echelon, in_span
+from lieprop import cli, dgcat
+from lieprop.exactla import Echelon, in_span, primitive
 from lieprop.mudelta import Delta1Elem, delta1_dim, iota, mu, mu_tilde_1
 
 
@@ -179,15 +180,37 @@ def test_euler_small():
 
 
 def test_homology_cells_pinned_to_untracked_echelon():
-    # (5, 3) has pivot rows whose tracked scale s is not 1; (6, 2) is larger
     for m, n in [(5, 3), (6, 2)]:
         cell = homology_cell(m, n)
-        plain = Echelon()
-        for i in range(delta1_dim(m, n)):
-            plain.add(mu_tilde_1(Delta1Elem(m, n, {i: 1})).coords)
+        plain, tracked = Echelon(), Echelon(track=True)
+        expected = []
+        for j in range(delta1_dim(m, n)):
+            col = mu_tilde_1(Delta1Elem(m, n, {j: 1})).coords
+            plain.add(col)
+            if not tracked.add(col):
+                # col_j = sum_i x_i col_i over the independent columns i < j
+                x = tracked.solve(col)
+                expected.append(primitive({**x, j: -1}))
         assert [(p, row) for p, row, _ in cell.boundaries.rows] == \
             [(p, row) for p, row, _ in plain.rows]
-        assert len(cell.kernel) == delta1_dim(m, n) - plain.rank
+        assert [z.coords for z in cell.kernel] == expected
+        assert len(cell.kernel) == cell.h1_dim == delta1_dim(m, n) - plain.rank
         for z in cell.kernel:
             assert mu_tilde_1(z).is_zero()
-    assert any(s != 1 for _, _, (s, _) in homology_cell(5, 3).boundaries.rows)
+        if (m, n) == (5, 3):
+            # pivot rows whose tracked scale s is not 1 reach the solves
+            assert any(s != 1 for _, _, (s, _) in tracked.rows)
+
+
+def test_homology_computes_no_kernel(capsys, monkeypatch):
+    monkeypatch.delenv("LIEPROP_WORKERS", raising=False)
+    assert cli.main(["homology", "--max-m", "5"]) == 0
+    expected = capsys.readouterr().out
+
+    def no_kernel(m, n):
+        raise AssertionError("kernel of cell (%d, %d) built" % (m, n))
+
+    monkeypatch.setattr(dgcat, "_cell_kernel", no_kernel)
+    homology_cell.cache_clear()
+    assert cli.main(["homology", "--max-m", "5"]) == 0
+    assert capsys.readouterr().out == expected

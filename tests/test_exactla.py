@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import lieprop.exactla as exactla
-from lieprop.exactla import Echelon, Rat, axpy, in_span, primitive
+from lieprop.exactla import Echelon, Rat, axpy, in_span, kernel, primitive
 
 
 def _rank(rows):
@@ -18,12 +18,7 @@ def _rank(rows):
 def _kernel(rows, cols):
     """Kernel basis of the matrix `rows` (cols columns): one dependency per
     column that is dependent on the columns before it."""
-    ech = Echelon(track=True)
-    out = []
-    for j in range(cols):
-        if not ech.add({i: row[j] for i, row in enumerate(rows)}):
-            out.append(ech.last_comb)
-    return out
+    return kernel([{i: row[j] for i, row in enumerate(rows)} for j in range(cols)])
 
 
 def _apply(rows, v):
@@ -172,17 +167,20 @@ def test_tracked_combinations_are_exact_ints(kind):
     for _ in range(30):
         inputs = _stream(rng, kind, rng.randint(1, 10), rng.randint(1, 6))
         tracked, plain = Echelon(track=True), Echelon()
+        dependent = []
         for k, vec in enumerate(inputs):
             grew = tracked.add(vec)
             assert grew == plain.add(vec)
-            if grew:
-                assert tracked.last_comb is None
-            else:
-                dep = tracked.last_comb
-                assert dep.get(k, 0) != 0 and max(dep) == k
-                assert all(type(c) is int for c in dep.values())
-                assert primitive(dep) == dep
-                assert not _combine(dep, inputs)
+            if not grew:
+                dependent.append((k, primitive({**tracked.solve(vec), k: -1})))
+        deps = kernel(inputs)
+        assert len(deps) == len(dependent)
+        for (k, by_solve), dep in zip(dependent, deps):
+            assert dep.get(k, 0) != 0 and max(dep) == k
+            assert all(type(c) is int for c in dep.values())
+            assert primitive(dep) == dep
+            assert not _combine(dep, inputs)
+            assert dep == by_solve
         for _, row, (s, comb) in tracked.rows:
             assert type(s) is int and s > 0
             assert all(type(c) is int for c in comb.values())
