@@ -9,21 +9,34 @@ degree-1 part through mu_tilde_1 and satisfies the Leibniz rule
 
     d(g o f) = dg o f + (-1)^{|g|} g o df.
 
-Homology is computed cell by cell from the matrix of mu_tilde_1 in the
-fixed bases.  One untracked echelon of its columns gives the rank, so
-both dimensions, and is the boundary data defining H0: H0 classes are
-handled as canonical reduced representatives against it, so equality
-of classes is equality of representatives.  The kernel basis spanning
-H1 is built only when something reads `HomologyCell.kernel`, by
-`exactla.kernel` on the same columns, and is then cached per cell.
+Homology is computed cell by cell, and each field of `HomologyCell` is
+built only when something reads it, then cached per cell.
+
+* The dimensions come from the S_n-blocks of mu_tilde_1.  S_n permutes
+  the bases of Hom(m, n) and delta1(m, n) freely by post-composition,
+  and mu_tilde_1 commutes with it, so mu_tilde_1 is evaluated on one
+  delta1 basis element per orbit only and written as a matrix M over
+  Z[S_n].  Its rank is the sum over the partitions lambda of n of
+  d_lambda * rank rho_lambda(M), with rho_lambda from `symrep`; each
+  block is ranked by an untracked echelon.  The blocks also give the
+  multiplicity of each irreducible V_lambda in H0 and in H1.
+* The boundary data defining H0 is one untracked echelon of all the
+  columns of mu_tilde_1: H0 classes are handled as canonical reduced
+  representatives against it, so equality of classes is equality of
+  representatives.
+* The kernel basis spanning H1 is built by `exactla.kernel` on the same
+  columns.
 """
 
 import functools
+from math import factorial
 
-from .catlie import HomElem, compose, hom_dim, identity
-from .exactla import Echelon, kernel
+from . import symrep
+from .catlie import (BasisMorphism, HomElem, compose, hom_basis, hom_dim,
+                     hom_index, identity)
+from .exactla import Echelon, axpy, kernel
 from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
-                      delta1_dim, mu, mu_tilde_1)
+                      delta1_basis, delta1_dim, mu, mu_tilde_1)
 
 
 class DGHom:
@@ -110,17 +123,43 @@ def check_leibniz(m, n, p):
 
 
 class HomologyCell:
-    """Homology data of one cell: dims, boundary span and kernel basis."""
+    """Homology data of one cell.  Every field is built on first read and
+    cached per cell at module level: `rank`, `h0_dim`, `h1_dim` and
+    `multiplicities` from the S_n blocks, `boundaries` from the full
+    column echelon, `kernel` from the kernel basis."""
 
-    __slots__ = ("m", "n", "h0_dim", "h1_dim", "rank", "boundaries")
+    __slots__ = ("m", "n")
 
-    def __init__(self, m, n, h0_dim, h1_dim, rank, boundaries):
+    def __init__(self, m, n):
         self.m = m
         self.n = n
-        self.h0_dim = h0_dim
-        self.h1_dim = h1_dim
-        self.rank = rank
-        self.boundaries = boundaries  # Echelon spanning im(mu_tilde_1)
+
+    @property
+    def rank(self):
+        """rank mu_tilde_1 = sum over lambda of d_lambda * rank rho_lambda(M)."""
+        return sum(symrep.dim(shape) * r for shape, r in _block_ranks(self.m, self.n).items())
+
+    @property
+    def h0_dim(self):
+        return hom_dim(self.m, self.n) - self.rank
+
+    @property
+    def h1_dim(self):
+        return delta1_dim(self.m, self.n) - self.rank
+
+    @property
+    def multiplicities(self):
+        """{lambda: (h0_lambda, h1_lambda)}, the multiplicities of the
+        irreducible S_n-module V_lambda in H0 and in H1."""
+        c = hom_dim(self.m, self.n) // factorial(self.n)        # free ranks over Q[S_n]
+        r = delta1_dim(self.m, self.n) // factorial(self.n)
+        return {shape: (c * symrep.dim(shape) - k, r * symrep.dim(shape) - k)
+                for shape, k in _block_ranks(self.m, self.n).items()}
+
+    @property
+    def boundaries(self):
+        """Echelon spanning im(mu_tilde_1), built on first access."""
+        return _cell_boundaries(self.m, self.n)
 
     @property
     def kernel(self):
@@ -132,18 +171,91 @@ class HomologyCell:
         return [HomElem(self.m, self.n, dict(row)) for _, row, _ in self.boundaries.rows]
 
 
+@functools.cache
+def homology_cell(m, n):
+    """The HomologyCell of (m, n); its fields are built on first read."""
+    return HomologyCell(m, n)
+
+
+def _orbit_normal_form(bm, n):
+    """(tau, rep) with bm = tau . rep for the post-composition action of
+    S_n on the first n outputs: rep relabels them by their first
+    occurrence in f, and tau = (tau(1), ..., tau(n)) undoes that."""
+    tau = []
+    for v in bm.f:
+        if v <= n and v not in tau:
+            tau.append(v)
+    relabel = {v: k for k, v in enumerate(tau, start=1)}
+    rep = BasisMorphism(bm.m, bm.n, tuple(relabel.get(v, v) for v in bm.f),
+                        tuple(bm.trees[v - 1] for v in tau) + bm.trees[n:])
+    return tuple(tau), rep
+
+
+@functools.cache
+def _block_ranks(m, n):
+    """{lambda: rank rho_lambda(M)} over the partitions lambda of n.
+
+    Post-composition with sigma in S_n permutes the bases of Hom(m, n)
+    and of delta1(m, n) (through sigma + 1) freely, and mu_tilde_1 is
+    S_n-equivariant, since sigma o mu(n) = mu(n) o (sigma + 1).  So
+    mu_tilde_1 on the delta1 orbit representatives r_j determines it:
+    mu_tilde_1(r_j) = sum_i M_ji h_i with M_ji in Z[S_n] and h_i the Hom
+    orbit representatives, and on Q[S_n]^r it is x -> xM.  By
+    Wedderburn, its rank is the sum of d_lambda * rank rho_lambda(M),
+    where rho_lambda(M) has the entry sum_sigma c_sigma
+    rho_lambda(sigma)[a][b] in row (j, a) and column (i, b), c_sigma
+    being the coefficient of sigma in M_ji.  Here i is the Hom index
+    of h_i.
+    """
+    ident = tuple(range(1, n + 1))
+    basis, index = hom_basis(m, n), hom_index(m, n)
+    orbit = {}                          # Hom index k -> (i, tau) with basis_k = tau . h_i
+    matrix = []                         # matrix[j] = {i: {tau: coefficient}}
+    for s, bm in enumerate(delta1_basis(m, n)[1]):
+        if _orbit_normal_form(bm, n)[0] != ident:
+            continue
+        row = {}
+        for k, c in mu_tilde_1(Delta1Elem(m, n, {s: 1})).coords.items():
+            if k not in orbit:
+                tau, rep = _orbit_normal_form(basis[k], n)
+                orbit[k] = index[rep], tau
+            i, tau = orbit[k]
+            axpy(row.setdefault(i, {}), {tau: c})
+        matrix.append({i: entry for i, entry in row.items() if entry})
+    taus = {tau for row in matrix for entry in row.values() for tau in entry}
+    ranks = {}
+    for shape in symrep._partitions(n):
+        d = symrep.dim(shape)
+        mats = symrep.rho_cleared(shape, taus)
+        ech = Echelon()
+        for row in matrix:
+            block = [{} for _ in range(d)]
+            for i, entry in row.items():
+                (tau, c), *more = entry.items()
+                acc = [[c * x for x in r] for r in mats[tau]]
+                for tau, c in more:
+                    acc = [[y + c * x for y, x in zip(ra, r)] for ra, r in zip(acc, mats[tau])]
+                for vec, r in zip(block, acc):
+                    vec.update((i * d + b, x) for b, x in enumerate(r) if x)
+            for vec in block:
+                ech.add(vec)
+        ranks[shape] = ech.rank
+    return ranks
+
+
 def _mu_columns(m, n):
     """The columns of mu_tilde_1 on the cell, one per delta1 basis element."""
     return (mu_tilde_1(Delta1Elem(m, n, {i: 1})).coords for i in range(delta1_dim(m, n)))
 
 
 @functools.cache
-def homology_cell(m, n):
+def _cell_boundaries(m, n):
+    """The untracked echelon of all the columns of mu_tilde_1: the span of
+    the boundaries, against which H0 representatives are reduced."""
     ech = Echelon()
     for col in _mu_columns(m, n):
         ech.add(col)
-    rank = ech.rank
-    return HomologyCell(m, n, hom_dim(m, n) - rank, delta1_dim(m, n) - rank, rank, ech)
+    return ech
 
 
 @functools.cache

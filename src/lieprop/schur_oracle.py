@@ -32,6 +32,7 @@ from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
 from .exactla import Echelon, axpy
 from .mudelta import delta1_act_in
+from .symrep import _partitions
 
 
 def _mobius(n):
@@ -228,17 +229,6 @@ def h_modules(w, n):
             SwModule(w, len(cell.kernel), act1))
 
 
-def _partitions(w, largest=None):
-    """Partitions of w as non-increasing tuples of positive parts."""
-    if w == 0:
-        return [()]
-    out = []
-    for first in range(min(w, largest or w), 0, -1):
-        for rest in _partitions(w - first, first):
-            out.append((first,) + rest)
-    return out
-
-
 def _young_coinvariant_dim(module, parts):
     """dim M_{S_lambda}: dim M minus the rank of {m tau - m} over the
     adjacent transpositions tau inside the consecutive blocks of `parts`."""
@@ -276,7 +266,9 @@ def schur_dim(module, d):
     the k letters and k! / prod_v m_v! the distinct ways to give them
     the parts of lambda.  Each dim M_{S_lambda} is computed exactly, as
     dim M minus the rank of {m tau - m} over the adjacent
-    transpositions tau inside the blocks of lambda.
+    transpositions tau inside the blocks of lambda.  The partitions come
+    from `symrep._partitions`, which also indexes the S_n blocks of the
+    homology cells.
     """
     total = 0
     for parts in _partitions(module.w):

@@ -1,13 +1,21 @@
+import json
 import random
 from math import factorial
+from pathlib import Path
 
-from lieprop.catlie import HomElem, compose, hom_dim, identity
+import pytest
+
+from lieprop.catlie import (HomElem, act_out, compose, hom_basis, hom_dim,
+                            identity, perm_hom)
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop import cli, dgcat
+from lieprop import cli, dgcat, schur_oracle, symrep
 from lieprop.exactla import Echelon, in_span, primitive
-from lieprop.mudelta import Delta1Elem, delta1_dim, iota, mu, mu_tilde_1
+from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis,
+                             delta1_dim, iota, mu, mu_tilde_1)
+
+M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
 
 
 def _random_dghom(rng, m, n):
@@ -214,3 +222,102 @@ def test_homology_computes_no_kernel(capsys, monkeypatch):
     homology_cell.cache_clear()
     assert cli.main(["homology", "--max-m", "5"]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_homology_computes_no_boundaries(capsys, monkeypatch):
+    monkeypatch.delenv("LIEPROP_WORKERS", raising=False)
+    argv = ["homology", "--max-m", "6", "--format", "json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    h0, h1 = schur_oracle.h_modules(4, 2)
+    dims = (h0.dim, h1.dim)
+
+    def no_boundaries(m, n):
+        raise AssertionError("boundaries of cell (%d, %d) built" % (m, n))
+
+    monkeypatch.setattr(dgcat, "_cell_boundaries", no_boundaries)
+    homology_cell.cache_clear()
+    dgcat._block_ranks.cache_clear()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    # h_modules still reads the boundaries, and gets the same dimensions from them
+    schur_oracle.h_modules.cache_clear()
+    with pytest.raises(AssertionError, match="boundaries of cell"):
+        schur_oracle.h_modules(4, 2)
+    monkeypatch.undo()
+    h0, h1 = schur_oracle.h_modules(4, 2)
+    cell = homology_cell(4, 2)
+    assert (h0.dim, h1.dim) == dims == (cell.h0_dim, cell.h1_dim)
+
+
+def test_block_rank_equals_full_echelon():
+    cells = [(m, n) for m in range(7) for n in range(m + 1)]
+    assert len(cells) == 28
+    for m, n in cells:
+        assert homology_cell(m, n).rank == dgcat._cell_boundaries(m, n).rank, (m, n)
+
+
+def _transpositions(n):
+    for i in range(1, n):
+        s = list(range(1, n + 1))
+        s[i - 1], s[i] = s[i], s[i - 1]
+        yield tuple(s)
+
+
+def test_orbit_normal_form():
+    for m in range(6):
+        for n in range(1, m + 1):
+            ident = tuple(range(1, n + 1))
+            reps = set()
+            for bm in hom_basis(m, n):
+                tau, rep = dgcat._orbit_normal_form(bm, n)
+                assert dgcat._orbit_normal_form(rep, n) == (ident, rep)
+                assert act_out(tau, HomElem.from_basis(rep)) == HomElem.from_basis(bm)
+                reps.add(rep)
+            # the action is free: every orbit has n! elements
+            assert len(reps) * factorial(n) == hom_dim(m, n)
+
+
+def test_mu_tilde_1_is_equivariant():
+    # mu_tilde_1(s_i . z) == s_i . mu_tilde_1(z) on every delta1 orbit representative z
+    for m in range(6):
+        for n in range(2, m + 1):
+            ident = tuple(range(1, n + 1))
+            reps = [s for s, bm in enumerate(delta1_basis(m, n)[1])
+                    if dgcat._orbit_normal_form(bm, n)[0] == ident]
+            assert len(reps) * factorial(n) == delta1_dim(m, n)
+            for s in reps:
+                z = Delta1Elem(m, n, {s: 1})
+                image = mu_tilde_1(z)
+                for sigma in _transpositions(n):
+                    assert mu_tilde_1(delta1_act_left(perm_hom(sigma), z)) == \
+                        act_out(sigma, image), (m, n, s, sigma)
+
+
+def test_multiplicities():
+    for m in range(7):
+        for n in range(m + 1):
+            cell = homology_cell(m, n)
+            mult = cell.multiplicities
+            assert set(mult) == set(symrep._partitions(n))
+            assert sum(symrep.dim(shape) * h0 for shape, (h0, _) in mult.items()) == cell.h0_dim
+            assert sum(symrep.dim(shape) * h1 for shape, (_, h1) in mult.items()) == cell.h1_dim
+    # H1(6, 5) is the trivial representation
+    assert {shape: h1 for shape, (_, h1) in homology_cell(6, 5).multiplicities.items() if h1} \
+        == {(5,): 1}
+    # H0(m, 2) is (m - 2)! copies of the trivial representation
+    for m in range(3, 7):
+        cell = homology_cell(m, 2)
+        assert cell.h0_dim == factorial(m - 2)
+        assert {shape: h0 for shape, (h0, _) in cell.multiplicities.items()} == \
+            {(2,): factorial(m - 2), (1, 1): 0}
+
+
+def test_homology_m7_pinned():
+    assert [(m, n) for m, n, _, _ in M7] == [(7, n) for n in range(1, 8)]
+    for m, n, h0, h1 in M7:
+        assert h0 - h1 == hom_dim(m, n) - delta1_dim(m, n), (m, n)
+    for m, n, h0, h1 in M7[:2]:
+        cell = homology_cell(m, n)
+        assert (cell.h0_dim, cell.h1_dim) == (h0, h1)
+    assert (homology_cell(7, 0).h0_dim, homology_cell(7, 0).h1_dim) == (0, 0)

@@ -1,0 +1,110 @@
+import itertools
+from fractions import Fraction
+from math import factorial
+
+from lieprop.symrep import (_partitions, dim, reduced_word, rho, rho_cleared,
+                            standard_tableaux)
+
+
+def compose(sigma, tau):
+    """sigma o tau: first tau, then sigma."""
+    return tuple(sigma[t - 1] for t in tau)
+
+
+def _perms(n):
+    return list(itertools.permutations(range(1, n + 1)))
+
+
+def _transposition(n, i):
+    s = list(range(1, n + 1))
+    s[i - 1], s[i] = s[i], s[i - 1]
+    return tuple(s)
+
+
+def _matrix(shape, sigma):
+    den, rows = rho(shape, sigma)
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def test_partitions_and_tableaux():
+    assert [len(_partitions(n)) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
+    assert _partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert set(standard_tableaux((2, 1))) == {((1, 2), (3,)), ((1, 3), (2,))}
+    for n in range(8):
+        # Wedderburn: sum of d_lambda^2 is |S_n|
+        assert sum(dim(shape) ** 2 for shape in _partitions(n)) == factorial(n)
+        for shape in _partitions(n):
+            for t in standard_tableaux(shape):
+                assert tuple(map(len, t)) == shape
+                assert sorted(x for row in t for x in row) == list(range(1, n + 1))
+                assert all(list(row) == sorted(row) for row in t)
+                assert all(t[r][c] < t[r + 1][c] for r in range(len(t) - 1)
+                           for c in range(len(t[r + 1])))
+
+
+def test_reduced_words():
+    for n in range(6):
+        for sigma in _perms(n):
+            word = reduced_word(sigma)
+            inversions = sum(1 for i, j in itertools.combinations(range(n), 2)
+                             if sigma[i] > sigma[j])
+            assert len(word) == inversions
+            product = tuple(range(1, n + 1))
+            for i in word:
+                product = compose(product, _transposition(n, i))
+            assert product == sigma
+
+
+def test_rho_is_a_homomorphism_small():
+    for n in range(5):
+        for shape in _partitions(n):
+            d = dim(shape)
+            mats = {s: _matrix(shape, s) for s in _perms(n)}
+            assert mats[tuple(range(1, n + 1))] == [[int(a == b) for b in range(d)]
+                                                    for a in range(d)]
+            for s, x in mats.items():
+                for t, y in mats.items():
+                    xy = [[sum(x[a][c] * y[c][b] for c in range(d)) for b in range(d)]
+                          for a in range(d)]
+                    assert xy == mats[compose(s, t)], (shape, s, t)
+
+
+def test_rho_is_a_homomorphism_on_generators():
+    # rho(sigma) rho(s_i) == rho(sigma o s_i) for every sigma and s_i, in ints:
+    # (A / a)(B / b) == C / c  iff  c * AB == a * b * C
+    for n in (5, 6):
+        for shape in _partitions(n):
+            gens = []
+            for i in range(1, n):
+                den, rows = rho(shape, _transposition(n, i))
+                cols = [[(c, row[b]) for c, row in enumerate(rows) if row[b]]
+                        for b in range(len(rows))]
+                gens.append((i, den, cols))
+            for sigma in _perms(n):
+                a, x = rho(shape, sigma)
+                x_cols = list(zip(*x))
+                for i, b, cols in gens:
+                    c, z = rho(shape, compose(sigma, _transposition(n, i)))
+                    lhs = []                    # the columns of c * x * rho(s_i)
+                    for col in cols:
+                        (k, v), *more = col
+                        acc = [c * v * e for e in x_cols[k]]
+                        for k, v in more:
+                            acc = [p + c * v * e for p, e in zip(acc, x_cols[k])]
+                        lhs.append(acc)
+                    assert lhs == [[a * b * e for e in col] for col in zip(*z)], (shape, sigma, i)
+
+
+def test_rho_cleared_shares_one_scale():
+    shape = (2, 1)
+    sigmas = _perms(3)
+    cleared = rho_cleared(shape, sigmas)
+    scales = set()
+    for s in sigmas:
+        den, rows = rho(shape, s)
+        ints = cleared[s]
+        assert all(isinstance(v, int) for row in ints for v in row)
+        (scale,) = {Fraction(v, 1) / Fraction(w, den)
+                    for row, irow in zip(rows, ints) for w, v in zip(row, irow) if w}
+        scales.add(scale)
+    assert len(scales) == 1
