@@ -16,6 +16,7 @@ is coordinate equality.
 
 import functools
 import itertools
+from math import factorial
 from typing import NamedTuple
 
 from . import freelie
@@ -61,14 +62,10 @@ def fibers(f, n):
 
 @functools.cache
 def hom_dim(m, n):
-    """dim Hom(m, n), by direct enumeration over surjections."""
-    total = 0
-    for f in surjections(m, n):
-        prod = 1
-        for fib in fibers(f, n):
-            prod *= freelie.lie_dim(len(fib))
-        total += prod
-    return total
+    """dim Hom(m, n) = n! * c(m, n) (module docstring); 0 for n < 0."""
+    if n < 0:
+        return 0
+    return factorial(n) * stirling_cycle(m, n)
 
 
 def stirling_cycle(m, n):
@@ -131,6 +128,12 @@ def basis_trees(bm):
     return tuple(freelie.lie_basis(fib)[t] for fib, t in zip(fibers(bm.f, bm.n), bm.trees))
 
 
+@functools.cache
+def _tree_terms(tree):
+    """(leaves, sorted coordinate items) of one output tree; cached."""
+    return freelie.leaves(tree), tuple(sorted(freelie.normalize_tree(tree).items()))
+
+
 def emit(trees, index):
     """Coordinates of the morphism with one (possibly non-basis) tree per output.
 
@@ -144,9 +147,10 @@ def emit(trees, index):
     per_output = []
     f = {}
     for j, tree in enumerate(trees, start=1):
-        for leaf in freelie.leaves(tree):
+        leaves, items = _tree_terms(tree)
+        for leaf in leaves:
             f[leaf] = j
-        per_output.append(sorted(freelie.normalize_tree(tree).items()))
+        per_output.append(items)
     m = len(f)
     fk = tuple(f[i] for i in range(1, m + 1))
     stack = [((), 1)]

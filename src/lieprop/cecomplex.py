@@ -5,7 +5,11 @@ the image of the antisymmetrizer
 
     e_t = (1/t!) sum_{sigma in S_t} sgn(sigma) . (sigma on outputs n+1..n+t),
 
-which is an exact idempotent over Q.  On representatives the
+which is an exact idempotent over Q.  Permuting the last t outputs
+sends basis morphisms to basis morphisms, and S_t acts freely on
+surjections onto [n+t], so the term has one basis element per S_t-orbit
+of hom_basis(m, n+t), the signed orbit sum, with no elimination (the
+freeness is asserted when the basis is built).  On representatives the
 differential is the homogeneous Chevalley-Eilenberg formula
 
     d(Z (x) x_1 ^ ... ^ x_t) =
@@ -89,22 +93,45 @@ def e_t_apply(w, n, t):
 
 @functools.cache
 def ce_basis(m, n, t):
-    """Deterministic echelon basis of the degree-t term, as HomElems."""
+    """Deterministic echelon basis of the degree-t term, as HomElems.
+
+    For t >= 2 there is one element per S_t-orbit of the basis of
+    Hom(m, n+t): the signed orbit sum {sigma(i): sgn sigma} of the
+    orbit's smallest index i, which is t! * e_t(i).  S_t permutes the
+    last t outputs of a surjection, so it acts freely and every orbit
+    has t! elements (asserted; a smaller orbit would mean the orbit sums
+    are not the image of e_t).  Disjoint supports with +1 on the
+    smallest index make this the primitive row-echelon basis of the
+    image, in increasing pivot order.
+    """
     dim = hom_dim(m, n + t)
     if t <= 1:
         return tuple(HomElem(m, n + t, {i: 1}) for i in range(dim))
-    ech = Echelon()
+    perms = _tail_perms(m, n, t)
+    seen = [False] * dim
+    out = []
     for i in range(dim):
-        ech.add(e_t_apply(HomElem(m, n + t, {i: 1}), n, t).coords)
-    return tuple(HomElem(m, n + t, dict(row)) for _, row, _ in ech.rows)
+        if seen[i]:
+            continue
+        row = {imap[i]: sign for sign, imap in perms}
+        if len(row) != len(perms):
+            raise AssertionError("S_%d does not act freely on Hom(%d, %d)" % (t, m, n + t))
+        for j in row:
+            seen[j] = True
+        out.append(HomElem(m, n + t, row))
+    return tuple(out)
 
 
 def ce_dim(m, n, t):
     return len(ce_basis(m, n, t))
 
 
+@functools.cache
 def _diff_basis(bm, n, t):
-    """The CE differential of a single basis morphism, before re-projection."""
+    """The CE differential of a single basis morphism, before re-projection.
+
+    Cached and shared between callers: the dict is read-only.
+    """
     trees = basis_trees(bm)
     ordinary = trees[:n]
     tail = trees[n:]

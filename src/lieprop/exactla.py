@@ -35,6 +35,7 @@ entries dropped, and `SparseElem` is the base of the element types of
 the downstream modules: sparse coordinates over the basis of one cell.
 """
 
+import heapq
 from fractions import Fraction
 from math import gcd
 
@@ -154,9 +155,16 @@ class Echelon:
     """Incremental exact row-echelon span over Q.
 
     Each new row takes its smallest column as its pivot, which is what
-    makes `reduce` canonical.  A single reduction pass over the pivot
-    rows in insertion order suffices: a pivot row never contains the
-    pivot columns of earlier rows.
+    makes `reduce` canonical.  Untracked elimination (`add` without
+    tracking, and `reduce`) visits only the pivots the vector meets: a
+    min-heap holds the pivot columns present in it, the smallest is
+    eliminated first and the pivot columns its row brings in are
+    pushed.  A pivot row holds only columns >= its pivot, so a
+    cleared pivot never comes back.  The result vanishes on every pivot
+    column, which fixes it up to scale whatever the order.  Tracked
+    elimination makes one pass over the pivot rows in insertion order
+    (a pivot row never contains the pivot columns of earlier rows), so
+    the combinations of `solve` do not depend on the heap.
 
     `rows` holds ``(pivot_col, row, track)`` in insertion order, where
     `track` is ``(s, comb)`` as in the module docstring, or None when
@@ -173,18 +181,17 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    def _eliminate(self, r, comb=None):
-        """Fraction-free single pass over int entries: `r <- a*r - b*row`.
+    def _eliminate(self, r, comb):
+        """Tracked fraction-free single pass over int entries:
+        `r <- a*r - b*row` for the pivot rows in insertion order.
 
         `r` must be a dict the caller owns; it may be updated in place.
-
-        With `comb` the pass keeps a running scale S with
-        S * r == comb . inputs: each step sets
-        comb <- (a*s)*comb - (b*S)*rcomb and then S <- S*s.
-        Returns (r, S, comb).
+        The pass keeps a running scale S with S * r == comb . inputs:
+        each step sets comb <- (a*s)*comb - (b*S)*rcomb and then
+        S <- S*s.  Returns (r, S, comb).
         """
         scale = 1
-        for p, row, track in self.rows:
+        for p, row, (s, rcomb) in self.rows:
             b = r.get(p)
             if not b:
                 continue
@@ -192,12 +199,37 @@ class Echelon:
             if a != 1:
                 r = {j: a * v for j, v in r.items()}
             axpy(r, row, -b)
-            if comb is not None:
-                s, rcomb = track
-                x = a * s
-                comb = axpy({j: x * v for j, v in comb.items()}, rcomb, -b * scale)
-                scale *= s
+            x = a * s
+            comb = axpy({j: x * v for j, v in comb.items()}, rcomb, -b * scale)
+            scale *= s
         return r, scale, comb
+
+    def _clear_pivots(self, r):
+        """Untracked fraction-free elimination of the int dict r (owned by
+        the caller) against the pivots it meets, smallest first.
+
+        Returns (r, P), with P the product of the pivot entries r was
+        multiplied by.
+        """
+        pivot_cols, rows = self.pivot_cols, self.rows
+        heap = [p for p in r if p in pivot_cols]
+        heapq.heapify(heap)
+        scale = 1
+        while heap:
+            p = heapq.heappop(heap)
+            b = r.get(p)
+            if not b:
+                continue
+            row = rows[pivot_cols[p]][1]
+            a = row[p]
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+                scale *= a
+            for j in row:
+                if j not in r and j in pivot_cols:
+                    heapq.heappush(heap, j)
+            axpy(r, row, -b)
+        return r, scale
 
     def add(self, vec):
         """Insert a vector.  Returns True if the rank grew.
@@ -213,7 +245,7 @@ class Echelon:
         if self.track:
             r, scale, comb = self._eliminate(r, {idx: den})
         else:
-            r, _, comb = self._eliminate(r)
+            r, _ = self._clear_pivots(r)
         if not r:
             return False
         p = min(r)
@@ -240,15 +272,8 @@ class Echelon:
         Fractions otherwise.  Does not insert.
         """
         den, r = _cleared(_as_frac_dict(vec))
-        for p, row, _ in self.rows:
-            b = r.get(p)
-            if not b:
-                continue
-            a = row[p]
-            if a != 1:
-                r = {j: a * v for j, v in r.items()}
-                den *= a
-            axpy(r, row, -b)
+        r, scale = self._clear_pivots(r)
+        den *= scale
         if den != 1:
             r = {j: Fraction(v, den) for j, v in r.items()}
         return r

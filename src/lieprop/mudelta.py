@@ -83,11 +83,17 @@ def include_delta1(z):
     return HomElem(z.m, z.n + 1, {full[i]: c for i, c in z.coords.items()})
 
 
+@functools.cache
+def _delta1_position(m, n):
+    """Ambient index -> sub-basis index, over the sub-basis of delta1(m, n)."""
+    full, _, _ = delta1_basis(m, n)
+    return {fi: s for s, fi in enumerate(full)}
+
+
 def project_delta1(w):
     """Read an ambient element known to lie in delta1 back into sub-coordinates."""
     m, n = w.m, w.n - 1
-    full, _, _ = delta1_basis(m, n)
-    back = {fi: s for s, fi in enumerate(full)}
+    back = _delta1_position(m, n)
     out = {}
     for i, c in w.coords.items():
         s = back.get(i)
@@ -174,19 +180,28 @@ def pi(w):
     return Delta1Elem(w.m, w.n - 1, out)
 
 
+def _act_left(g_plus, w):
+    """The left action on lifts: g_plus = g boxplus 1, w = include_delta1(z)."""
+    return project_delta1(compose(g_plus, w))
+
+
+def _act_right(w, f):
+    """The right action on a lift w = include_delta1(z)."""
+    return pi(compose(w, f))
+
+
 def delta1_act_left(g, z):
     """Left action of Hom(n, p) on delta1(m, n): compose with g boxplus 1."""
     if g.m != z.n:
         raise ValueError("arity mismatch for the left action")
-    w = compose(boxplus(g, identity(1)), include_delta1(z))
-    return project_delta1(w)
+    return _act_left(boxplus(g, identity(1)), include_delta1(z))
 
 
 def delta1_act_right(z, f):
     """Right action of Hom(m, n) on delta1(n, p): pre-compose, then project by pi."""
     if f.n != z.m:
         raise ValueError("arity mismatch for the right action")
-    return pi(compose(include_delta1(z), f))
+    return _act_right(include_delta1(z), f)
 
 
 def delta1_act_in(z, tau):
@@ -226,17 +241,25 @@ def check_dg_square(m, n, t):
 
     For all basis x of delta1(n, t) and y of delta1(m, n):
     x . mu_tilde_1(y) = mu_tilde_1(x) . y.
+
+    Both sides run the code of `delta1_act_right` and `delta1_act_left`
+    on lifts built once per basis element.
     """
-    _, x_bms, _ = delta1_basis(n, t)
-    _, y_bms, _ = delta1_basis(m, n)
-    if not x_bms or not y_bms:
+    x_full, _, _ = delta1_basis(n, t)
+    y_full, _, _ = delta1_basis(m, n)
+    if not x_full or not y_full:
         return True
-    xs = [Delta1Elem(n, t, {i: 1}) for i in range(len(x_bms))]
-    ys = [Delta1Elem(m, n, {i: 1}) for i in range(len(y_bms))]
-    mt_x = [mu_tilde_1(x) for x in xs]
-    mt_y = [mu_tilde_1(y) for y in ys]
-    for x, mx in zip(xs, mt_x):
-        for y, my in zip(ys, mt_y):
-            if delta1_act_right(x, my) != delta1_act_left(mx, y):
+    one = identity(1)
+    xs = []
+    for i in x_full:
+        wx = HomElem(n, t + 1, {i: 1})
+        xs.append((wx, boxplus(mu_tilde(wx), one)))
+    ys = []
+    for i in y_full:
+        wy = HomElem(m, n + 1, {i: 1})
+        ys.append((wy, mu_tilde(wy)))
+    for wx, mx_plus in xs:
+        for wy, my in ys:
+            if _act_right(wx, my) != _act_left(mx_plus, wy):
                 return False
     return True

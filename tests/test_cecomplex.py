@@ -1,13 +1,17 @@
+import hashlib
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from lieprop import cecomplex
 from lieprop.catlie import HomElem, hom_dim
+from lieprop.cli import suite_ce
 from lieprop.cecomplex import (ce_basis, ce_diff, ce_dim, ce_homology_dims,
                                ce_to_dgcat, check_H_ce_QSn, coend_with_qsn,
                                coend_yoneda, e_t_apply, naturality_check)
 from lieprop.dgcat import homology_cell
+from lieprop.exactla import Echelon
 from lieprop.mudelta import mu_tilde
 
 
@@ -36,6 +40,54 @@ def test_projector_idempotent_all_cells_m5():
                 for i in range(hom_dim(m, n + t)):
                     w = e_t_apply(HomElem(m, n + t, {i: 1}), n, t)
                     assert e_t_apply(w, n, t) == w
+
+
+def _ce_basis_by_echelon(m, n, t):
+    """Reference: the echelon basis of e_t applied to every basis vector."""
+    ech = Echelon()
+    for i in range(hom_dim(m, n + t)):
+        ech.add(e_t_apply(HomElem(m, n + t, {i: 1}), n, t).coords)
+    return [HomElem(m, n + t, dict(row)) for _, row, _ in ech.rows]
+
+
+def test_ce_basis_is_the_echelon_basis_of_the_image_m5():
+    for m in range(6):
+        for n in range(m + 1):
+            for t in range(m - n + 1):
+                ref = _ce_basis_by_echelon(m, n, t)
+                got = list(ce_basis(m, n, t))
+                assert got == ref, (m, n, t)
+                assert [list(x.coords) for x in got] == [list(x.coords) for x in ref]
+
+
+def test_ce_basis_digest_m6():
+    digest = hashlib.sha256()
+    for m in range(7):
+        for n in range(m + 1):
+            for t in range(m - n + 1):
+                line = repr((m, n, t, [sorted(x.coords.items()) for x in ce_basis(m, n, t)]))
+                digest.update((line + "\n").encode())
+    assert digest.hexdigest() == \
+        "4d4545d64e9e9d46b2af13726dd25fd7d82cc07b6def872a98dae2cbeccdc67d"
+
+
+def test_diff_basis_cache_is_read_only(monkeypatch):
+    cached = cecomplex._diff_basis
+    seen = []
+
+    def recording(bm, n, t):
+        out = cached(bm, n, t)
+        seen.append(((bm, n, t), out))
+        return out
+
+    monkeypatch.setattr(cecomplex, "_diff_basis", recording)
+    assert suite_ce(5, 0, 0) == (True, 527)
+    assert len(seen) > len({key for key, _ in seen})
+    first = {}
+    for key, out in seen:
+        assert first.setdefault(key, out) is out  # one shared dict per key
+    for key, out in first.items():
+        assert out == cached.__wrapped__(*key), key
 
 
 def test_ce_basis_vectors_are_invariant():

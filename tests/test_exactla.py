@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 import lieprop.exactla as exactla
-from lieprop.exactla import Echelon, Rat, axpy, in_span, kernel, primitive
+from lieprop.exactla import (Echelon, Rat, _as_frac_dict, _cleared, axpy, in_span,
+                             kernel, primitive)
 
 
 def _rank(rows):
@@ -232,6 +233,65 @@ def test_untracked_echelon_on_fractions_is_integer_only(kind, monkeypatch):
             k = rng.choice([-4, -1, 2, 3])
             assert ech.reduce({j: k * c for j, c in v.items()}) == \
                 {j: k * c for j, c in red.items()}
+
+
+class _InsertionOrderEchelon:
+    """Reference for untracked `Echelon`: one fraction-free pass over the
+    pivot rows in insertion order."""
+
+    def __init__(self):
+        self.rows = []
+
+    def _pass(self, r):
+        scale = 1
+        for p, row in self.rows:
+            b = r.get(p)
+            if not b:
+                continue
+            a = row[p]
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+                scale *= a
+            axpy(r, row, -b)
+        return r, scale
+
+    def add(self, vec):
+        r, _ = self._pass(_cleared(_as_frac_dict(vec))[1])
+        if not r:
+            return False
+        self.rows.append((min(r), primitive(r)))
+        return True
+
+    def reduce(self, vec):
+        den, r = _cleared(_as_frac_dict(vec))
+        r, scale = self._pass(r)
+        den *= scale
+        return {j: Fraction(v, den) for j, v in r.items()} if den != 1 else r
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_untracked_echelon_matches_insertion_order_pass(kind):
+    rng = random.Random({"int": 31, "frac": 32}[kind])
+
+    def sparse_vec(width):
+        vec = {}
+        for j in rng.sample(range(width), rng.randint(1, min(6, width))):
+            v = rng.randint(-4, 4)
+            if kind == "frac":
+                v = Fraction(v, rng.randint(1, 5))
+            vec[j] = v
+        return vec
+
+    for _ in range(40):
+        width = rng.randint(1, 40)
+        ech, ref = Echelon(), _InsertionOrderEchelon()
+        for _ in range(rng.randint(1, 40)):
+            vec = sparse_vec(width)
+            assert ech.add(vec) == ref.add(vec)
+        assert [(p, row) for p, row, _ in ech.rows] == ref.rows
+        for _ in range(10):
+            vec = sparse_vec(width)
+            assert ech.reduce(vec) == ref.reduce(vec)
 
 
 def test_axpy_accumulates_in_place_and_drops_cancelled_entries():

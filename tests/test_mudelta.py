@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from lieprop import mudelta
 from lieprop.catlie import (BasisMorphism, HomElem, boxplus, compose,
                             hom_basis, hom_dim, identity)
 from lieprop.exactla import Echelon
@@ -224,6 +225,16 @@ def test_dg_square_small_and_generator_pair():
         rhs = delta1_act_left(mu_tilde_1(iota(n)), iota(n + 1))
         expect = project_delta1(boxplus(mu(n - 1), identity(1)))
         assert lhs == rhs == expect
+
+
+def test_dg_square_fails_on_a_sign_error_in_the_left_action(monkeypatch):
+    # check_dg_square runs the helper behind delta1_act_left, so a bug in
+    # the public action must fail the check
+    act_left = mudelta._act_left
+    monkeypatch.setattr(mudelta, "_act_left", lambda g_plus, w: -act_left(g_plus, w))
+    z = iota(4)
+    assert delta1_act_left(identity(3), z) == -z
+    assert not check_dg_square(4, 3, 2)
 
 
 def test_iota_generates_delta1():
