@@ -11,7 +11,8 @@ that complex directly over V = Q^d, weight by weight, with a
 Lyndon-word basis of each weight component (normalization again via
 tensor-algebra embedding and exact solving), and compares the resulting
 kernel/cokernel dimensions with the prediction obtained from the
-homology cells of the DG category through the Schur correspondence:
+homology cells of the DG category through the Schur correspondence,
+whose right-hand side `schur_dim` reads off the S_w-character of a cell:
 
     weight-w part of H_eps  =  H_eps(w, n) (x)_{S_w} (Q^d)^{(x) w}.
 
@@ -26,11 +27,12 @@ which is the point.
 
 import functools
 import itertools
-from math import comb, factorial
+from fractions import Fraction
+from math import factorial, lcm, prod
 
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
-from .exactla import Echelon, axpy
+from .exactla import Echelon, _cleared, axpy
 from .mudelta import delta1_act_in
 from .symrep import _partitions
 
@@ -175,8 +177,13 @@ class SwModule:
     """A right S_w-module given by its dimension and action matrices.
 
     `act(tau)` returns the matrix of the right action of the permutation
-    tau as a list of sparse rows (row r = image of the r-th basis
-    vector); results are cached per permutation.
+    tau as sparse rows (row r = image of basis vector r), cached per tau;
+    it is only ever called on adjacent transpositions s_i = (i, i+1).
+    `character`, built once, maps each cycle type rho |- w to the int
+    chi_M(rho), the trace of the word with consecutive cycles ((3, 2, 1)
+    is s1 s2 s4), pushing each row e_r once through all words in ints:
+    a word extends its prefix, again a class word (s1 ... s5 of (6)
+    extends (5, 1), ..., (2, 1^4)).
     """
 
     def __init__(self, w, dim, act_fn):
@@ -191,13 +198,37 @@ class SwModule:
             self._cache[tau] = self._act_fn(tau)
         return self._cache[tau]
 
+    @functools.cached_property
+    def character(self):
+        mats = {i: self.act((*range(1, i), i + 1, i, *range(i + 2, self.w + 1)))
+                for i in range(1, self.w)}
+        den = lcm(*(_cleared(row)[0] for mat in mats.values() for row in mat))
+        gens = {i: [{j: int(v * den) for j, v in row.items()} for row in mat]
+                for i, mat in mats.items()}
+        words = {}
+        for rho in _partitions(self.w):
+            starts = itertools.accumulate(rho, initial=1)
+            words[tuple(i for a, size in zip(starts, rho) for i in range(a, a + size - 1))] = rho
+        chi = dict.fromkeys(words.values(), 0)
+        for r in range(self.dim):
+            pushed = {(): {r: 1}}
+            for word in sorted(words):  # every prefix before its extensions
+                if word:
+                    vec = pushed[word] = {}
+                    for c, x in pushed[word[:-1]].items():
+                        axpy(vec, gens[word[-1]][c], x)
+                chi[words[word]] += Fraction(pushed[word].get(r, 0), den ** len(word))
+        if any(c.denominator != 1 for c in chi.values()):
+            raise AssertionError("character values must be integers: %s" % chi)
+        return {rho: int(c) for rho, c in chi.items()}
+
 
 @functools.cache
 def h_modules(w, n):
     """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
 
-    Cached, so the action matrices each module caches are built once per
-    (w, n) and shared by every d of `cross_check`.
+    Cached, so the action matrices and the character each module caches
+    are built once per (w, n) and shared by every d of `cross_check`.
     """
     cell = dgcat.homology_cell(w, n)
 
@@ -229,57 +260,26 @@ def h_modules(w, n):
             SwModule(w, len(cell.kernel), act1))
 
 
-def _young_coinvariant_dim(module, parts):
-    """dim M_{S_lambda}: dim M minus the rank of {m tau - m} over the
-    adjacent transpositions tau inside the consecutive blocks of `parts`."""
-    w, dim = module.w, module.dim
-    ech = Echelon()
-    start = 0
-    for size in parts:
-        for pos in range(start, start + size - 1):
-            tau = list(range(1, w + 1))
-            tau[pos], tau[pos + 1] = tau[pos + 1], tau[pos]
-            mat = module.act(tau)
-            for r in range(dim):
-                ech.add(axpy(dict(mat[r]), {r: 1}, -1))
-        start += size
-    return dim - ech.rank
-
-
 def schur_dim(module, d):
-    """dim(M (x)_{S_w} (Q^d)^{(x) w}), the coinvariants of the diagonal action.
+    """dim(M (x)_{S_w} (Q^d)^{(x) w}): the inner product of chi_M with the
+    permutation character of (Q^d)^{(x) w}, where a permutation of cycle
+    type rho fixes d^{l(rho)} words and its class has w! / z_rho elements:
 
-    The balancing relations never mix distinct S_w-orbits of the word
-    basis of V^{(x) w}, and the orbit of a word with stabilizer H
-    contributes dim M_H = dim M - rank{m h - m}.  The stabilizer of a
-    sorted word whose letters occur alpha_1, ..., alpha_k times is the
-    Young subgroup S_alpha of its consecutive blocks.  Rearranging alpha
-    gives a conjugate subgroup g S_alpha g^-1, and m -> m g maps the
-    relations of one onto those of the other, so dim M_H depends only on
-    the partition lambda of w that sorts alpha.  Counting the sorted
-    words of each content type,
+        schur_dim(M, d) = sum over rho |- w of chi_M(rho) d^{l(rho)} / z_rho
 
-        schur_dim(M, d) = sum over lambda |- w with k = l(lambda) <= d of
-                          C(d, k) * k! / prod_v m_v(lambda)! * dim M_{S_lambda},
-
-    where m_v(lambda) is the number of parts equal to v: C(d, k) picks
-    the k letters and k! / prod_v m_v! the distinct ways to give them
-    the parts of lambda.  Each dim M_{S_lambda} is computed exactly, as
-    dim M minus the rank of {m tau - m} over the adjacent
-    transpositions tau inside the blocks of lambda.  The partitions come
-    from `symrep._partitions`, which also indexes the S_n blocks of the
-    homology cells.
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.7; Fulton and
+    Harris, Representation Theory, 4.3, Schur-Weyl duality), taken in
+    Fractions; it must be a non-negative integer.  d < 0 raises ValueError.
     """
-    total = 0
-    for parts in _partitions(module.w):
-        k = len(parts)
-        if k > d:
-            continue
-        words = comb(d, k) * factorial(k)
-        for v in set(parts):
-            words //= factorial(parts.count(v))
-        total += words * _young_coinvariant_dim(module, parts)
-    return total
+    if d < 0:
+        raise ValueError("need d >= 0, got %r" % (d,))
+    total = Fraction(0)
+    for rho, chi in module.character.items():
+        z = prod(k ** rho.count(k) * factorial(rho.count(k)) for k in set(rho))
+        total += Fraction(chi * d ** len(rho), z)
+    if total.denominator != 1 or total < 0:
+        raise AssertionError("character inner product %s is not a dimension" % total)
+    return int(total)
 
 
 def cross_check(d, n, w):

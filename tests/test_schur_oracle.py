@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from lieprop.exactla import Echelon, axpy
 from lieprop.schur_oracle import (SwModule, compositions, cross_check,
                                   h_modules, is_lyndon, lyndon_bracketing,
@@ -128,6 +130,56 @@ def test_schur_dim_partition_formula_matches_orbit_loop():
             assert schur_dim(module, d) == _orbit_schur_dim(module, d)
     assert schur_dim(_regular_module(4), 3) == 3 ** 4
     assert schur_dim(SwModule(4, 1, _act_sgn), 5) == 5  # exterior fourth power of Q^5
+
+
+def test_schur_dim_w6_matches_orbit_loop():
+    for n in range(0, 3):
+        for module in h_modules(6, n):
+            for d in (0, 1, 2, 3):
+                assert schur_dim(module, d) == _orbit_schur_dim(module, d), (n, d)
+
+
+def test_schur_dim_rejects_negative_d():
+    modules = [SwModule(2, 1, _act_sgn), _regular_module(3), *h_modules(4, 2)]
+    for module in modules:
+        with pytest.raises(ValueError):
+            schur_dim(module, -1)
+        assert schur_dim(module, 0) == 0
+
+
+def _scattered(rho):
+    """The consecutive-block permutation of cycle type rho conjugated by
+    g = (1, 3, 5, ..., 2, 4, ...), which spreads its cycles apart: (2, 1)
+    gives the transposition (1 3), not s1."""
+    w = sum(rho)
+    g = list(range(1, w + 1, 2)) + list(range(2, w + 1, 2))
+    cycle = []
+    start = 0
+    for size in rho:
+        cycle += [start + (k + 1) % size + 1 for k in range(size)]
+        start += size
+    sigma = [0] * w
+    for i in range(w):
+        sigma[g[i] - 1] = g[cycle[i] - 1]
+    return tuple(sigma)
+
+
+def test_character_certificates():
+    assert _scattered((2, 1)) == (3, 2, 1)
+    calls = []
+    reg = _regular_module(4)
+    recorded = SwModule(4, reg.dim, lambda tau: calls.append(tau) or reg.act(tau))
+    assert recorded.character == reg.character
+    assert sorted(calls) == [(1, 2, 4, 3), (1, 3, 2, 4), (2, 1, 3, 4)]
+    modules = [reg] + [m for w in range(1, 6) for n in range(0, 3) for m in h_modules(w, n)]
+    for module in modules:
+        w, chi = module.w, module.character
+        assert all(type(v) is int for v in chi.values())
+        assert chi[(1,) * w] == module.dim
+        for rho, value in chi.items():
+            mat = module.act(_scattered(rho))
+            assert sum(row.get(r, 0) for r, row in enumerate(mat)) == value, (w, rho)
+    assert reg.character == {rho: (24 if rho == (1, 1, 1, 1) else 0) for rho in reg.character}
 
 
 def test_schur_dim_sign_module():
