@@ -186,7 +186,11 @@ def ce_to_dgcat(m, n):
     """Chain-map data and checks for CE ->> (two-term DG complex) at (m, n).
 
     Degree 0 is the identity, degree 1 is pi, degrees >= 2 are zero;
-    returns the three certifying conditions as booleans.
+    returns the three certifying conditions as booleans.  `mu_compat`
+    compares mu_tilde_1(pi(w)), the closed form of `mudelta`, with
+    mu_tilde(w), the composite with mu(n), on every basis w of
+    Hom(m, n+1).  pi fixes delta1 (`retraction`), so this certifies the
+    closed form against the definition on every basis element of delta1.
     """
     retraction = all(
         pi(include_delta1(Delta1Elem(m, n, {s: 1}))) == Delta1Elem(m, n, {s: 1})

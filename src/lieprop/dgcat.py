@@ -36,7 +36,7 @@ from .catlie import (BasisMorphism, HomElem, compose, hom_basis, hom_dim,
                      hom_index, identity)
 from .exactla import Echelon, axpy, kernel
 from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
-                      delta1_basis, delta1_dim, mu, mu_tilde_1)
+                      delta1_basis, delta1_dim, mu, mu_tilde_1, mu_tilde_1_column)
 
 
 class DGHom:
@@ -173,7 +173,10 @@ class HomologyCell:
 
 @functools.cache
 def homology_cell(m, n):
-    """The HomologyCell of (m, n); its fields are built on first read."""
+    """The HomologyCell of (m, n); its fields are built on first read.
+    Cells with n > m are zero; negative arities raise ValueError."""
+    if m < 0 or n < 0:
+        raise ValueError("homology_cell needs m, n >= 0, got (%d, %d)" % (m, n))
     return HomologyCell(m, n)
 
 
@@ -215,7 +218,7 @@ def _block_ranks(m, n):
         if _orbit_normal_form(bm, n)[0] != ident:
             continue
         row = {}
-        for k, c in mu_tilde_1(Delta1Elem(m, n, {s: 1})).coords.items():
+        for k, c in mu_tilde_1_column(m, n, s).items():
             if k not in orbit:
                 tau, rep = _orbit_normal_form(basis[k], n)
                 orbit[k] = index[rep], tau
@@ -245,7 +248,7 @@ def _block_ranks(m, n):
 
 def _mu_columns(m, n):
     """The columns of mu_tilde_1 on the cell, one per delta1 basis element."""
-    return (mu_tilde_1(Delta1Elem(m, n, {i: 1})).coords for i in range(delta1_dim(m, n)))
+    return (mu_tilde_1_column(m, n, s) for s in range(delta1_dim(m, n)))
 
 
 @functools.cache

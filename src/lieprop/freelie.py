@@ -84,6 +84,11 @@ def _lie_basis(labels):
     return tuple(out)
 
 
+def comb_index(labels):
+    """{(s2, ..., sk): i} with lie_basis(labels)[i] the comb [[...[a1, s2], ...], sk]."""
+    return _perm_index(tuple(labels))
+
+
 @functools.cache
 def _perm_index(labels):
     return {perm: i for i, perm in enumerate(itertools.permutations(labels[1:]))}

@@ -13,6 +13,35 @@ one output; mu(0) = 0.  Post-composition with mu gives the natural map
 mu_tilde: Hom(m, n+1) -> Hom(m, n) -- the universal form of the n-fold
 right adjoint action -- and mu_tilde_1 is its restriction to delta1.
 
+`mu_tilde` composes with mu(n); that is the definition.  `mu_tilde_1`
+uses a closed form instead, with no grafting and no normalization.  A
+delta1 basis element y has the left-normed combs
+T_j = [[...[h_j, s_2], ...], s_k] over the outputs j <= n, h_j the
+least label of its fiber, and its input a alone over output n+1, so
+
+    mu_tilde_1(y) = sum_j (T_1, ..., [T_j, a], ..., T_n),
+
+with a moved into the fiber of output j.  [T, a] has two cases:
+
+* a > h: [T, a] is the comb (h, s_2, ..., s_k, a), a basis element.
+* a < h: a heads the new basis.  freelie reads coordinates off the
+  words that start with the least label: the comb (a, p_2, ..., p_k)
+  is the only basis element whose expansion holds the word
+  a p_2 ... p_k, with coefficient 1.  In the expansion of
+  [T, a] = Ta - aT only -aT starts with a.  Expanding T one bracket
+  [X, s] = Xs - sX at a time sends each s_i either to the right, in
+  order, or to the left, with a sign, so T is the sum over the subsets
+  I of {2, ..., k} of (-1)^|I| (s_I reversed) h (s_{I^c}).  Hence
+
+      [T, a] = -sum_I (-1)^|I| comb(a, s_I reversed, h, s_{I^c}),
+
+  2^(k-1) distinct combs with coefficients +-1.
+
+Distinct (j, comb) pairs are distinct basis morphisms of Hom(m, n), so
+each column is read off with no accumulation.  The columns are cached
+per delta1 basis element.  `cecomplex.ce_to_dgcat` certifies the closed
+form against the definition (its `mu_compat`).
+
 pi: Hom(m, n+1) ->> delta1(m, n) is computed by the recursion
 
     pi(Z (x) x)      = Z (x) x                 for x a single leaf,
@@ -77,8 +106,14 @@ class Delta1Elem(SparseElem):
         return delta1_dim(self.m, self.n)
 
 
+def _check_delta1(z):
+    if not isinstance(z, Delta1Elem):
+        raise TypeError("expected a Delta1Elem, got %s" % type(z).__name__)
+
+
 def include_delta1(z):
     """Coordinate inclusion delta1(m, n) -> Hom(m, n+1)."""
+    _check_delta1(z)
     full, _, _ = delta1_basis(z.m, z.n)
     return HomElem(z.m, z.n + 1, {full[i]: c for i, c in z.coords.items()})
 
@@ -137,9 +172,47 @@ def iota(a):
     return Delta1Elem(a, a - 1, {index_of[bm]: 1})
 
 
+def _bracket_leaf(word, a):
+    """[comb(word), a] as (coefficient, comb word) pairs in the left-normed
+    basis, by the closed form of the module docstring."""
+    h, rest = word[0], word[1:]
+    if a > h:
+        return ((1, word + (a,)),)
+    out = []
+    for mask in range(1 << len(rest)):
+        inside = tuple(s for i, s in enumerate(rest) if mask >> i & 1)
+        outside = tuple(s for i, s in enumerate(rest) if not mask >> i & 1)
+        out.append((1 if len(inside) % 2 else -1, (a,) + inside[::-1] + (h,) + outside))
+    return out
+
+
+@functools.cache
+def mu_tilde_1_column(m, n, s):
+    """Coordinates of mu_tilde_1 of the delta1(m, n) basis element s, in
+    closed form (module docstring).  Cached and shared between callers:
+    the dict is read-only."""
+    bm = delta1_basis(m, n)[1][s]
+    trees = basis_trees(bm)
+    a = bm.f.index(n + 1) + 1
+    index = hom_index(m, n)
+    out = {}
+    for j in range(n):
+        word = freelie.leaves(trees[j])
+        positions = freelie.comb_index(sorted(word + (a,)))
+        f = bm.f[:a - 1] + (j + 1,) + bm.f[a:]
+        for c, w in _bracket_leaf(word, a):
+            ts = bm.trees[:j] + (positions[w[1:]],) + bm.trees[j + 1:n]
+            out[index[BasisMorphism(m, n, f, ts)]] = c
+    return out
+
+
 def mu_tilde_1(z):
     """Restriction of mu_tilde to delta1: delta1(m, n) -> Hom(m, n)."""
-    return mu_tilde(include_delta1(z))
+    _check_delta1(z)
+    out = {}
+    for s, c in z.coords.items():
+        axpy(out, mu_tilde_1_column(z.m, z.n, s), c)
+    return HomElem(z.m, z.n, out)
 
 
 def adjoint_append(front, x_tree):
@@ -192,6 +265,7 @@ def _act_right(w, f):
 
 def delta1_act_left(g, z):
     """Left action of Hom(n, p) on delta1(m, n): compose with g boxplus 1."""
+    _check_delta1(z)
     if g.m != z.n:
         raise ValueError("arity mismatch for the left action")
     return _act_left(boxplus(g, identity(1)), include_delta1(z))
@@ -199,6 +273,7 @@ def delta1_act_left(g, z):
 
 def delta1_act_right(z, f):
     """Right action of Hom(m, n) on delta1(n, p): pre-compose, then project by pi."""
+    _check_delta1(z)
     if f.n != z.m:
         raise ValueError("arity mismatch for the right action")
     return _act_right(include_delta1(z), f)

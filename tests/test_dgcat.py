@@ -313,6 +313,14 @@ def test_multiplicities():
             {(2,): factorial(m - 2), (1, 1): 0}
 
 
+def test_homology_cell_rejects_negative_arities():
+    for m, n in [(-2, -3), (-1, 0), (3, -1)]:
+        with pytest.raises(ValueError, match="m, n >= 0"):
+            homology_cell(m, n)
+    cell = homology_cell(2, 3)
+    assert (cell.h0_dim, cell.h1_dim, cell.rank) == (0, 0, 0)
+
+
 def test_homology_m7_pinned():
     assert [(m, n) for m, n, _, _ in M7] == [(7, n) for n in range(1, 8)]
     for m, n, h0, h1 in M7:

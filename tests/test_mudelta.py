@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from lieprop import mudelta
+from lieprop import catlie, cecomplex, dgcat, freelie, mudelta
 from lieprop.catlie import (BasisMorphism, HomElem, boxplus, compose,
                             hom_basis, hom_dim, identity)
+from lieprop.cli import suite_mudelta
 from lieprop.exactla import Echelon
 from lieprop.mudelta import (Delta1Elem, adjoint_append, check_centrality,
                              check_dg_square, check_lie_action,
@@ -250,3 +252,101 @@ def test_iota_generates_delta1():
                 tau[s - 1], tau[m - 1] = tau[m - 1], tau[s - 1]
                 ech.add(delta1_act_in(z, tuple(tau)).coords)
         assert ech.rank == target, (m, n)
+
+
+def _comb(word):
+    t = word[0]
+    for x in word[1:]:
+        t = (t, x)
+    return t
+
+
+def test_bracket_leaf_matches_normalize_tree():
+    # [T, a] for every comb T with <= 6 leaves, a at every position among its labels
+    sizes = {True: 0, False: 0}
+    for k in range(1, 7):
+        labels = tuple(range(1, k + 2))
+        positions = freelie.comb_index(labels)
+        for a in labels:
+            rest = tuple(x for x in labels if x != a)
+            for tail in itertools.permutations(rest[1:]):
+                word = (rest[0],) + tail
+                terms = mudelta._bracket_leaf(word, a)
+                assert len(terms) == (2 ** (k - 1) if a < word[0] else 1)
+                sizes[a < word[0]] += 1
+                got = {positions[w[1:]]: c for c, w in terms}
+                assert len(got) == len(terms)
+                assert got == freelie.normalize_tree((_comb(word), a)), (word, a)
+    assert sizes == {True: 154, False: 873}
+
+
+def test_mu_tilde_1_closed_form_matches_composition_m6():
+    elements = 0
+    branches = {True: 0, False: 0}         # a < h_j, per (element, output j)
+    for m in range(7):
+        for n in range(m + 1):
+            for s, bm in enumerate(delta1_basis(m, n)[1]):
+                z = Delta1Elem(m, n, {s: 1})
+                assert mu_tilde_1(z) == compose(mu(n), include_delta1(z)), (m, n, s)
+                a = bm.f.index(n + 1) + 1
+                for fiber in catlie.fibers(bm.f, n + 1)[:n]:
+                    branches[a < fiber[0]] += 1
+                elements += 1
+    assert elements == 4672
+    assert branches[True] and branches[False]
+
+
+def test_mu_tilde_1_columns_are_left_intact():
+    # dgcat feeds the cached columns to its echelons and to kernel
+    m, n = 5, 3
+    dgcat._block_ranks.__wrapped__(m, n)
+    dgcat._cell_boundaries.__wrapped__(m, n)
+    dgcat._cell_kernel.__wrapped__(m, n)
+    for s in range(delta1_dim(m, n)):
+        assert mudelta.mu_tilde_1_column(m, n, s) == mudelta.mu_tilde_1_column.__wrapped__(m, n, s), s
+
+
+def test_mu_tilde_1_composes_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("mu_tilde_1 composed or normalized a tree")
+
+    for mod, name in [(catlie, "compose"), (catlie, "compose_basis"), (mudelta, "compose"),
+                      (freelie, "graft"), (freelie, "normalize_tree")]:
+        monkeypatch.setattr(mod, name, forbidden)
+    mudelta.mu_tilde_1_column.cache_clear()
+    for n in range(6):
+        for s in range(delta1_dim(5, n)):
+            mu_tilde_1(Delta1Elem(5, n, {s: 1}))
+
+
+def test_delta1_maps_reject_hom_elements():
+    w = HomElem(3, 1, {0: 1})
+    for call in (lambda: mu_tilde_1(w), lambda: include_delta1(w),
+                 lambda: delta1_act_left(identity(1), w),
+                 lambda: delta1_act_right(w, identity(3)),
+                 lambda: delta1_act_in(w, (2, 1, 3))):
+        with pytest.raises(TypeError, match="Delta1Elem"):
+            call()
+
+
+@pytest.fixture
+def fresh_columns():
+    mudelta.mu_tilde_1_column.cache_clear()
+    yield
+    mudelta.mu_tilde_1_column.cache_clear()
+
+
+def test_mu_compat_certifies_the_closed_form(monkeypatch, fresh_columns):
+    assert suite_mudelta(5, 0, 0) == (True, 56)
+    bracket_leaf = mudelta._bracket_leaf
+
+    def wrong_sign(word, a):
+        terms = bracket_leaf(word, a)
+        return [(-c, w) for c, w in terms] if a < word[0] else terms
+
+    monkeypatch.setattr(mudelta, "_bracket_leaf", wrong_sign)
+    mudelta.mu_tilde_1_column.cache_clear()
+    rep = cecomplex.ce_to_dgcat(3, 1)
+    assert rep["retraction"] and not rep["mu_compat"]
+    ok, cases = suite_mudelta(5, 0, 0)
+    assert not ok and cases < 56
