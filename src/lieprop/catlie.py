@@ -11,7 +11,7 @@ The basis order is fixed once: surjections in lexicographic order of
 the value list (f(1), ..., f(m)), then tree indices in product
 lexicographic order.  Composition grafts trees and renormalizes through
 `freelie`, so every element stays in canonical coordinates and equality
-is coordinate equality.
+is coordinate equality; `act_in` does neither (its docstring).
 """
 
 import functools
@@ -151,13 +151,16 @@ def emit(trees, index):
         for leaf in leaves:
             f[leaf] = j
         per_output.append(items)
-    m = len(f)
-    fk = tuple(f[i] for i in range(1, m + 1))
+    return _product(n, tuple(f[i] for i in range(1, len(f) + 1)), per_output, index)
+
+
+def _product(n, f, per_output, index):
+    """Coordinates on the value list f of one (tree index, coeff) sum per output."""
     stack = [((), 1)]
     for items in per_output:
         stack = [(ts + (idx,), c * v) for ts, c in stack for idx, v in items]
     # distinct tree tuples are distinct basis morphisms: nothing to accumulate
-    return {index[BasisMorphism(m, n, fk, ts)]: c for ts, c in stack}
+    return {index[BasisMorphism(len(f), n, f, ts)]: c for ts, c in stack}
 
 
 @functools.cache
@@ -223,7 +226,35 @@ def act_out(sigma, f):
 
 
 def act_in(f, tau):
-    """Right action of S_m on Hom(m, n): pre-compose with the bijection."""
+    """Right action of S_m on Hom(m, n): compose(f, perm_hom(tau)) in closed
+    form.  The value list becomes f o tau and each comb word is relabelled
+    by tau^{-1}.  If its least label l follows the labels u, the comb is
+    [comb(u), l], which `freelie.bracket_leaf` writes as +-combs headed by
+    l, bracketed on the right by the rest of the word: basis combs.
+    """
+    tau = tuple(tau)
     if len(tau) != f.m:
         raise ValueError("permutation size differs from source arity")
-    return compose(f, perm_hom(tau))
+    if sorted(tau) != list(range(1, f.m + 1)):
+        raise ValueError("not a permutation of 1..%d" % f.m)
+    out = {}
+    for i, c in f.coords.items():
+        axpy(out, _act_in_basis(hom_basis(f.m, f.n)[i], tau), c)
+    return HomElem(f.m, f.n, out)
+
+
+@functools.cache
+def _act_in_basis(bm, tau):
+    inv = {t: i for i, t in enumerate(tau, start=1)}
+    per_output = [_comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
+                  for tree in basis_trees(bm)]
+    return _product(bm.n, tuple(bm.f[t - 1] for t in tau), per_output, hom_index(bm.m, bm.n))
+
+
+@functools.cache
+def _comb_coords(word):
+    """(tree index, coefficient) pairs of the comb of any word."""
+    p = word.index(min(word))
+    terms = freelie.bracket_leaf(word[:p], word[p]) if p else ((1, word[:1]),)
+    positions = freelie.comb_index(sorted(word))
+    return tuple((positions[w[1:] + word[p + 1:]], c) for c, w in terms)

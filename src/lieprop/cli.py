@@ -179,8 +179,7 @@ def suite_mudelta(max_m, seed, trials):
                 for s in range(1, m + 1):
                     tau = list(range(1, m + 1))
                     tau[s - 1], tau[m - 1] = tau[m - 1], tau[s - 1]
-                    zz = mudelta.delta1_act_in(z, tuple(tau))
-                    ech.add(zz.coords)
+                    ech.add(mudelta.delta1_act_in(z, tau).coords)
                     if ech.rank == target:
                         break
                 if ech.rank == target:

@@ -210,12 +210,12 @@ def _block_ranks(m, n):
     being the coefficient of sigma in M_ji.  Here i is the Hom index
     of h_i.
     """
-    ident = tuple(range(1, n + 1))
+    ident = list(range(1, n + 1))       # first occurrences of 1..n in a representative
     basis, index = hom_basis(m, n), hom_index(m, n)
     orbit = {}                          # Hom index k -> (i, tau) with basis_k = tau . h_i
     matrix = []                         # matrix[j] = {i: {tau: coefficient}}
     for s, bm in enumerate(delta1_basis(m, n)[1]):
-        if _orbit_normal_form(bm, n)[0] != ident:
+        if [v for v in dict.fromkeys(bm.f) if v <= n] != ident:
             continue
         row = {}
         for k, c in mu_tilde_1_column(m, n, s).items():

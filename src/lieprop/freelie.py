@@ -94,6 +94,24 @@ def _perm_index(labels):
     return {perm: i for i, perm in enumerate(itertools.permutations(labels[1:]))}
 
 
+def bracket_leaf(word, a):
+    """[T, a] for the comb T of word = (h, s_2, ..., s_k), as (coefficient,
+    comb word) pairs: word + (a,) if h = min(word) < a.  If a is below
+    every label, only -aT of Ta - aT starts with a, and T is the sum over
+    I of {2..k} of (-1)^|I| (s_I reversed) h s_{I^c} ([X, s] = Xs - sX),
+    whatever h: [T, a] = -sum_I (-1)^|I| comb(a, s_I reversed, h, s_{I^c}).
+    """
+    h, rest = word[0], word[1:]
+    if a > h:
+        return ((1, word + (a,)),)
+    out = []
+    for mask in range(1 << len(rest)):
+        inside = tuple(s for i, s in enumerate(rest) if mask >> i & 1)
+        outside = tuple(s for i, s in enumerate(rest) if not mask >> i & 1)
+        out.append((1 if len(inside) % 2 else -1, (a,) + inside[::-1] + (h,) + outside))
+    return out
+
+
 def basis_expansions(labels):
     """Expansions of the basis trees, cached per label set."""
     return _basis_expansions(tuple(labels))

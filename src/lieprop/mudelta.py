@@ -21,21 +21,8 @@ least label of its fiber, and its input a alone over output n+1, so
 
     mu_tilde_1(y) = sum_j (T_1, ..., [T_j, a], ..., T_n),
 
-with a moved into the fiber of output j.  [T, a] has two cases:
-
-* a > h: [T, a] is the comb (h, s_2, ..., s_k, a), a basis element.
-* a < h: a heads the new basis.  freelie reads coordinates off the
-  words that start with the least label: the comb (a, p_2, ..., p_k)
-  is the only basis element whose expansion holds the word
-  a p_2 ... p_k, with coefficient 1.  In the expansion of
-  [T, a] = Ta - aT only -aT starts with a.  Expanding T one bracket
-  [X, s] = Xs - sX at a time sends each s_i either to the right, in
-  order, or to the left, with a sign, so T is the sum over the subsets
-  I of {2, ..., k} of (-1)^|I| (s_I reversed) h (s_{I^c}).  Hence
-
-      [T, a] = -sum_I (-1)^|I| comb(a, s_I reversed, h, s_{I^c}),
-
-  2^(k-1) distinct combs with coefficients +-1.
+with a moved into the fiber of output j.  [T, a] is the comb (h, s_2, ...,
+s_k, a) if a > h, and 2^(k-1) combs +-(a, ...) if a < h (`freelie.bracket_leaf`).
 
 Distinct (j, comb) pairs are distinct basis morphisms of Hom(m, n), so
 each column is read off with no accumulation.  The columns are cached
@@ -61,9 +48,10 @@ makes the degree-one composition consistent.
 import functools
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, basis_trees, boxplus, compose, emit,
-                     hom_basis, hom_dim, hom_index, identity, perm_hom)
+from .catlie import (BasisMorphism, HomElem, act_in, basis_trees, boxplus, compose,
+                     emit, hom_basis, hom_dim, hom_index, identity, perm_hom)
 from .exactla import SparseElem, axpy
+from .freelie import bracket_leaf
 
 
 @functools.cache
@@ -172,20 +160,6 @@ def iota(a):
     return Delta1Elem(a, a - 1, {index_of[bm]: 1})
 
 
-def _bracket_leaf(word, a):
-    """[comb(word), a] as (coefficient, comb word) pairs in the left-normed
-    basis, by the closed form of the module docstring."""
-    h, rest = word[0], word[1:]
-    if a > h:
-        return ((1, word + (a,)),)
-    out = []
-    for mask in range(1 << len(rest)):
-        inside = tuple(s for i, s in enumerate(rest) if mask >> i & 1)
-        outside = tuple(s for i, s in enumerate(rest) if not mask >> i & 1)
-        out.append((1 if len(inside) % 2 else -1, (a,) + inside[::-1] + (h,) + outside))
-    return out
-
-
 @functools.cache
 def mu_tilde_1_column(m, n, s):
     """Coordinates of mu_tilde_1 of the delta1(m, n) basis element s, in
@@ -200,7 +174,7 @@ def mu_tilde_1_column(m, n, s):
         word = freelie.leaves(trees[j])
         positions = freelie.comb_index(sorted(word + (a,)))
         f = bm.f[:a - 1] + (j + 1,) + bm.f[a:]
-        for c, w in _bracket_leaf(word, a):
+        for c, w in bracket_leaf(word, a):
             ts = bm.trees[:j] + (positions[w[1:]],) + bm.trees[j + 1:n]
             out[index[BasisMorphism(m, n, f, ts)]] = c
     return out
@@ -280,8 +254,8 @@ def delta1_act_right(z, f):
 
 
 def delta1_act_in(z, tau):
-    """Right symmetric-group action; stays inside the sub-basis, no pi needed."""
-    return project_delta1(compose(include_delta1(z), perm_hom(tau)))
+    """Right symmetric-group action: act_in keeps the lift in the sub-basis."""
+    return project_delta1(act_in(include_delta1(z), tau))
 
 
 def check_centrality(n, t):

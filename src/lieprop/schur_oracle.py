@@ -177,13 +177,13 @@ class SwModule:
     """A right S_w-module given by its dimension and action matrices.
 
     `act(tau)` returns the matrix of the right action of the permutation
-    tau as sparse rows (row r = image of basis vector r), cached per tau;
-    it is only ever called on adjacent transpositions s_i = (i, i+1).
-    `character`, built once, maps each cycle type rho |- w to the int
-    chi_M(rho), the trace of the word with consecutive cycles ((3, 2, 1)
-    is s1 s2 s4), pushing each row e_r once through all words in ints:
-    a word extends its prefix, again a class word (s1 ... s5 of (6)
-    extends (5, 1), ..., (2, 1^4)).
+    tau of 1..w (ValueError for anything else) as sparse rows (row r =
+    image of basis vector r), cached per tau.  `character` reads only the
+    adjacent transpositions s_i = (i, i+1).  Built once, it maps each
+    cycle type rho |- w to the int chi_M(rho), the trace of the word with
+    consecutive cycles ((3, 2, 1) is s1 s2 s4), pushing each row e_r once
+    through all words in ints: a word extends its prefix, again a class
+    word (s1 ... s5 of (6) extends (5, 1), ..., (2, 1^4)).
     """
 
     def __init__(self, w, dim, act_fn):
@@ -195,6 +195,8 @@ class SwModule:
     def act(self, tau):
         tau = tuple(tau)
         if tau not in self._cache:
+            if sorted(tau) != list(range(1, self.w + 1)):
+                raise ValueError("not a permutation of 1..%d: %r" % (self.w, tau))
             self._cache[tau] = self._act_fn(tau)
         return self._cache[tau]
 
@@ -227,6 +229,9 @@ class SwModule:
 def h_modules(w, n):
     """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
 
+    H1 rows are read off the kernel basis: `exactla.kernel` gives each v_r
+    a free column f_r = max(v_r), zero on every other v_s, so c_r =
+    z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r].
     Cached, so the action matrices and the character each module caches
     are built once per (w, n) and shared by every d of `cross_check`.
     """
@@ -242,18 +247,21 @@ def h_modules(w, n):
             rows.append({rep_pos[j]: c for j, c in v.items()})
         return rows
 
-    ker_solver = Echelon(track=True)
-    for z in cell.kernel:
-        if not ker_solver.add(z.coords):
-            raise AssertionError("kernel basis must be independent")
+    kernel = [z.coords for z in cell.kernel]
+    free = {max(v): r for r, v in enumerate(kernel)}
 
     def act1(tau):
         rows = []
         for z in cell.kernel:
-            coords = ker_solver.solve(delta1_act_in(z, tau).coords)
-            if coords is None:
+            image = delta1_act_in(z, tau).coords
+            coords = {free[j]: (x, kernel[free[j]][j]) for j, x in image.items() if j in free}
+            den = lcm(*(v for _, v in coords.values()))
+            residue = {j: den * x for j, x in image.items()}
+            for r, (x, v) in coords.items():
+                axpy(residue, kernel[r], -(den // v * x))
+            if residue:
                 raise AssertionError("kernel is not S_w-stable; broken equivariance")
-            rows.append(coords)
+            rows.append({r: Fraction(x, v) for r, (x, v) in coords.items()})
         return rows
 
     return (SwModule(w, len(reps), act0),

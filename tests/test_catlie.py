@@ -1,11 +1,13 @@
+import itertools
 import random
 from math import factorial
 
 import pytest
 
-from lieprop.catlie import (BasisMorphism, HomElem, act_in, act_out, boxplus,
-                            compose, hom_basis, hom_dim, identity, perm_hom,
-                            stirling_cycle, surjections)
+from lieprop import catlie, freelie, mudelta
+from lieprop.catlie import (BasisMorphism, HomElem, act_in, act_out, basis_trees,
+                            boxplus, compose, hom_basis, hom_dim, identity,
+                            perm_hom, stirling_cycle, surjections)
 from lieprop.mudelta import mu
 
 
@@ -150,3 +152,65 @@ def test_action_size_mismatch_raises():
         act_in(f, (1, 2))
     with pytest.raises(ValueError):
         perm_hom((1, 1))
+
+
+def _adjacent(m):
+    for i in range(1, m):
+        s = list(range(1, m + 1))
+        s[i - 1], s[i] = s[i], s[i - 1]
+        yield tuple(s)
+
+
+def _taus(m, i, rng):
+    """Every tau for m <= 4; every adjacent transposition and two seeded
+    random tau at m = 5; at m = 6 one adjacent transposition, in turn by
+    basis index, and one random tau."""
+    if m <= 4:
+        return list(itertools.permutations(range(1, m + 1)))
+    random_taus = [tuple(rng.sample(range(1, m + 1), m)) for _ in range(7 - m)]
+    adjacent = list(_adjacent(m))
+    return (adjacent if m == 5 else [adjacent[i % (m - 1)]]) + random_taus
+
+
+def test_act_in_closed_form_matches_composition():
+    rng = random.Random(37)
+    heads = {True: 0, False: 0}    # per output: is the least label the relabelled head?
+    count = 0
+    for m in range(7):
+        for n in range(m + 1):
+            for i, bm in enumerate(hom_basis(m, n)):
+                f = HomElem.from_basis(bm)
+                for tau in _taus(m, i, rng):
+                    assert act_in(f, tau) == compose(f, perm_hom(tau)), (bm, tau)
+                    inv = {t: k for k, t in enumerate(tau, start=1)}
+                    for tree in basis_trees(bm):
+                        word = [inv[x] for x in freelie.leaves(tree)]
+                        heads[word[0] == min(word)] += 1
+                    count += 1
+    assert count == 2204 + 694 * 6 + 6578 * 2    # m <= 4, m = 5, m = 6
+    assert heads[True] and heads[False]
+
+
+def test_act_in_composes_nothing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("act_in composed or normalized a tree")
+
+    for mod, name in [(catlie, "compose"), (catlie, "compose_basis"), (mudelta, "compose"),
+                      (freelie, "graft"), (freelie, "normalize_tree")]:
+        monkeypatch.setattr(mod, name, forbidden)
+    catlie._act_in_basis.cache_clear()
+    catlie._comb_coords.cache_clear()
+    for n in range(6):
+        for i in range(hom_dim(5, n)):
+            for tau in ((5, 3, 1, 2, 4), *_adjacent(5)):
+                act_in(HomElem(5, n, {i: 1}), tau)
+        for s in range(mudelta.delta1_dim(5, n)):
+            mudelta.delta1_act_in(mudelta.Delta1Elem(5, n, {s: 1}), (2, 1, 3, 5, 4))
+
+
+def test_act_in_accepts_lists_and_rejects_non_permutations():
+    f = HomElem(3, 2, {4: 1})
+    assert act_in(f, [2, 3, 1]) == act_in(f, (2, 3, 1)) == compose(f, perm_hom((2, 3, 1)))
+    for tau in ((1, 1, 3), (1, 2, 4), [0, 1, 2]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            act_in(f, tau)

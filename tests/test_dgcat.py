@@ -278,6 +278,25 @@ def test_orbit_normal_form():
             assert len(reps) * factorial(n) == hom_dim(m, n)
 
 
+def test_block_ranks_read_the_orbit_representatives(monkeypatch):
+    # the first-occurrence filter of _block_ranks picks the delta1 elements
+    # that _orbit_normal_form fixes, and reads only their columns
+    cells = [(m, n) for m in range(7) for n in range(m + 1)]
+    ranks = {cell: dgcat._block_ranks(*cell) for cell in cells}
+    read = []
+    column = dgcat.mu_tilde_1_column
+    monkeypatch.setattr(dgcat, "mu_tilde_1_column",
+                        lambda m, n, s: read.append((m, n, s)) or column(m, n, s))
+    want = []
+    for m, n in cells:
+        ident = tuple(range(1, n + 1))
+        want += [(m, n, s) for s, bm in enumerate(delta1_basis(m, n)[1])
+                 if dgcat._orbit_normal_form(bm, n)[0] == ident]
+        assert dgcat._block_ranks.__wrapped__(m, n) == ranks[(m, n)]
+    assert read == want
+    assert len(read) == 873
+
+
 def test_mu_tilde_1_is_equivariant():
     # mu_tilde_1(s_i . z) == s_i . mu_tilde_1(z) on every delta1 orbit representative z
     for m in range(6):

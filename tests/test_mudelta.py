@@ -5,7 +5,7 @@ import pytest
 
 from lieprop import catlie, cecomplex, dgcat, freelie, mudelta
 from lieprop.catlie import (BasisMorphism, HomElem, boxplus, compose,
-                            hom_basis, hom_dim, identity)
+                            hom_basis, hom_dim, identity, perm_hom)
 from lieprop.cli import suite_mudelta
 from lieprop.exactla import Echelon
 from lieprop.mudelta import (Delta1Elem, adjoint_append, check_centrality,
@@ -195,6 +195,39 @@ def test_act_in_matches_act_right_on_permutations():
         assert delta1_act_in(z, tau) == delta1_act_right(z, perm_hom(tau))
 
 
+def test_delta1_act_in_closed_form_matches_composition():
+    # every tau for m <= 4; every adjacent transposition and two seeded random
+    # tau at m = 5; at m = 6 one adjacent transposition, in turn by basis index
+    rng = random.Random(43)
+    count = 0
+    for m in range(7):
+        adjacent = [tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, m + 1))
+                    for i in range(1, m)]
+        for n in range(m):
+            for s in range(delta1_dim(m, n)):
+                if m <= 4:
+                    taus = itertools.permutations(range(1, m + 1))
+                elif m == 5:
+                    taus = adjacent + [tuple(rng.sample(range(1, 6), 5)) for _ in range(2)]
+                else:
+                    taus = [adjacent[s % 5]]
+                z = Delta1Elem(m, n, {s: 1})
+                for tau in taus:
+                    want = project_delta1(compose(include_delta1(z), perm_hom(tau)))
+                    assert delta1_act_in(z, tau) == want, (m, n, s, tau)
+                    count += 1
+    assert count == 1 + 4 + 54 + 1344 + 440 * 6 + 4164    # delta1(m, n) sizes times taus
+
+
+def test_delta1_act_in_checks_tau():
+    z = Delta1Elem(4, 2, {3: 1})
+    with pytest.raises(ValueError, match="permutation size differs from source arity"):
+        delta1_act_in(z, (2, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        delta1_act_in(z, (1, 2, 2, 4))
+    assert delta1_act_in(z, [2, 1, 4, 3]) == delta1_act_in(z, (2, 1, 4, 3))
+
+
 def test_centrality_small_cells():
     assert check_centrality(3, 2)
     assert check_centrality(3, 3)   # S_n-equivariance case
@@ -271,13 +304,28 @@ def test_bracket_leaf_matches_normalize_tree():
             rest = tuple(x for x in labels if x != a)
             for tail in itertools.permutations(rest[1:]):
                 word = (rest[0],) + tail
-                terms = mudelta._bracket_leaf(word, a)
+                terms = freelie.bracket_leaf(word, a)
                 assert len(terms) == (2 ** (k - 1) if a < word[0] else 1)
                 sizes[a < word[0]] += 1
                 got = {positions[w[1:]]: c for c, w in terms}
                 assert len(got) == len(terms)
                 assert got == freelie.normalize_tree((_comb(word), a)), (word, a)
     assert sizes == {True: 154, False: 873}
+    # a below every label of a prefix whose head is not its least label, as in
+    # catlie.act_in up to m = 6
+    headless = 0
+    for k in range(2, 6):
+        labels = tuple(range(1, k + 2))
+        positions = freelie.comb_index(labels)
+        for word in itertools.permutations(labels[1:]):
+            if word[0] == 2:
+                continue
+            terms = freelie.bracket_leaf(word, 1)
+            got = {positions[w[1:]]: c for c, w in terms}
+            assert len(got) == len(terms) == 2 ** (k - 1)
+            assert got == freelie.normalize_tree((_comb(word), 1)), word
+            headless += 1
+    assert headless == 1 + 4 + 18 + 96
 
 
 def test_mu_tilde_1_closed_form_matches_composition_m6():
@@ -338,13 +386,13 @@ def fresh_columns():
 
 def test_mu_compat_certifies_the_closed_form(monkeypatch, fresh_columns):
     assert suite_mudelta(5, 0, 0) == (True, 56)
-    bracket_leaf = mudelta._bracket_leaf
+    bracket_leaf = mudelta.bracket_leaf
 
     def wrong_sign(word, a):
         terms = bracket_leaf(word, a)
         return [(-c, w) for c, w in terms] if a < word[0] else terms
 
-    monkeypatch.setattr(mudelta, "_bracket_leaf", wrong_sign)
+    monkeypatch.setattr(mudelta, "bracket_leaf", wrong_sign)
     mudelta.mu_tilde_1_column.cache_clear()
     rep = cecomplex.ce_to_dgcat(3, 1)
     assert rep["retraction"] and not rep["mu_compat"]

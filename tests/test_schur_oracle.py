@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
+from lieprop import dgcat, schur_oracle
+from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
+from lieprop.mudelta import include_delta1, project_delta1
 from lieprop.schur_oracle import (SwModule, compositions, cross_check,
                                   h_modules, is_lyndon, lyndon_bracketing,
                                   lyndon_words, necklace_dim, schur_dim,
@@ -250,3 +253,62 @@ def test_cross_check_oracle_grid():
         for n in range(0, 3):
             for w in range(1, 7):
                 assert cross_check(d, n, w), (d, n, w)
+
+
+def _reference_generators(w, n):
+    """{tau: (H0 matrix, H1 matrix)} over the adjacent transpositions, by
+    composition with perm_hom(tau) and a tracked solve against the kernel."""
+    cell = dgcat.homology_cell(w, n)
+    reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]
+    rep_pos = {i: r for r, i in enumerate(reps)}
+    ker = Echelon(track=True)
+    for z in cell.kernel:
+        assert ker.add(z.coords)
+    out = {}
+    for pos in range(1, w):
+        tau = tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
+        p = perm_hom(tau)
+        m0 = [{rep_pos[j]: c for j, c in cell.boundaries.reduce(
+            compose(HomElem(w, n, {i: 1}), p).coords).items()} for i in reps]
+        m1 = [ker.solve(project_delta1(compose(include_delta1(z), p)).coords)
+              for z in cell.kernel]
+        out[tau] = (m0, m1)
+    return out
+
+
+def test_generator_matrices_match_composition_and_tracked_solve():
+    count = 0
+    for w in range(1, 7):
+        for n in range(3):
+            m0, m1 = h_modules(w, n)
+            for tau, (want0, want1) in _reference_generators(w, n).items():
+                assert m0.act(tau) == want0, (w, n, tau)
+                assert m1.act(tau) == want1, (w, n, tau)
+                count += 2
+    assert count == 90
+
+
+def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
+    # a sign error in the action on delta1: the image leaves the kernel span
+    act = schur_oracle.delta1_act_in
+
+    def wrong_sign(z, tau):
+        image = act(z, tau)
+        j = min(image.coords)
+        return image._like({**image.coords, j: -image.coords[j]})
+
+    monkeypatch.setattr(schur_oracle, "delta1_act_in", wrong_sign)
+    m1 = h_modules.__wrapped__(4, 2)[1]
+    assert m1.dim
+    with pytest.raises(AssertionError, match="not S_w-stable"):
+        m1.act((2, 1, 3, 4))
+
+
+def test_act_rejects_non_permutations_and_accepts_lists():
+    m0, m1 = h_modules(3, 1)
+    assert m0.dim == 0
+    for module in (m0, m1, _regular_module(3)):
+        for tau in ((2, 1), (1, 1, 3), (1, 2, 3, 4), (0, 1, 2)):
+            with pytest.raises(ValueError, match="not a permutation of 1..3"):
+                module.act(tau)
+        assert module.act([2, 1, 3]) == module.act((2, 1, 3))
