@@ -20,7 +20,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import freelie
-from .exactla import SparseElem, axpy
+from .exactla import SparseElem, axpy, combine
 
 
 class BasisMorphism(NamedTuple):
@@ -237,10 +237,8 @@ def act_in(f, tau):
         raise ValueError("permutation size differs from source arity")
     if sorted(tau) != list(range(1, f.m + 1)):
         raise ValueError("not a permutation of 1..%d" % f.m)
-    out = {}
-    for i, c in f.coords.items():
-        axpy(out, _act_in_basis(hom_basis(f.m, f.n)[i], tau), c)
-    return HomElem(f.m, f.n, out)
+    basis = hom_basis(f.m, f.n)
+    return HomElem(f.m, f.n, combine(f.coords, lambda i: _act_in_basis(basis[i], tau)))
 
 
 @functools.cache

@@ -33,7 +33,7 @@ from math import factorial
 
 from .catlie import (BasisMorphism, HomElem, basis_trees, compose, emit, hom_basis,
                      hom_dim, hom_index)
-from .exactla import Echelon, axpy
+from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
 
@@ -161,10 +161,7 @@ def ce_diff(m, n, t, x):
         raise ValueError("the differential starts in degree 1")
     if (x.m, x.n) != (m, n + t):
         raise ValueError("element does not live in the stated cell")
-    out = {}
-    basis = hom_basis(m, n + t)
-    for idx, c in x.coords.items():
-        axpy(out, _diff_basis(basis[idx], n, t), c)
+    out = combine(x.coords, lambda idx: _diff_basis(hom_basis(m, n + t)[idx], n, t))
     return e_t_apply(HomElem(m, n + t - 1, out), n, t - 1)
 
 

@@ -53,6 +53,14 @@ def axpy(out, vec, c=1):
     return out
 
 
+def combine(coeffs, column):
+    """sum_k coeffs[k] * column(k): a matrix, given by its columns, on a vector."""
+    out = {}
+    for k, c in coeffs.items():
+        axpy(out, column(k), c)
+    return out
+
+
 class SparseElem:
     """Sparse vector over the basis of one cell: ``coords`` maps a basis
     index to its nonzero coefficient.

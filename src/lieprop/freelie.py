@@ -28,7 +28,7 @@ import functools
 import itertools
 from math import factorial
 
-from .exactla import SparseElem, axpy
+from .exactla import SparseElem, axpy, combine
 
 
 def leaves(tree):
@@ -169,10 +169,7 @@ def _solve(terms, labels):
         if w[0] == head:
             coords[index[w[1:]]] = c
     expansions = _basis_expansions(labels)
-    residue = dict(words)
-    for i, c in coords.items():
-        axpy(residue, expansions[i], -c)
-    if residue:
+    if axpy(dict(words), combine(coords, expansions.__getitem__), -1):
         raise AssertionError("expansion escaped the basis span; broken input tree")
     return coords
 

@@ -7,6 +7,12 @@ m * hom_dim(m-1, n).  Elements are stored in sub-basis coordinates
 (inclusion into and projection from the ambient hom-space are explicit
 coordinate maps).
 
+Both actions compose in smaller hom-spaces: `_cut` deletes an output and
+its fiber, relabelling the rest in order (tree indices carry over), and
+`_glue` puts them back over a new last output.  So delta1(m, n) = [m] x
+Hom(m-1, n); (g boxplus 1) o y is g o y' glued back, one g o y' for all m
+positions of a; x o F is x' o F' with F's fiber over x's lone input glued back.
+
 mu(n) in Hom(n+1, n) is the sum of the n basis morphisms that restrict
 to the identity on the first n inputs and bracket the extra input onto
 one output; mu(0) = 0.  Post-composition with mu gives the natural map
@@ -40,17 +46,16 @@ always splitting off the left child first; well-definedness is not
 assumed but certified by the retraction, compatibility and chain-map
 tests downstream.
 
-The module also carries the executable forms of the centrality
-identity, the Lie-action identity and the square-zero interchange that
-makes the degree-one composition consistent.
+The module also carries executable checks of the centrality identity, the
+Lie-action identity and the square-zero interchange (`check_dg_square`).
 """
 
 import functools
 
 from . import freelie
 from .catlie import (BasisMorphism, HomElem, act_in, basis_trees, boxplus, compose,
-                     emit, hom_basis, hom_dim, hom_index, identity, perm_hom)
-from .exactla import SparseElem, axpy
+                     compose_basis, emit, hom_basis, hom_dim, hom_index, identity, perm_hom)
+from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf
 
 
@@ -94,14 +99,15 @@ class Delta1Elem(SparseElem):
         return delta1_dim(self.m, self.n)
 
 
-def _check_delta1(z):
-    if not isinstance(z, Delta1Elem):
-        raise TypeError("expected a Delta1Elem, got %s" % type(z).__name__)
+def _check_type(*args):
+    for x, cls in zip(args[::2], args[1::2]):   # (object, class) pairs
+        if not isinstance(x, cls):
+            raise TypeError("expected a %s, got %s" % (cls.__name__, type(x).__name__))
 
 
 def include_delta1(z):
     """Coordinate inclusion delta1(m, n) -> Hom(m, n+1)."""
-    _check_delta1(z)
+    _check_type(z, Delta1Elem)
     full, _, _ = delta1_basis(z.m, z.n)
     return HomElem(z.m, z.n + 1, {full[i]: c for i, c in z.coords.items()})
 
@@ -182,11 +188,8 @@ def mu_tilde_1_column(m, n, s):
 
 def mu_tilde_1(z):
     """Restriction of mu_tilde to delta1: delta1(m, n) -> Hom(m, n)."""
-    _check_delta1(z)
-    out = {}
-    for s, c in z.coords.items():
-        axpy(out, mu_tilde_1_column(z.m, z.n, s), c)
-    return HomElem(z.m, z.n, out)
+    _check_type(z, Delta1Elem)
+    return HomElem(z.m, z.n, combine(z.coords, lambda s: mu_tilde_1_column(z.m, z.n, s)))
 
 
 def adjoint_append(front, x_tree):
@@ -215,42 +218,78 @@ def _pi_rec(front, last):
     return out
 
 
+@functools.cache
+def _pi_column(m, n, k):
+    """pi of the basis element k of Hom(m, n+1); cached, so read-only."""
+    trees = basis_trees(hom_basis(m, n + 1)[k])
+    return _pi_rec(trees[:-1], trees[-1])
+
+
 def pi(w):
     """The retraction Hom(m, n+1) ->> delta1(m, n)."""
     if w.n < 1:
         raise ValueError("pi needs target arity >= 1")
-    basis = hom_basis(w.m, w.n)
+    return Delta1Elem(w.m, w.n - 1, combine(w.coords, lambda k: _pi_column(w.m, w.n - 1, k)))
+
+
+@functools.cache
+def _cut(bm, b):
+    """(fiber, tree index, rest) of a basis morphism cut at output b (module docstring)."""
+    f = tuple(v - (v > b) for v in bm.f if v != b)
+    return (tuple(i for i, v in enumerate(bm.f, 1) if v == b), bm.trees[b - 1],
+            BasisMorphism(len(f), bm.n - 1, f, bm.trees[:b - 1] + bm.trees[b:]))
+
+
+@functools.cache
+def _glue(m, p, fib, tree):
+    """Hom(m, p+1) index of each basis element of Hom(m - |fib|, p) glued back; read-only."""
+    index, out = hom_index(m, p + 1), []
+    for bm in hom_basis(m - len(fib), p):
+        f = iter(bm.f)
+        f = tuple(p + 1 if i in fib else next(f) for i in range(1, m + 1))
+        out.append(index[BasisMorphism(m, p + 1, f, bm.trees + (tree,))])
+    return out
+
+
+def _act_left(g, z):
+    """(g boxplus 1) o y via delta1(m, n) = [m] x Hom(m-1, n): g o y' with a glued back."""
+    zb, back, gb = delta1_basis(z.m, z.n)[1], _delta1_position(z.m, g.n), hom_basis(g.m, g.n)
     out = {}
-    for idx, c in w.coords.items():
-        trees = basis_trees(basis[idx])
-        axpy(out, _pi_rec(trees[:-1], trees[-1]), c)
-    return Delta1Elem(w.m, w.n - 1, out)
+    for s, c in z.coords.items():
+        fib, tree, y = _cut(zb[s], z.n + 1)
+        up = _glue(z.m, g.n, fib, tree)
+        for i, gc in g.coords.items():
+            axpy(out, {back[up[j]]: v for j, v in compose_basis(gb[i], y).items()}, c * gc)
+    return Delta1Elem(z.m, g.n, out)
 
 
-def _act_left(g_plus, w):
-    """The left action on lifts: g_plus = g boxplus 1, w = include_delta1(z)."""
-    return project_delta1(compose(g_plus, w))
-
-
-def _act_right(w, f):
-    """The right action on a lift w = include_delta1(z)."""
-    return pi(compose(w, f))
+def _act_right(z, f):
+    """pi(x o F): x' o F' with F's fiber over the lone input b of x glued back."""
+    zb, fb, t, out = delta1_basis(z.m, z.n)[1], hom_basis(f.m, f.n), z.n, {}
+    for s, c in z.coords.items():
+        (b,), _, x = _cut(zb[s], t + 1)
+        for i, fc in f.coords.items():
+            fib, tree, F = _cut(fb[i], b)
+            up = _glue(f.m, t, fib, tree)
+            for j, v in compose_basis(x, F).items():
+                axpy(out, _pi_column(f.m, t, up[j]), c * fc * v)
+    return Delta1Elem(f.m, t, out)
 
 
 def delta1_act_left(g, z):
     """Left action of Hom(n, p) on delta1(m, n): compose with g boxplus 1."""
-    _check_delta1(z)
+    _check_type(g, HomElem, z, Delta1Elem)
     if g.m != z.n:
         raise ValueError("arity mismatch for the left action")
-    return _act_left(boxplus(g, identity(1)), include_delta1(z))
+    return _act_left(g, z)
 
 
 def delta1_act_right(z, f):
     """Right action of Hom(m, n) on delta1(n, p): pre-compose, then project by pi."""
-    _check_delta1(z)
+    _check_type(z, Delta1Elem, f, HomElem)
     if f.n != z.m:
         raise ValueError("arity mismatch for the right action")
-    return _act_right(include_delta1(z), f)
+    return _act_right(z, f)
 
 
 def delta1_act_in(z, tau):
@@ -286,29 +325,22 @@ def check_lie_action(n):
 
 
 def check_dg_square(m, n, t):
-    """Interchange of the two degree-one actions (the square-zero condition).
-
-    For all basis x of delta1(n, t) and y of delta1(m, n):
-    x . mu_tilde_1(y) = mu_tilde_1(x) . y.
-
-    Both sides run the code of `delta1_act_right` and `delta1_act_left`
-    on lifts built once per basis element.
-    """
-    x_full, _, _ = delta1_basis(n, t)
-    y_full, _, _ = delta1_basis(m, n)
-    if not x_full or not y_full:
+    """Square zero: x . mu_tilde_1(y) = mu_tilde_1(x) . y for all basis x of
+    delta1(n, t) and y of delta1(m, n), one matrix identity per cell: with
+    R_x(F) = `_act_right` of x on each basis F of Hom(m, n) and L_y(G) =
+    `_act_left` of each basis G of Hom(n, t) on y built once, for every pair
+        sum_F mu_tilde(y)[F] R_x(F) == sum_G mu_tilde(x)[G] L_y(G)  exactly."""
+    if min(m, n, t) < 0:
+        raise ValueError("arities must be >= 0")
+    if not delta1_dim(n, t) or not delta1_dim(m, n):
         return True
-    one = identity(1)
-    xs = []
-    for i in x_full:
-        wx = HomElem(n, t + 1, {i: 1})
-        xs.append((wx, boxplus(mu_tilde(wx), one)))
-    ys = []
-    for i in y_full:
-        wy = HomElem(m, n + 1, {i: 1})
-        ys.append((wy, mu_tilde(wy)))
-    for wx, mx_plus in xs:
-        for wy, my in ys:
-            if _act_right(wx, my) != _act_left(mx_plus, wy):
-                return False
-    return True
+    xs = [Delta1Elem(n, t, {s: 1}) for s in range(delta1_dim(n, t))]
+    ys = [Delta1Elem(m, n, {s: 1}) for s in range(delta1_dim(m, n))]
+    mxs = [mu_tilde(include_delta1(x)).coords for x in xs]
+    mys = [mu_tilde(include_delta1(y)).coords for y in ys]
+    fs = [(F, HomElem(m, n, {F: 1})) for F in sorted(set().union(*mys))]
+    gs = [(G, HomElem(n, t, {G: 1})) for G in sorted(set().union(*mxs))]
+    rs = [{F: _act_right(x, f).coords for F, f in fs} for x in xs]
+    ls = [{G: _act_left(g, y).coords for G, g in gs} for y in ys]
+    return all(combine(my, r.__getitem__) == combine(mx, l.__getitem__)
+               for mx, r in zip(mxs, rs) for my, l in zip(mys, ls))

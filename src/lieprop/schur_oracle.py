@@ -32,7 +32,7 @@ from math import factorial, lcm, prod
 
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
-from .exactla import Echelon, _cleared, axpy
+from .exactla import Echelon, _cleared, axpy, combine
 from .mudelta import delta1_act_in
 from .symrep import _partitions
 
@@ -216,9 +216,7 @@ class SwModule:
             pushed = {(): {r: 1}}
             for word in sorted(words):  # every prefix before its extensions
                 if word:
-                    vec = pushed[word] = {}
-                    for c, x in pushed[word[:-1]].items():
-                        axpy(vec, gens[word[-1]][c], x)
+                    pushed[word] = combine(pushed[word[:-1]], gens[word[-1]].__getitem__)
                 chi[words[word]] += Fraction(pushed[word].get(r, 0), den ** len(word))
         if any(c.denominator != 1 for c in chi.values()):
             raise AssertionError("character values must be integers: %s" % chi)

@@ -272,6 +272,112 @@ def test_dg_square_fails_on_a_sign_error_in_the_left_action(monkeypatch):
     assert not check_dg_square(4, 3, 2)
 
 
+def test_dg_square_fails_on_a_sign_error_in_the_right_action(monkeypatch):
+    # the mirror of the left-action mutant: check_dg_square runs the helper
+    # behind delta1_act_right
+    act_right = mudelta._act_right
+    monkeypatch.setattr(mudelta, "_act_right", lambda z, f: -act_right(z, f))
+    z = iota(4)
+    assert delta1_act_right(z, identity(4)) == -z
+    assert not check_dg_square(4, 3, 2)
+
+
+def _pairwise_dg_square(m, n, t):
+    """The square-zero check pair by pair, through the definitions of both actions."""
+    one = identity(1)
+    for i in delta1_basis(n, t)[0]:
+        wx = HomElem(n, t + 1, {i: 1})
+        mx_plus = boxplus(mu_tilde(wx), one)
+        for j in delta1_basis(m, n)[0]:
+            wy = HomElem(m, n + 1, {j: 1})
+            if pi(compose(wx, mu_tilde(wy))) != project_delta1(compose(mx_plus, wy)):
+                return False
+    return True
+
+
+def test_dg_square_matches_the_pairwise_loop():
+    cells = [(m, n, t) for m in range(5) for n in range(m + 1) for t in range(n + 1)]
+    assert len(cells) == 35
+    for cell in cells:
+        assert check_dg_square(*cell) == _pairwise_dg_square(*cell), cell
+
+
+def test_dg_square_rejects_negative_arities():
+    for cell in [(-1, 0, 0), (0, -1, 0), (2, 1, -1), (-3, -2, -1)]:
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            check_dg_square(*cell)
+    # n > m or t > n: zero cells, nothing to check
+    assert check_dg_square(1, 2, 0) and check_dg_square(2, 1, 2) and check_dg_square(0, 0, 0)
+
+
+def test_cut_at_the_last_output_is_the_delta1_bijection():
+    # [m] x Hom(m-1, p) -> delta1(m, p): a glued back over output p+1, and
+    # cutting at p+1 gives (a, the element of Hom(m-1, p)) back
+    for m in range(1, 6):
+        for p in range(m):
+            _, bms, _ = delta1_basis(m, p)
+            back = mudelta._delta1_position(m, p)
+            image = []
+            for a in range(1, m + 1):
+                up = mudelta._glue(m, p, (a,), 0)
+                assert len(up) == hom_dim(m - 1, p)
+                for rest, k in zip(hom_basis(m - 1, p), up):
+                    assert mudelta._cut(bms[back[k]], p + 1) == ((a,), 0, rest)
+                    image.append(back[k])
+            assert sorted(image) == list(range(delta1_dim(m, p))), (m, p)
+
+
+def test_act_left_matches_the_definition():
+    # (g boxplus 1) o z, projected, for every basis g and basis z with m <= 4
+    count = 0
+    for m in range(1, 5):
+        for n in range(m):
+            for p in range(n + 1):
+                for gi in range(hom_dim(n, p)):
+                    g = HomElem(n, p, {gi: 1})
+                    g_plus = boxplus(g, identity(1))
+                    for s in range(delta1_dim(m, n)):
+                        z = Delta1Elem(m, n, {s: 1})
+                        want = project_delta1(compose(g_plus, include_delta1(z)))
+                        assert mudelta._act_left(g, z) == want, (m, n, p, gi, s)
+                        count += 1
+    assert count == 440    # sum of hom_dim(n, p) * delta1_dim(m, n)
+    # and on sums, where terms of one lone input share g o y'
+    g = HomElem(3, 2, {0: 2, 4: -1})
+    z = Delta1Elem(4, 3, {s: s - 7 for s in range(0, delta1_dim(4, 3), 5)})
+    want = project_delta1(compose(boxplus(g, identity(1)), include_delta1(z)))
+    assert delta1_act_left(g, z) == want and not want.is_zero()
+
+
+def test_act_right_matches_the_definition():
+    # pi(z o f) for every basis z of delta1(n, t) and basis f of Hom(m, n), m <= 4,
+    # and (m, n) = (5, 3), where f has a tree index > 0 beside the output it is cut at
+    count = 0
+    for m, n in [(m, n) for m in range(5) for n in range(1, m + 1)] + [(5, 3)]:
+        for t in range(n):
+            for s in range(delta1_dim(n, t)):
+                z = Delta1Elem(n, t, {s: 1})
+                for fi in range(hom_dim(m, n)):
+                    f = HomElem(m, n, {fi: 1})
+                    want = pi(compose(include_delta1(z), f))
+                    assert mudelta._act_right(z, f) == want, (m, n, t, s, fi)
+                    count += 1
+    assert count == 1792 + 1890    # sum of delta1_dim(n, t) * hom_dim(m, n)
+    f = HomElem(4, 2, {i: i % 3 - 1 for i in range(hom_dim(4, 2))})
+    z = Delta1Elem(2, 1, {0: 3, 1: -2})
+    want = pi(compose(include_delta1(z), f))
+    assert delta1_act_right(z, f) == want and not want.is_zero()
+
+
+def test_delta1_actions_reject_non_hom_factors():
+    z = Delta1Elem(3, 1, {0: 1})
+    for call in (lambda: delta1_act_right(z, Delta1Elem(4, 3, {0: 1})),
+                 lambda: delta1_act_left(Delta1Elem(1, 0, {0: 1}), z),
+                 lambda: delta1_act_left(None, z)):
+        with pytest.raises(TypeError, match="expected a HomElem"):
+            call()
+
+
 def test_iota_generates_delta1():
     # left orbit of iota_m under Hom(m-1, n), swept by the right
     # symmetric action, spans delta1(m, n)

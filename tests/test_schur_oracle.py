@@ -256,7 +256,8 @@ def test_cross_check_oracle_grid():
 
 
 def _reference_generators(w, n):
-    """{tau: (H0 matrix, H1 matrix)} over the adjacent transpositions, by
+    """{tau: (H0 matrix, H1 matrix)} over the adjacent transpositions and, for
+    w >= 3, the w-cycle (2, 3, ..., w, 1), which is not its own inverse, by
     composition with perm_hom(tau) and a tracked solve against the kernel."""
     cell = dgcat.homology_cell(w, n)
     reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]
@@ -265,8 +266,9 @@ def _reference_generators(w, n):
     for z in cell.kernel:
         assert ker.add(z.coords)
     out = {}
-    for pos in range(1, w):
-        tau = tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
+    taus = [tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
+            for pos in range(1, w)]
+    for tau in taus + ([tuple(range(2, w + 1)) + (1,)] if w >= 3 else []):
         p = perm_hom(tau)
         m0 = [{rep_pos[j]: c for j, c in cell.boundaries.reduce(
             compose(HomElem(w, n, {i: 1}), p).coords).items()} for i in reps]
@@ -285,7 +287,7 @@ def test_generator_matrices_match_composition_and_tracked_solve():
                 assert m0.act(tau) == want0, (w, n, tau)
                 assert m1.act(tau) == want1, (w, n, tau)
                 count += 2
-    assert count == 90
+    assert count == 114
 
 
 def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
