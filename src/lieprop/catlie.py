@@ -225,6 +225,16 @@ def act_out(sigma, f):
     return compose(perm_hom(sigma), f)
 
 
+def as_perm(tau, m):
+    """tau as a tuple; ValueError unless it permutes the m inputs 1..m."""
+    tau = tuple(tau)
+    if len(tau) != m:
+        raise ValueError("permutation size differs from source arity")
+    if sorted(tau) != list(range(1, m + 1)):
+        raise ValueError("not a permutation of 1..%d" % m)
+    return tau
+
+
 def act_in(f, tau):
     """Right action of S_m on Hom(m, n): compose(f, perm_hom(tau)) in closed
     form.  The value list becomes f o tau and each comb word is relabelled
@@ -232,11 +242,7 @@ def act_in(f, tau):
     [comb(u), l], which `freelie.bracket_leaf` writes as +-combs headed by
     l, bracketed on the right by the rest of the word: basis combs.
     """
-    tau = tuple(tau)
-    if len(tau) != f.m:
-        raise ValueError("permutation size differs from source arity")
-    if sorted(tau) != list(range(1, f.m + 1)):
-        raise ValueError("not a permutation of 1..%d" % f.m)
+    tau = as_perm(tau, f.m)
     basis = hom_basis(f.m, f.n)
     return HomElem(f.m, f.n, combine(f.coords, lambda i: _act_in_basis(basis[i], tau)))
 

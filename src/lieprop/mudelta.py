@@ -12,6 +12,9 @@ its fiber, relabelling the rest in order (tree indices carry over), and
 `_glue` puts them back over a new last output.  So delta1(m, n) = [m] x
 Hom(m-1, n); (g boxplus 1) o y is g o y' glued back, one g o y' for all m
 positions of a; x o F is x' o F' with F's fiber over x's lone input glued back.
+The right action of tau in S_m is cut too: y o tau is y' o tau' with a glued back
+at a' = tau^{-1}(a), tau' = tau: [m] - {a'} -> [m] - {a} relabelled in order; for
+adjacent tau, tau' is adjacent or 1, so one image in Hom(m-1, n) serves many a.
 
 mu(n) in Hom(n+1, n) is the sum of the n basis morphisms that restrict
 to the identity on the first n inputs and bracket the extra input onto
@@ -53,8 +56,9 @@ Lie-action identity and the square-zero interchange (`check_dg_square`).
 import functools
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, act_in, basis_trees, boxplus, compose,
-                     compose_basis, emit, hom_basis, hom_dim, hom_index, identity, perm_hom)
+from .catlie import (BasisMorphism, HomElem, _act_in_basis, as_perm, basis_trees, boxplus,
+                     compose, compose_basis, emit, hom_basis, hom_dim, hom_index, identity,
+                     perm_hom)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf
 
@@ -292,9 +296,20 @@ def delta1_act_right(z, f):
     return _act_right(z, f)
 
 
+def delta1_act_in_column(m, n, s, tau):
+    """delta1_act_in of the basis element s of delta1(m, n), tau a checked tuple:
+    y' o tau' in Hom(m-1, n) with the lone input glued back at tau^{-1}(a)."""
+    (a,), tree, y = _cut(delta1_basis(m, n)[1][s], n + 1)
+    up, back = _glue(m, n, (tau.index(a) + 1,), tree), _delta1_position(m, n)
+    image = _act_in_basis(y, tuple(t - (t > a) for t in tau if t != a))
+    return {back[up[j]]: c for j, c in image.items()}
+
+
 def delta1_act_in(z, tau):
-    """Right symmetric-group action: act_in keeps the lift in the sub-basis."""
-    return project_delta1(act_in(include_delta1(z), tau))
+    """Right action of S_m on delta1(m, n): act_in on the lift, through the cut."""
+    _check_type(z, Delta1Elem)
+    m, n, tau = z.m, z.n, as_perm(tau, z.m)
+    return Delta1Elem(m, n, combine(z.coords, lambda s: delta1_act_in_column(m, n, s, tau)))
 
 
 def check_centrality(n, t):

@@ -33,7 +33,7 @@ from math import factorial, lcm, prod
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
 from .exactla import Echelon, _cleared, axpy, combine
-from .mudelta import delta1_act_in
+from .mudelta import delta1_act_in_column
 from .symrep import _partitions
 
 
@@ -54,6 +54,8 @@ def _mobius(n):
 
 def necklace_dim(d, w):
     """Dimension of the weight-w part of the free Lie algebra on d letters."""
+    if w < 1:
+        raise ValueError("need w >= 1, got %r" % (w,))
     total = 0
     for k in range(1, w + 1):
         if w % k == 0:
@@ -66,9 +68,8 @@ def is_lyndon(word):
 
 
 def lyndon_words(d, w):
-    """Lyndon words of length w over 1..d, lexicographically ordered."""
-    out = []
-    word = [0]
+    """Lyndon words of length w over 1..d, lexicographically ordered; none for d < 1."""
+    out, word = [], [0] if d > 0 else []
     while word:
         word[-1] += 1
         if len(word) == w:
@@ -129,6 +130,8 @@ def _bracket_coords(d, w, tree, letter):
 
 def compositions(total, parts):
     """Ordered compositions of `total` into `parts` strictly positive parts."""
+    if parts < 0:
+        raise ValueError("need parts >= 0, got %r" % (parts,))
     if parts == 0:
         return [()] if total == 0 else []
     out = []
@@ -227,7 +230,9 @@ class SwModule:
 def h_modules(w, n):
     """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
 
-    H1 rows are read off the kernel basis: `exactla.kernel` gives each v_r
+    H1 acts through the delta1 cut: per tau, one `mudelta.delta1_act_in_column` per
+    index in the union of the kernel supports, every v_r pushed through in one int loop.
+    Its rows are read off the kernel basis: `exactla.kernel` gives each v_r
     a free column f_r = max(v_r), zero on every other v_s, so c_r =
     z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r].
     Cached, so the action matrices and the character each module caches
@@ -249,9 +254,13 @@ def h_modules(w, n):
     free = {max(v): r for r, v in enumerate(kernel)}
 
     def act1(tau):
-        rows = []
-        for z in cell.kernel:
-            image = delta1_act_in(z, tau).coords
+        rows, cols = [], {s: delta1_act_in_column(w, n, s, tau) for s in set().union(*kernel)}
+        for z in kernel:
+            image = {}
+            for s, c in z.items():
+                for j, x in cols[s].items():
+                    image[j] = image.get(j, 0) + c * x
+            image = {j: x for j, x in image.items() if x}
             coords = {free[j]: (x, kernel[free[j]][j]) for j, x in image.items() if j in free}
             den = lcm(*(v for _, v in coords.values()))
             residue = {j: den * x for j, x in image.items()}

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lieprop import catlie, cecomplex, dgcat, freelie, mudelta
+from lieprop import catlie, cecomplex, dgcat, freelie, mudelta, schur_oracle
 from lieprop.catlie import (BasisMorphism, HomElem, boxplus, compose,
                             hom_basis, hom_dim, identity, perm_hom)
 from lieprop.cli import suite_mudelta
@@ -226,6 +226,23 @@ def test_delta1_act_in_checks_tau():
     with pytest.raises(ValueError, match="not a permutation"):
         delta1_act_in(z, (1, 2, 2, 4))
     assert delta1_act_in(z, [2, 1, 4, 3]) == delta1_act_in(z, (2, 1, 4, 3))
+
+
+def test_h1_generators_act_on_one_input_less(monkeypatch):
+    # through the cut, the S_5 action on delta1(5, 2) is read off Hom(4, 2) alone
+    act, seen = catlie._act_in_basis, set()
+
+    def recording(bm, tau):
+        seen.add((bm.m, len(tau)))
+        return act(bm, tau)
+
+    act.cache_clear()
+    for mod in (catlie, mudelta):
+        monkeypatch.setattr(mod, "_act_in_basis", recording, raising=False)
+    m1 = schur_oracle.h_modules.__wrapped__(5, 2)[1]
+    assert m1.dim and m1.character
+    m1.act((2, 3, 4, 5, 1))
+    assert seen == {(4, 4)}
 
 
 def test_centrality_small_cells():

@@ -5,7 +5,7 @@ import pytest
 from lieprop import dgcat, schur_oracle
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
-from lieprop.mudelta import include_delta1, project_delta1
+from lieprop.mudelta import delta1_basis, include_delta1, project_delta1
 from lieprop.schur_oracle import (SwModule, compositions, cross_check,
                                   h_modules, is_lyndon, lyndon_bracketing,
                                   lyndon_words, necklace_dim, schur_dim,
@@ -17,6 +17,17 @@ def test_necklace_values():
     assert necklace_dim(1, 1) == 1
     assert necklace_dim(1, 2) == 0
     assert necklace_dim(3, 2) == 3
+
+
+def test_necklace_dim_rejects_weight_below_one():
+    for w in (0, -1):
+        with pytest.raises(ValueError, match="need w >= 1"):
+            necklace_dim(2, w)
+
+
+def test_lyndon_words_over_no_letters():
+    for w in range(1, 5):
+        assert lyndon_words(0, w) == [] and necklace_dim(0, w) == 0
 
 
 def test_lyndon_words_match_necklace_counts():
@@ -47,6 +58,13 @@ def test_compositions():
     assert compositions(0, 0) == [()]
     assert compositions(2, 0) == []
     assert compositions(2, 3) == []
+
+
+def test_negative_parts_raise_value_error():
+    for call in (lambda: compositions(2, -1), lambda: weighted_complex_homology(2, -1, 2),
+                 lambda: cross_check(2, -1, 2)):
+        with pytest.raises(ValueError, match="need parts >= 0"):
+            call()
 
 
 def test_weighted_homology_n0():
@@ -291,15 +309,18 @@ def test_generator_matrices_match_composition_and_tracked_solve():
 
 
 def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
-    # a sign error in the action on delta1: the image leaves the kernel span
-    act = schur_oracle.delta1_act_in
+    # a sign error in the action on delta1, on the basis elements whose lone
+    # input is 1: the image leaves the kernel span (a sign flip of every
+    # column would not, since it is minus the action)
+    column = schur_oracle.delta1_act_in_column
 
-    def wrong_sign(z, tau):
-        image = act(z, tau)
-        j = min(image.coords)
-        return image._like({**image.coords, j: -image.coords[j]})
+    def wrong_sign(m, n, s, tau):
+        image = column(m, n, s, tau)
+        if delta1_basis(m, n)[1][s].f[0] == n + 1:
+            return {j: -c for j, c in image.items()}
+        return image
 
-    monkeypatch.setattr(schur_oracle, "delta1_act_in", wrong_sign)
+    monkeypatch.setattr(schur_oracle, "delta1_act_in_column", wrong_sign)
     m1 = h_modules.__wrapped__(4, 2)[1]
     assert m1.dim
     with pytest.raises(AssertionError, match="not S_w-stable"):
