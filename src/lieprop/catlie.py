@@ -186,7 +186,13 @@ def compose(g, f):
     return HomElem(f.m, g.n, out)
 
 
+def _check_arities(*arities):
+    if min(arities) < 0:
+        raise ValueError("arities must be >= 0")
+
+
 def identity(n):
+    _check_arities(n)
     bm = BasisMorphism(n, n, tuple(range(1, n + 1)), (0,) * n)
     return HomElem.from_basis(bm)
 

@@ -31,8 +31,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (BasisMorphism, HomElem, basis_trees, compose, emit, hom_basis,
-                     hom_dim, hom_index)
+from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose, emit,
+                     hom_basis, hom_dim, hom_index)
 from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
@@ -104,6 +104,7 @@ def ce_basis(m, n, t):
     smallest index make this the primitive row-echelon basis of the
     image, in increasing pivot order.
     """
+    _check_arities(m, n, t)
     dim = hom_dim(m, n + t)
     if t <= 1:
         return tuple(HomElem(m, n + t, {i: 1}) for i in range(dim))
@@ -189,6 +190,7 @@ def ce_to_dgcat(m, n):
     Hom(m, n+1).  pi fixes delta1 (`retraction`), so this certifies the
     closed form against the definition on every basis element of delta1.
     """
+    _check_arities(m, n)
     retraction = all(
         pi(include_delta1(Delta1Elem(m, n, {s: 1}))) == Delta1Elem(m, n, {s: 1})
         for s in range(delta1_dim(m, n)))
@@ -261,6 +263,7 @@ def check_H_ce_QSn(n):
 
     Validates the coend realization against the Yoneda oracle first.
     """
+    _check_arities(n)
     for k in range(n + 1):
         expect = factorial(n) if k == n else 0
         if coend_yoneda(k, n) != expect:
@@ -286,6 +289,7 @@ def naturality_check(n):
     quotient of it.  Verified rank-level: mu_tilde_1 of every degree-1
     generator lies in the degree-0 relation span.
     """
+    _check_arities(n)
     for m in range(n):
         def space0(a):
             return [HomElem(a, m, {i: 1}) for i in range(hom_dim(a, m))]

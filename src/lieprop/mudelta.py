@@ -51,14 +51,17 @@ tests downstream.
 
 The module also carries executable checks of the centrality identity, the
 Lie-action identity and the square-zero interchange (`check_dg_square`).
+Centrality goes through the output cut: each term of phi o mu(n) or of
+mu(t) o (phi boxplus 1) changes one output of phi and the input n+1, so both
+sides are glued from composites on Hom(k+1, 1), one pair per (fiber size k, tree).
 """
 
 import functools
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, _act_in_basis, as_perm, basis_trees, boxplus,
-                     compose, compose_basis, emit, hom_basis, hom_dim, hom_index, identity,
-                     perm_hom)
+from .catlie import (BasisMorphism, HomElem, _act_in_basis, _check_arities, as_perm,
+                     basis_trees, boxplus, compose, compose_basis, emit, hom_basis, hom_dim,
+                     hom_index, identity, perm_hom)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf
 
@@ -256,7 +259,7 @@ def _glue(m, p, fib, tree):
 
 
 def _act_left(g, z):
-    """(g boxplus 1) o y via delta1(m, n) = [m] x Hom(m-1, n): g o y' with a glued back."""
+    """Coordinates of (g boxplus 1) o y: g o y' with a glued back (module docstring)."""
     zb, back, gb = delta1_basis(z.m, z.n)[1], _delta1_position(z.m, g.n), hom_basis(g.m, g.n)
     out = {}
     for s, c in z.coords.items():
@@ -264,11 +267,11 @@ def _act_left(g, z):
         up = _glue(z.m, g.n, fib, tree)
         for i, gc in g.coords.items():
             axpy(out, {back[up[j]]: v for j, v in compose_basis(gb[i], y).items()}, c * gc)
-    return Delta1Elem(z.m, g.n, out)
+    return out
 
 
 def _act_right(z, f):
-    """pi(x o F): x' o F' with F's fiber over the lone input b of x glued back."""
+    """Coordinates of pi(x o F): x' o F' with F's fiber over the lone input b of x glued back."""
     zb, fb, t, out = delta1_basis(z.m, z.n)[1], hom_basis(f.m, f.n), z.n, {}
     for s, c in z.coords.items():
         (b,), _, x = _cut(zb[s], t + 1)
@@ -277,7 +280,7 @@ def _act_right(z, f):
             up = _glue(f.m, t, fib, tree)
             for j, v in compose_basis(x, F).items():
                 axpy(out, _pi_column(f.m, t, up[j]), c * fc * v)
-    return Delta1Elem(f.m, t, out)
+    return out
 
 
 def delta1_act_left(g, z):
@@ -285,7 +288,7 @@ def delta1_act_left(g, z):
     _check_type(g, HomElem, z, Delta1Elem)
     if g.m != z.n:
         raise ValueError("arity mismatch for the left action")
-    return _act_left(g, z)
+    return Delta1Elem(z.m, g.n, _act_left(g, z))
 
 
 def delta1_act_right(z, f):
@@ -293,7 +296,7 @@ def delta1_act_right(z, f):
     _check_type(z, Delta1Elem, f, HomElem)
     if f.n != z.m:
         raise ValueError("arity mismatch for the right action")
-    return _act_right(z, f)
+    return Delta1Elem(f.m, z.n, _act_right(z, f))
 
 
 def delta1_act_in_column(m, n, s, tau):
@@ -312,16 +315,33 @@ def delta1_act_in(z, tau):
     return Delta1Elem(m, n, combine(z.coords, lambda s: delta1_act_in_column(m, n, s, tau)))
 
 
+@functools.cache
+def _centrality_pieces(k, tree):
+    """psi o mu(k) and mu(1) o (psi boxplus 1) for psi = (k, 1, (1,)*k, (tree,)), each
+    as {tree index over [k+1]: coefficient}; read-only."""
+    psi, trees = HomElem.from_basis(BasisMorphism(k, 1, (1,) * k, (tree,))), hom_basis(k + 1, 1)
+    return tuple({trees[j].trees[0]: c for j, c in side.coords.items()}
+                 for side in (compose(psi, mu(k)), compose(mu(1), boxplus(psi, identity(1)))))
+
+
+def _centrality_sides(phi):
+    """Coordinates of phi o mu(n) and mu(t) o (phi boxplus 1), basis phi of Hom(n, t),
+    glued from the pieces of its outputs: output i with its fiber and input n+1."""
+    m, t, index, sides = phi.m + 1, phi.n, hom_index(phi.m + 1, phi.n), ({}, {})
+    for i, tree in enumerate(phi.trees):
+        f = phi.f + (i + 1,)
+        for side, piece in zip(sides, _centrality_pieces(phi.f.count(i + 1), tree)):
+            for u, c in piece.items():
+                side[index[BasisMorphism(m, t, f, phi.trees[:i] + (u,) + phi.trees[i + 1:])]] = c
+    return sides
+
+
 def check_centrality(n, t):
-    """phi o mu(n) = mu(t) o (phi boxplus 1) for every basis phi of Hom(n, t)."""
-    mun = mu(n)
-    mut = mu(t)
-    one = identity(1)
-    for bm in hom_basis(n, t):
-        phi = HomElem.from_basis(bm)
-        if compose(phi, mun) != compose(mut, boxplus(phi, one)):
-            return False
-    return True
+    """phi o mu(n) = mu(t) o (phi boxplus 1) for every basis phi of Hom(n, t), each
+    side glued from the pieces of its outputs (module docstring): n+1 is above every
+    label, so relabelling a fiber with it in order keeps the tree indices."""
+    _check_arities(n, t)
+    return all(lhs == rhs for lhs, rhs in map(_centrality_sides, hom_basis(n, t)))
 
 
 def check_lie_action(n):
@@ -345,8 +365,7 @@ def check_dg_square(m, n, t):
     R_x(F) = `_act_right` of x on each basis F of Hom(m, n) and L_y(G) =
     `_act_left` of each basis G of Hom(n, t) on y built once, for every pair
         sum_F mu_tilde(y)[F] R_x(F) == sum_G mu_tilde(x)[G] L_y(G)  exactly."""
-    if min(m, n, t) < 0:
-        raise ValueError("arities must be >= 0")
+    _check_arities(m, n, t)
     if not delta1_dim(n, t) or not delta1_dim(m, n):
         return True
     xs = [Delta1Elem(n, t, {s: 1}) for s in range(delta1_dim(n, t))]
@@ -355,7 +374,7 @@ def check_dg_square(m, n, t):
     mys = [mu_tilde(include_delta1(y)).coords for y in ys]
     fs = [(F, HomElem(m, n, {F: 1})) for F in sorted(set().union(*mys))]
     gs = [(G, HomElem(n, t, {G: 1})) for G in sorted(set().union(*mxs))]
-    rs = [{F: _act_right(x, f).coords for F, f in fs} for x in xs]
-    ls = [{G: _act_left(g, y).coords for G, g in gs} for y in ys]
+    rs = [{F: _act_right(x, f) for F, f in fs} for x in xs]
+    ls = [{G: _act_left(g, y) for G, g in gs} for y in ys]
     return all(combine(my, r.__getitem__) == combine(mx, l.__getitem__)
                for mx, r in zip(mxs, rs) for my, l in zip(mys, ls))

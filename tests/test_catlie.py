@@ -67,6 +67,11 @@ def test_identity_zero_object():
     assert hom_dim(0, 0) == 1
 
 
+def test_identity_rejects_negative_arity():
+    with pytest.raises(ValueError, match="arities must be >= 0"):
+        identity(-1)
+
+
 def test_compose_associativity_random_triples():
     rng = random.Random(23)
     for _ in range(60):

@@ -21,6 +21,13 @@ def test_ce_basis_degenerate_degrees():
     assert ce_dim(3, 1, 3) == 0  # n + t > m
 
 
+def test_ce_basis_rejects_negative_arities():
+    for cell in [(2, 1, -1), (-1, 0, 0), (2, -1, 1)]:
+        for call in (ce_basis, ce_dim):
+            with pytest.raises(ValueError, match="arities must be >= 0"):
+                call(*cell)
+
+
 def test_antisymmetrizer_rank_2_0_2():
     assert ce_dim(2, 0, 2) == 1
 
@@ -198,6 +205,13 @@ def test_check_H_ce_QSn_small():
 def test_naturality_small():
     for n in range(4):
         assert naturality_check(n)
+
+
+def test_checks_reject_negative_arities():
+    for call in (lambda: ce_to_dgcat(-1, 0), lambda: ce_to_dgcat(2, -1),
+                 lambda: check_H_ce_QSn(-1), lambda: naturality_check(-1)):
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            call()
 
 
 def test_projector_coefficients_are_exact():

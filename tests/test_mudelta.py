@@ -252,6 +252,59 @@ def test_centrality_small_cells():
     assert check_centrality(0, 0)
 
 
+def test_centrality_sides_match_both_composites():
+    # the sides glued through the output cut, against the definitions, for every
+    # basis phi of Hom(n, t) with n <= 5
+    mudelta._centrality_pieces.cache_clear()
+    count = 0
+    for n in range(6):
+        for t in range(n + 1):
+            for bm in hom_basis(n, t):
+                phi = HomElem.from_basis(bm)
+                lhs, rhs = mudelta._centrality_sides(bm)
+                assert HomElem(n + 1, t, lhs) == compose(phi, mu(n)), bm
+                assert HomElem(n + 1, t, rhs) == compose(mu(t), boxplus(phi, identity(1))), bm
+                count += 1
+    assert count == 801
+    assert mudelta._centrality_pieces.cache_info().currsize == 34   # (fiber size, tree) pairs
+
+
+def test_centrality_fails_on_a_sign_error_in_one_piece(monkeypatch):
+    pieces = mudelta._centrality_pieces
+
+    def wrong(k, tree):
+        lhs, rhs = pieces(k, tree)
+        if (k, tree) != (3, 1):
+            return lhs, rhs
+        j = min(rhs)
+        return lhs, {**rhs, j: -rhs[j]}
+
+    monkeypatch.setattr(mudelta, "_centrality_pieces", wrong)
+    assert not check_centrality(3, 1) and not check_centrality(4, 2)
+    assert check_centrality(3, 2) and check_centrality(4, 3)   # no fiber of size 3
+
+
+def test_centrality_composes_only_one_output_morphisms(monkeypatch):
+    # through the cut, every composite lands in Hom(k+1, 1)
+    compose_basis, targets = catlie.compose_basis, []
+
+    def recording(g, f):
+        targets.append(g.n)
+        return compose_basis(g, f)
+
+    monkeypatch.setattr(catlie, "compose_basis", recording)
+    mudelta._centrality_pieces.cache_clear()
+    compose_basis.cache_clear()
+    assert all(check_centrality(5, t) for t in range(6))
+    assert targets and set(targets) == {1}
+
+
+def test_centrality_rejects_negative_arities():
+    for cell in [(-1, 0), (2, -1), (0, -1)]:
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            check_centrality(*cell)
+
+
 def test_centrality_generator_case():
     # phi = mu(1) boxplus (t-1): the Jacobi-derived case of the proof
     for t in (1, 2, 3):
@@ -279,11 +332,15 @@ def test_dg_square_small_and_generator_pair():
         assert lhs == rhs == expect
 
 
+def _negated(coords):
+    return {i: -c for i, c in coords.items()}
+
+
 def test_dg_square_fails_on_a_sign_error_in_the_left_action(monkeypatch):
     # check_dg_square runs the helper behind delta1_act_left, so a bug in
     # the public action must fail the check
     act_left = mudelta._act_left
-    monkeypatch.setattr(mudelta, "_act_left", lambda g_plus, w: -act_left(g_plus, w))
+    monkeypatch.setattr(mudelta, "_act_left", lambda g, w: _negated(act_left(g, w)))
     z = iota(4)
     assert delta1_act_left(identity(3), z) == -z
     assert not check_dg_square(4, 3, 2)
@@ -293,7 +350,7 @@ def test_dg_square_fails_on_a_sign_error_in_the_right_action(monkeypatch):
     # the mirror of the left-action mutant: check_dg_square runs the helper
     # behind delta1_act_right
     act_right = mudelta._act_right
-    monkeypatch.setattr(mudelta, "_act_right", lambda z, f: -act_right(z, f))
+    monkeypatch.setattr(mudelta, "_act_right", lambda z, f: _negated(act_right(z, f)))
     z = iota(4)
     assert delta1_act_right(z, identity(4)) == -z
     assert not check_dg_square(4, 3, 2)
@@ -356,7 +413,7 @@ def test_act_left_matches_the_definition():
                     for s in range(delta1_dim(m, n)):
                         z = Delta1Elem(m, n, {s: 1})
                         want = project_delta1(compose(g_plus, include_delta1(z)))
-                        assert mudelta._act_left(g, z) == want, (m, n, p, gi, s)
+                        assert mudelta._act_left(g, z) == want.coords, (m, n, p, gi, s)
                         count += 1
     assert count == 440    # sum of hom_dim(n, p) * delta1_dim(m, n)
     # and on sums, where terms of one lone input share g o y'
@@ -377,7 +434,7 @@ def test_act_right_matches_the_definition():
                 for fi in range(hom_dim(m, n)):
                     f = HomElem(m, n, {fi: 1})
                     want = pi(compose(include_delta1(z), f))
-                    assert mudelta._act_right(z, f) == want, (m, n, t, s, fi)
+                    assert mudelta._act_right(z, f) == want.coords, (m, n, t, s, fi)
                     count += 1
     assert count == 1792 + 1890    # sum of delta1_dim(n, t) * hom_dim(m, n)
     f = HomElem(4, 2, {i: i % 3 - 1 for i in range(hom_dim(4, 2))})
