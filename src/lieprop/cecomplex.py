@@ -5,19 +5,19 @@ the image of the antisymmetrizer
 
     e_t = (1/t!) sum_{sigma in S_t} sgn(sigma) . (sigma on outputs n+1..n+t),
 
-which is an exact idempotent over Q.  Permuting the last t outputs
-sends basis morphisms to basis morphisms, and S_t acts freely on
-surjections onto [n+t], so the term has one basis element per S_t-orbit
-of hom_basis(m, n+t), the signed orbit sum, with no elimination (the
-freeness is asserted when the basis is built).  On representatives the
-differential is the homogeneous Chevalley-Eilenberg formula
+an exact idempotent over Q.  S_t permutes hom_basis(m, n+t) freely, so
+the term has one basis element per orbit, the signed orbit sum of its
+representative (`_orbits`).  `fold` sums signed coordinates onto
+representatives, `expand` spreads them back, e_t = expand o fold / t!,
+and the differential is e_{t-1} o D with D the homogeneous CE formula
 
-    d(Z (x) x_1 ^ ... ^ x_t) =
+    D(Z (x) x_1 ^ ... ^ x_t) =
         sum_i (-1)^{i-1} (Z . x_i) (x) (... x_i-hat ...)
       + sum_{i<j} (-1)^{i+j} Z (x) [x_i, x_j] ^ (... x_i-hat ... x_j-hat ...)
 
-with Z . x the place-wise adjoint action on the first n outputs; the
-result is re-projected by e_{t-1}.  For t = 1 this is mu_tilde.
+and Z . x the place-wise adjoint action on the first n outputs.  As
+e_{t-1} D sigma = sgn(sigma) e_{t-1} D for sigma in S_t, it is
+expand(sum_r fold(x)_r fold(D(r))) / (t-1)!.  For t = 1 it is mu_tilde.
 
 The chain map onto the two-term DG complex is the identity in degree 0,
 pi in degree 1 and zero above; the module provides the executable chain
@@ -38,144 +38,144 @@ from .mudelta import (Delta1Elem, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
 
 
-def _sgn(sigma):
-    sign = 1
-    seen = [False] * len(sigma)
-    for i in range(len(sigma)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = sigma[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @functools.cache
-def _tail_perms(m, n, t):
-    """Index permutation and sign of every tail permutation on Hom(m, n+t).
+def _orbits(m, n, t):
+    """The S_t-orbits of hom_basis(m, n+t) under permutations of the last t outputs.
 
-    Permuting the last t outputs maps basis morphisms to basis morphisms
-    with coefficient one, so each sigma is returned as (sign, index map).
+    Returns (where, members): index j is sigma(r) for the representative
+    r of orbit k, where[j] = (k, sgn sigma), and members[k] lists the
+    (j, sgn sigma) of orbit k, r first.  r has the last t outputs first
+    occurring in f in increasing order, so it is the smallest index of
+    its orbit.  For t <= 1 both are None: every index is its own orbit.
     """
-    basis = hom_basis(m, n + t)
+    if t <= 1:
+        return None, None
     index = hom_index(m, n + t)
-    out = []
-    for sigma in itertools.permutations(range(1, t + 1)):
-        full = tuple(range(1, n + 1)) + tuple(n + v for v in sigma)
-        imap = []
-        for bm in basis:
-            nf = tuple(full[v - 1] for v in bm.f)
-            ntrees = [0] * bm.n
-            for j in range(1, bm.n + 1):
-                ntrees[full[j - 1] - 1] = bm.trees[j - 1]
-            imap.append(index[BasisMorphism(bm.m, bm.n, nf, tuple(ntrees))])
-        out.append((_sgn(sigma), tuple(imap)))
-    return tuple(out)
+    where, members, tail = [], [], {}
+    for j, bm in enumerate(hom_basis(m, n + t)):
+        if bm.f not in tail:
+            order = tuple(dict.fromkeys(v for v in bm.f if v > n))
+            back = tuple(range(n)) + tuple(v - 1 for v in order)  # r's output q+1 is back[q]+1
+            inversions = sum(a > b for a, b in itertools.combinations(order, 2))
+            tail[bm.f] = (tuple(back.index(v - 1) + 1 for v in bm.f), (-1) ** inversions, back)
+        f, sign, back = tail[bm.f]
+        if f == bm.f:
+            k = len(members)
+            members.append([])
+        else:
+            k = where[index[BasisMorphism(m, n + t, f, tuple(bm.trees[i] for i in back))]][0]
+        where.append((k, sign))
+        members[k].append((j, sign))
+    return tuple(where), tuple(map(tuple, members))
+
+
+def _fold(coords, where):
+    """Representative coordinates y_k = sum over orbit k of sgn_j * x_j."""
+    if where is None:
+        return coords
+    out = {}
+    for j, c in coords.items():
+        k, sign = where[j]
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _expand(y, members, scale):
+    """The element with coordinate sgn_j * y_k / scale at each j of orbit k."""
+    if members is None:
+        return y
+    out = {}
+    for k, c in y.items():
+        c = Fraction(c, scale)
+        for j, sign in members[k]:
+            out[j] = c if sign == 1 else -c
+    return out
 
 
 def e_t_apply(w, n, t):
-    """Antisymmetrize the last t outputs of w in Hom(m, n+t)."""
+    """Antisymmetrize the last t outputs of w in Hom(m, n+t): expand(fold(w)) / t!."""
+    _check_arities(n, t)
     if w.n != n + t:
         raise ValueError("element does not live in Hom(m, n+t)")
-    if t <= 1:
-        return w
-    out = {}
-    scale = Fraction(1, factorial(t))
-    for sign, imap in _tail_perms(w.m, n, t):
-        axpy(out, {imap[i]: c for i, c in w.coords.items()}, sign)
-    return HomElem(w.m, w.n, {j: scale * c for j, c in out.items()})
+    where, members = _orbits(w.m, n, t)
+    return HomElem(w.m, w.n, _expand(_fold(w.coords, where), members, factorial(t)))
 
 
 @functools.cache
 def ce_basis(m, n, t):
     """Deterministic echelon basis of the degree-t term, as HomElems.
 
-    For t >= 2 there is one element per S_t-orbit of the basis of
-    Hom(m, n+t): the signed orbit sum {sigma(i): sgn sigma} of the
-    orbit's smallest index i, which is t! * e_t(i).  S_t permutes the
-    last t outputs of a surjection, so it acts freely and every orbit
-    has t! elements (asserted; a smaller orbit would mean the orbit sums
-    are not the image of e_t).  Disjoint supports with +1 on the
-    smallest index make this the primitive row-echelon basis of the
+    The orbit sums {sigma(r): sgn sigma} = t! * e_t(r) of the
+    representatives r.  Every orbit has t! elements (asserted; else the
+    orbit sums are not the image of e_t).  Disjoint supports with +1 on
+    the smallest index make this the primitive row-echelon basis of the
     image, in increasing pivot order.
     """
     _check_arities(m, n, t)
-    dim = hom_dim(m, n + t)
     if t <= 1:
-        return tuple(HomElem(m, n + t, {i: 1}) for i in range(dim))
-    perms = _tail_perms(m, n, t)
-    seen = [False] * dim
-    out = []
-    for i in range(dim):
-        if seen[i]:
-            continue
-        row = {imap[i]: sign for sign, imap in perms}
-        if len(row) != len(perms):
-            raise AssertionError("S_%d does not act freely on Hom(%d, %d)" % (t, m, n + t))
-        for j in row:
-            seen[j] = True
-        out.append(HomElem(m, n + t, row))
-    return tuple(out)
+        return tuple(HomElem(m, n + t, {i: 1}) for i in range(hom_dim(m, n + t)))
+    members = _orbits(m, n, t)[1]
+    if any(len(orbit) != factorial(t) for orbit in members):
+        raise AssertionError("S_%d does not act freely on Hom(%d, %d)" % (t, m, n + t))
+    return tuple(HomElem(m, n + t, dict(orbit)) for orbit in members)
 
 
 def ce_dim(m, n, t):
-    return len(ce_basis(m, n, t))
+    """dim CE_t(m, n) = hom_dim(m, n+t) / t!, as S_t acts freely (`ce_basis`)."""
+    _check_arities(m, n, t)
+    return hom_dim(m, n + t) // factorial(t)
 
 
-@functools.cache
 def _diff_basis(bm, n, t):
-    """The CE differential of a single basis morphism, before re-projection.
-
-    Cached and shared between callers: the dict is read-only.
-    """
+    """The homogeneous CE formula D on one basis morphism, in Hom(m, n+t-1)."""
     trees = basis_trees(bm)
-    ordinary = trees[:n]
-    tail = trees[n:]
+    ordinary, tail = trees[:n], trees[n:]
     index = hom_index(bm.m, n + t - 1)
     out = {}
-
-    def accumulate(sign, out_trees):
-        axpy(out, emit(out_trees, index), sign)
-
     for i in range(t):
         sign = 1 if i % 2 == 0 else -1
         rest = tail[:i] + tail[i + 1:]
         for a in range(n):
             merged = ordinary[:a] + ((ordinary[a], tail[i]),) + ordinary[a + 1:]
-            accumulate(sign, merged + rest)
-    for i in range(t):
+            axpy(out, emit(merged + rest, index), sign)
         for j in range(i + 1, t):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
             rest = tuple(tail[k] for k in range(t) if k not in (i, j))
-            accumulate(sign, ordinary + ((tail[i], tail[j]),) + rest)
+            axpy(out, emit(ordinary + ((tail[i], tail[j]),) + rest, index), sign)
     return out
 
 
+@functools.cache
+def _diff_columns(m, n, t):
+    """The integer columns fold(D(r)), one per representative r; read-only."""
+    basis, members = hom_basis(m, n + t), _orbits(m, n, t)[1]
+    reps = basis if members is None else [basis[orbit[0][0]] for orbit in members]
+    return tuple(_fold(_diff_basis(bm, n, t), _orbits(m, n, t - 1)[0]) for bm in reps)
+
+
 def ce_diff(m, n, t, x):
-    """The degree-t differential CE_t(m, n) -> CE_{t-1}(m, n)."""
+    """CE_t(m, n) -> CE_{t-1}(m, n): e_{t-1} D(x) for every x in Hom(m, n+t)."""
+    _check_arities(m, n, t)
     if t < 1:
         raise ValueError("the differential starts in degree 1")
     if (x.m, x.n) != (m, n + t):
         raise ValueError("element does not live in the stated cell")
-    out = combine(x.coords, lambda idx: _diff_basis(hom_basis(m, n + t)[idx], n, t))
-    return e_t_apply(HomElem(m, n + t - 1, out), n, t - 1)
+    y = combine(_fold(x.coords, _orbits(m, n, t)[0]), _diff_columns(m, n, t).__getitem__)
+    return HomElem(m, n + t - 1, _expand(y, _orbits(m, n, t - 1)[1], factorial(t - 1)))
 
 
 def ce_homology_dims(m, n):
-    """Homology dimensions (t, dim) of the CE complex at (m, n)."""
+    """Homology dimensions (t, dim) of the CE complex at (m, n).  rank d_t is
+    that of the columns: d(basis_k) = t * expand(column_k), expand injective."""
+    _check_arities(m, n)
     tmax = m - n
     if tmax < 0:
         return []
     ranks = [0] * (tmax + 2)  # ranks[t] = rank of d_t
     for t in range(1, tmax + 1):
         ech = Echelon()
-        for x in ce_basis(m, n, t):
-            ech.add(ce_diff(m, n, t, x).coords)
+        for column in _diff_columns(m, n, t):
+            ech.add(column)
         ranks[t] = ech.rank
     return [(t, ce_dim(m, n, t) - ranks[t] - ranks[t + 1]) for t in range(tmax + 1)]
 

@@ -1,17 +1,19 @@
 import hashlib
+import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from lieprop import cecomplex
-from lieprop.catlie import HomElem, hom_dim
+from lieprop.catlie import BasisMorphism, HomElem, hom_basis, hom_dim, hom_index
 from lieprop.cli import suite_ce
 from lieprop.cecomplex import (ce_basis, ce_diff, ce_dim, ce_homology_dims,
                                ce_to_dgcat, check_H_ce_QSn, coend_with_qsn,
                                coend_yoneda, e_t_apply, naturality_check)
 from lieprop.dgcat import homology_cell
-from lieprop.exactla import Echelon
+from lieprop.exactla import Echelon, axpy, combine
 from lieprop.mudelta import mu_tilde
 
 
@@ -26,6 +28,104 @@ def test_ce_basis_rejects_negative_arities():
         for call in (ce_basis, ce_dim):
             with pytest.raises(ValueError, match="arities must be >= 0"):
                 call(*cell)
+
+
+def test_ce_diff_e_t_apply_and_homology_reject_negative_arities():
+    w = HomElem(3, 2, {0: 1})
+    for call in (lambda: ce_diff(3, -1, 3, w), lambda: ce_diff(-1, 0, 1, w),
+                 lambda: ce_diff(3, 2, -1, w), lambda: e_t_apply(w, -1, 3),
+                 lambda: e_t_apply(w, 3, -1), lambda: ce_homology_dims(-1, 0),
+                 lambda: ce_homology_dims(2, -1)):
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            call()
+
+
+def test_ce_dim_is_the_basis_size_m6():
+    for m in range(7):
+        for n in range(m + 1):
+            for t in range(m - n + 2):
+                assert ce_dim(m, n, t) == len(ce_basis(m, n, t)), (m, n, t)
+
+
+def _perm_sign(sigma):
+    """(-1)^(t - number of cycles) for sigma in one-line notation on 1..t."""
+    cycles, seen = 0, set()
+    for start in range(1, len(sigma) + 1):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = sigma[start - 1]
+    return (-1) ** (len(sigma) - cycles)
+
+
+def _tail_permuted(bm, n, sigma):
+    """bm with output n+k moved to n+sigma[k-1], each tree moving with its fiber."""
+    full = tuple(range(1, n + 1)) + tuple(n + v for v in sigma)
+    trees = [0] * bm.n
+    for j, tree in zip(full, bm.trees):
+        trees[j - 1] = tree
+    return BasisMorphism(bm.m, bm.n, tuple(full[v - 1] for v in bm.f), tuple(trees))
+
+
+def _e_t_by_definition(w, n, t):
+    """Reference e_t: the explicit sum over the t! permutations of the last t outputs."""
+    basis, index = hom_basis(w.m, w.n), hom_index(w.m, w.n)
+    out = {}
+    for sigma in itertools.permutations(range(1, t + 1)):
+        for i, c in w.coords.items():
+            axpy(out, {index[_tail_permuted(basis[i], n, sigma)]: c}, _perm_sign(sigma))
+    return HomElem(w.m, w.n, {j: Fraction(c, factorial(t)) for j, c in out.items()})
+
+
+def _ce_diff_by_definition(m, n, t, x):
+    """Reference differential: e_{t-1} of the CE formula on every basis morphism of x."""
+    basis = hom_basis(m, n + t)
+    out = combine(x.coords, lambda i: cecomplex._diff_basis(basis[i], n, t))
+    return _e_t_by_definition(HomElem(m, n + t - 1, out), n, t - 1)
+
+
+def _ce_basis_by_definition(m, n, t):
+    """Reference basis: t! e_t of each smallest basis index not in an earlier orbit."""
+    out, covered = [], set()
+    for i in range(hom_dim(m, n + t)):
+        if i not in covered:
+            out.append(_e_t_by_definition(HomElem(m, n + t, {i: 1}), n, t).scale(factorial(t)))
+            covered.update(out[-1].coords)
+    return out
+
+
+def test_orbit_coordinates_match_the_definition_m5():
+    rng = random.Random(16)
+    for m in range(6):
+        for n in range(m + 1):
+            for t in range(m - n + 1):
+                basis = ce_basis(m, n, t)
+                assert list(basis) == _ce_basis_by_definition(m, n, t), (m, n, t)
+                dim = hom_dim(m, n + t)
+                # a few elements outside the image of e_t, with rational coefficients
+                others = [HomElem(m, n + t, {rng.randrange(dim): Fraction(rng.randint(-4, 4), 3)
+                                             for _ in range(3)}) for _ in range(3 if dim else 0)]
+                for x in list(basis) + others:
+                    assert e_t_apply(x, n, t) == _e_t_by_definition(x, n, t), (m, n, t, x)
+                    if t >= 1:
+                        assert ce_diff(m, n, t, x) == _ce_diff_by_definition(m, n, t, x), \
+                            (m, n, t, x)
+
+
+def test_alternation_identity_on_basis_morphisms_m4():
+    # e_{t-1} D (sigma b) = sgn(sigma) e_{t-1} D (b) on every basis morphism b,
+    # for every permutation sigma of the last t outputs
+    for m in range(5):
+        for n in range(m + 1):
+            for t in range(2, m - n + 1):
+                index = hom_index(m, n + t)
+                for bm in hom_basis(m, n + t):
+                    want = _ce_diff_by_definition(m, n, t, HomElem(m, n + t, {index[bm]: 1}))
+                    for sigma in itertools.permutations(range(1, t + 1)):
+                        moved = HomElem(m, n + t, {index[_tail_permuted(bm, n, sigma)]: 1})
+                        assert _ce_diff_by_definition(m, n, t, moved) == want.scale(
+                            _perm_sign(sigma)), (bm, sigma)
 
 
 def test_antisymmetrizer_rank_2_0_2():
@@ -79,20 +179,21 @@ def test_ce_basis_digest_m6():
 
 
 def test_diff_basis_cache_is_read_only(monkeypatch):
-    cached = cecomplex._diff_basis
+    # the differential is cached as one column per orbit representative
+    cached = cecomplex._diff_columns
     seen = []
 
-    def recording(bm, n, t):
-        out = cached(bm, n, t)
-        seen.append(((bm, n, t), out))
+    def recording(m, n, t):
+        out = cached(m, n, t)
+        seen.append(((m, n, t), out))
         return out
 
-    monkeypatch.setattr(cecomplex, "_diff_basis", recording)
+    monkeypatch.setattr(cecomplex, "_diff_columns", recording)
     assert suite_ce(5, 0, 0) == (True, 527)
     assert len(seen) > len({key for key, _ in seen})
     first = {}
     for key, out in seen:
-        assert first.setdefault(key, out) is out  # one shared dict per key
+        assert first.setdefault(key, out) is out  # one shared tuple per key
     for key, out in first.items():
         assert out == cached.__wrapped__(*key), key
 
