@@ -164,6 +164,24 @@ def ce_diff(m, n, t, x):
     return HomElem(m, n + t - 1, _expand(y, _orbits(m, n, t - 1)[1], factorial(t - 1)))
 
 
+def d_squared_witness(m, n, t):
+    """The first representative k of CE_t(m, n) on which d_{t-1} d_t is not
+    zero, or None.  Checked in ints: the product of the columns
+    `_diff_columns(m, n, t-1)` with column k of `_diff_columns(m, n, t)`.
+    ce_diff is expand o C o fold, expand is injective and fold o expand at
+    scale (t-1)! is the identity, so this product is zero exactly when
+    ce_diff(ce_diff(x)) is, for x the basis element of k.
+    """
+    _check_arities(m, n, t)
+    if t < 2:
+        raise ValueError("d_{t-1} d_t needs t >= 2")
+    lower = _diff_columns(m, n, t - 1).__getitem__
+    for k, column in enumerate(_diff_columns(m, n, t)):
+        if combine(column, lower):
+            return k
+    return None
+
+
 def ce_homology_dims(m, n):
     """Homology dimensions (t, dim) of the CE complex at (m, n).  rank d_t is
     that of the columns: d(basis_k) = t * expand(column_k), expand injective."""

@@ -5,30 +5,34 @@ terms with a positive denominator by the stdlib itself); plain ints are
 accepted everywhere and mix freely.  There is no floating point in this
 module, and none anywhere downstream of it.
 
-`Echelon` is an incremental exact row-echelon span; it gives ranks,
-exact solves and a quotient normal form, and `kernel` gives kernel
-bases.  Rows are sparse ``{column: int}`` dicts kept primitive (coprime
-integer entries, positive pivot in the row's smallest column).
-Elimination is integer-only and fraction-free: every incoming vector is
-first cleared of denominators (times the lcm of its denominators), each
-step cross-multiplies (``r <- a*r - b*row``), and a new row is divided
-by its content, which keeps coefficients small without ever rounding.
-No Fraction enters the elimination loop, tracked or not.
+`Echelon` is an incremental exact row-echelon span; it gives ranks and
+a quotient normal form, and `kernel` gives kernel bases.  Rows are
+sparse ``{column: int}`` dicts kept primitive (coprime integer entries,
+positive pivot in the row's smallest column).  The arithmetic is ints
+end to end: a vector of ints goes straight into elimination, and only
+a vector holding Fractions is first cleared of denominators (times the
+lcm of its denominators).  Each step cross-multiplies
+(``r <- a*r - b*row``), and a new row is divided by its content, which
+keeps coefficients small without ever rounding.  `kernel`
+back-substitutes to reduced row echelon form and reads one kernel
+vector off each free column, scaled by the lcm of the pivot entries it
+meets, so it builds no Fraction either.  `Echelon.reduce` returns the
+canonical representative of a vector modulo the span (the unique one
+vanishing on all pivot columns); it eliminates in ints and divides
+once at the end, so it returns ints whenever that division is exact.
+`in_span` is the one-shot membership test on tuples.  No function
+here mutates or returns a dict it was given.
 
-With ``track=True`` each pivot row also records how it was formed from
-the inserted vectors, as a pair ``(s, comb)`` of an int and a sparse
-dict of ints with
+When `Echelon.track` is true, each pivot row also records how it was
+formed from the inserted vectors, as a pair ``(s, comb)`` of an int
+and a sparse dict of ints with
 
     s * row == sum_j comb[j] * inserted_vector_j,
 
-so tracking does no Fraction arithmetic either; this is what produces
-exact solves.  `kernel` needs no tracking: it eliminates the rows of a
-matrix untracked, back-substitutes to reduced row echelon form and
-reads one kernel vector off each free column.  `Echelon.reduce`
-returns the canonical representative of a vector modulo the span (the
-unique one vanishing on all pivot columns); it eliminates in ints and
-divides once at the end.  `in_span` is the one-shot membership test on
-tuples.
+which is what `solve` reads its exact solutions from.  Nothing in the
+package tracks: tracking stays as the reference the tests check
+untracked elimination against, and because the benchmark reports
+`Echelon.solve` and tracked `Echelon.add` as metrics of their own.
 
 `axpy` is the one sparse accumulate, `out += c * vec` with cancelled
 entries dropped, and `SparseElem` is the base of the element types of
@@ -37,7 +41,7 @@ the downstream modules: sparse coordinates over the basis of one cell.
 
 import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -148,15 +152,29 @@ def _cleared(vec):
     return den, {j: int(v * den) for j, v in vec.items()}
 
 
-def primitive(vec):
-    """Scale a sparse rational vector to coprime ints with positive leading entry."""
-    if not vec:
-        return {}
-    _, ints = _cleared(vec)
-    g = gcd(*ints.values())
-    if ints[min(ints)] < 0:
+def _int_vector(vec):
+    """(den, ints): a new sparse dict of ints, zeros dropped, equal to den * vec
+    with den the lcm of the denominators; a vector of ints is only copied."""
+    r = _as_frac_dict(vec)
+    if {*map(type, r.values())} <= {int}:
+        return 1, r
+    return _cleared(r)
+
+
+def _primitive(r):
+    """The nonzero int dict r divided by its content, leading entry made
+    positive; r itself when that changes nothing, so r must be the caller's own."""
+    g = gcd(*r.values())
+    if r[min(r)] < 0:
         g = -g
-    return {j: v // g for j, v in ints.items()}
+    return r if g == 1 else {j: v // g for j, v in r.items()}
+
+
+def primitive(vec):
+    """Scale a sparse rational vector to coprime ints with positive leading
+    nonzero entry; zeros are dropped, so a zero vector gives {}."""
+    r = _int_vector(vec)[1]
+    return _primitive(r) if r else {}
 
 
 class Echelon:
@@ -242,14 +260,15 @@ class Echelon:
     def add(self, vec):
         """Insert a vector.  Returns True if the rank grew.
 
-        A vector holding Fractions is first cleared to ints (times the
-        lcm L of its denominators); when tracking, its combination
-        starts at L and the new row's (s, comb) is divided by its
-        content.
+        A vector of ints is eliminated as given; one holding Fractions is
+        first cleared to ints (times the lcm L of its denominators).  The
+        new row is the remainder divided by its content.  When tracking,
+        its combination starts at L and the new row's (s, comb) is
+        divided by its content.
         """
         idx = self.count
         self.count += 1
-        den, r = _cleared(_as_frac_dict(vec))
+        den, r = _int_vector(vec)
         if self.track:
             r, scale, comb = self._eliminate(r, {idx: den})
         else:
@@ -257,7 +276,7 @@ class Echelon:
         if not r:
             return False
         p = min(r)
-        row = primitive(r)
+        row = _primitive(r)
         track = None
         if self.track:
             s = scale * (r[p] // row[p])
@@ -273,17 +292,20 @@ class Echelon:
         """Canonical representative of `vec` modulo the span.
 
         The result vanishes on every pivot column and is unchanged if
-        already reduced.  The vector is cleared to ints (times the lcm
-        L of its denominators) and eliminated in ints, which scales it
-        by the product P of the pivots used; the entries are divided by
-        L * P once, at the end, so they are ints when L * P is 1 and
-        Fractions otherwise.  Does not insert.
+        already reduced.  A vector holding Fractions is cleared to ints
+        (times the lcm L of its denominators; L = 1 for ints) and
+        eliminated in ints, which scales it by the product P of the
+        pivots used.  The entries are divided by L * P once, at the end:
+        they stay ints when L * P divides all of them, and are Fractions
+        otherwise.  Does not insert.
         """
-        den, r = _cleared(_as_frac_dict(vec))
+        den, r = _int_vector(vec)
         r, scale = self._clear_pivots(r)
         den *= scale
         if den != 1:
-            r = {j: Fraction(v, den) for j, v in r.items()}
+            if gcd(den, *r.values()) == den:
+                return {j: v // den for j, v in r.items()}
+            return {j: Fraction(v, den) for j, v in r.items()}
         return r
 
     def contains(self, vec):
@@ -294,7 +316,7 @@ class Echelon:
 
         Needs a tracking echelon.
         """
-        den, r = _cleared(_as_frac_dict(vec))
+        den, r = _int_vector(vec)
         r, _, comb = self._eliminate(r, {-1: den})
         if r:
             return None
@@ -311,8 +333,11 @@ def kernel(columns):
     eliminated untracked and then back-substituted to reduced row
     echelon form R, whose pivot columns are exactly the columns that
     are independent of the ones before them; the vector of f is
-    ``primitive({f: 1} + {p: -R_p[f] / R_p[p]})``.  It lies on f and the
-    independent columns before f, which fixes it up to scale.
+    ``{f: 1} + {p: -R_p[f] / R_p[p]}``, read off in ints as
+    ``{f: L} + {p: -(L / R_p[p]) R_p[f]}`` with L the lcm of the pivot
+    entries R_p[p] of the rows that meet f, and then made primitive.  It
+    lies on f and the independent columns before f, which fixes it up to
+    scale.
     """
     rows = {}
     for j, col in enumerate(columns):
@@ -332,14 +357,16 @@ def kernel(columns):
             if a != 1 or r is row:
                 r = {j: a * v for j, v in r.items()}
             axpy(r, red, -b)
-        reduced[p] = row if r is row else primitive(r)
+        reduced[p] = row if r is row else _primitive(r)
     pivots = sorted(reduced.items())
     out = []
     for f in range(len(columns)):
         if f not in reduced:
-            vec = {p: Fraction(-red[f], red[p]) for p, red in pivots if f in red}
-            vec[f] = 1
-            out.append(primitive(vec))
+            meets = [(p, red) for p, red in pivots if f in red]
+            den = lcm(*(red[p] for p, red in meets))
+            vec = {p: -(den // red[p]) * red[f] for p, red in meets}
+            vec[f] = den
+            out.append(_primitive(vec))
     return out
 
 

@@ -8,8 +8,7 @@ the adjoint-action complex
 computing Lie algebra homology of the free Lie algebra on V with
 coefficients in the n-fold adjoint representation.  This module builds
 that complex directly over V = Q^d, weight by weight, with a
-Lyndon-word basis of each weight component (normalization again via
-tensor-algebra embedding and exact solving), and compares the resulting
+Lyndon-word basis of each weight component, and compares the resulting
 kernel/cokernel dimensions with the prediction obtained from the
 homology cells of the DG category through the Schur correspondence,
 whose right-hand side `schur_dim` reads off the S_w-character of a cell:
@@ -20,6 +19,13 @@ The grading convention is total weight (a V tensor factor counts 1), so
 the degree-one term in weight w carries Lie-part weight w - 1; this is
 the convention under which the weight-w piece corresponds to the
 homology cell at source arity w.
+
+A bracket is put into Lyndon coordinates in the tensor algebra, by a
+triangular peel: the standard bracketing of a Lyndon word u expands to
+u plus larger words, with coefficient 1 on u, so the least word of any
+Lie element is Lyndon, and subtracting its coefficient times its
+bracketing's expansion leaves only larger words.  The coordinates are
+ints, with no elimination.
 
 The two computation paths share no code beyond exact linear algebra,
 which is the point.
@@ -32,7 +38,7 @@ from math import factorial, lcm, prod
 
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
-from .exactla import Echelon, _cleared, axpy, combine
+from .exactla import Echelon, axpy, combine
 from .mudelta import delta1_act_in_column
 from .symrep import _partitions
 
@@ -92,39 +98,66 @@ def lyndon_bracketing(word):
     raise AssertionError("unreachable: every word of length >= 2 has a Lyndon suffix")
 
 
-def _word_col(word, d):
-    i = 0
-    for c in word:
-        i = i * d + (c - 1)
-    return i
-
-
 @functools.cache
 def weight_basis(d, w):
-    """(trees, solver) for the weight-w component of the free Lie algebra.
+    """(trees, lead) for the weight-w component of the free Lie algebra.
 
-    The solver is an exact echelon of the basis expansions in the
-    d^w-dimensional word space; `solver.solve` converts any expansion
-    back into Lyndon-basis coordinates.
+    trees are the standard bracketings of the Lyndon words of length w,
+    in lexicographic order.  lead maps each Lyndon word u, the leading
+    word of its tree, to (b, expansion): the tree's position b in trees
+    and its tensor expansion {word: int}.  The bracketing of u expands
+    to u, with coefficient 1, plus larger words (Lothaire, Combinatorics
+    on Words, ch. 5; Reutenauer, Free Lie Algebras, ch. 5); this is
+    asserted, and the distinct leading words make the expansions
+    independent.  Cached and shared, so both are read-only.
     """
-    trees = tuple(lyndon_bracketing(word) for word in lyndon_words(d, w))
-    solver = Echelon(track=True)
-    for t in trees:
-        vec = {_word_col(word, d): c for word, c in freelie.expand(t).items()}
-        if not solver.add(vec):
-            raise AssertionError("Lyndon basis expansions must be independent")
-    return trees, solver
+    trees, lead = [], {}
+    for b, word in enumerate(lyndon_words(d, w)):
+        tree = lyndon_bracketing(word)
+        expansion = freelie.expand(tree)
+        if min(expansion) != word or expansion[word] != 1:
+            raise AssertionError("the bracketing of %r does not lead with it" % (word,))
+        trees.append(tree)
+        lead[word] = (b, expansion)
+    return tuple(trees), lead
 
 
 @functools.cache
 def _bracket_coords(d, w, tree, letter):
-    """Coordinates of [tree, letter] in the weight-(w+1) Lyndon basis."""
-    _, solver = weight_basis(d, w + 1)
-    vec = {_word_col(word, d): c
-           for word, c in freelie.expand((tree, letter)).items()}
-    coords = solver.solve(vec)
-    if coords is None:
-        raise AssertionError("bracket escaped the Lyndon span")
+    """Int coordinates {b: c} of [tree, letter] in the weight-(w+1) Lyndon basis.
+
+    tree must be one of weight_basis(d, w) (else ValueError).  [T, a] is
+    expanded as T.a - a.T from T's cached expansion, with no
+    `freelie.expand`, and its coordinates are peeled off by `_peel`.
+    """
+    trees, lead = weight_basis(d, w)
+    b, expansion = lead.get(freelie.leaves(tree), (None, None))
+    if b is None or trees[b] != tree:
+        raise ValueError("not a Lyndon basis tree of weight %d over %d letters: %r"
+                         % (w, d, tree))
+    rest = {word + (letter,): c for word, c in expansion.items()}
+    axpy(rest, {(letter,) + word: c for word, c in expansion.items()}, -1)
+    return _peel(rest, weight_basis(d, w + 1)[1])
+
+
+def _peel(rest, lead):
+    """Lyndon coordinates {b: c} of the word vector `rest` (an int dict the
+    caller owns; it is consumed), with `lead` from weight_basis.
+
+    The least word left must be Lyndon; its coefficient is its
+    coordinate, and subtracting that multiple of its tree's expansion
+    leaves only larger words.  Repeat until nothing is left.  A least
+    word that is not Lyndon means the vector is outside the Lie span,
+    which raises AssertionError.
+    """
+    coords = {}
+    while rest:
+        word = min(rest)
+        if word not in lead:
+            raise AssertionError("bracket escaped the Lyndon span")
+        b, expansion = lead[word]
+        c = coords[b] = rest[word]
+        axpy(rest, expansion, -c)
     return coords
 
 
@@ -207,20 +240,21 @@ class SwModule:
     def character(self):
         mats = {i: self.act((*range(1, i), i + 1, i, *range(i + 2, self.w + 1)))
                 for i in range(1, self.w)}
-        den = lcm(*(_cleared(row)[0] for mat in mats.values() for row in mat))
+        den = lcm(*(v.denominator for mat in mats.values() for row in mat for v in row.values()))
         gens = {i: [{j: int(v * den) for j, v in row.items()} for row in mat]
                 for i, mat in mats.items()}
         words = {}
         for rho in _partitions(self.w):
             starts = itertools.accumulate(rho, initial=1)
             words[tuple(i for a, size in zip(starts, rho) for i in range(a, a + size - 1))] = rho
-        chi = dict.fromkeys(words.values(), 0)
+        traces = dict.fromkeys(words, 0)
         for r in range(self.dim):
             pushed = {(): {r: 1}}
             for word in sorted(words):  # every prefix before its extensions
                 if word:
                     pushed[word] = combine(pushed[word[:-1]], gens[word[-1]].__getitem__)
-                chi[words[word]] += Fraction(pushed[word].get(r, 0), den ** len(word))
+                traces[word] += pushed[word].get(r, 0)
+        chi = {words[word]: Fraction(t, den ** len(word)) for word, t in traces.items()}
         if any(c.denominator != 1 for c in chi.values()):
             raise AssertionError("character values must be integers: %s" % chi)
         return {rho: int(c) for rho, c in chi.items()}
@@ -234,8 +268,9 @@ def h_modules(w, n):
     index in the union of the kernel supports, every v_r pushed through in one int loop.
     Its rows are read off the kernel basis: `exactla.kernel` gives each v_r
     a free column f_r = max(v_r), zero on every other v_s, so c_r =
-    z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r].
-    Cached, so the action matrices and the character each module caches
+    z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r],
+    by subtracting each (L c_r) v_r from L z in the same inline loop that formed z.
+    An entry c_r is an int when it is integral.  Cached, so the action matrices and the character each module caches
     are built once per (w, n) and shared by every d of `cross_check`.
     """
     cell = dgcat.homology_cell(w, n)
@@ -260,15 +295,16 @@ def h_modules(w, n):
             for s, c in z.items():
                 for j, x in cols[s].items():
                     image[j] = image.get(j, 0) + c * x
-            image = {j: x for j, x in image.items() if x}
-            coords = {free[j]: (x, kernel[free[j]][j]) for j, x in image.items() if j in free}
+            coords = {free[j]: (x, kernel[free[j]][j]) for j, x in image.items() if x and j in free}
             den = lcm(*(v for _, v in coords.values()))
-            residue = {j: den * x for j, x in image.items()}
+            residue = image if den == 1 else {j: den * x for j, x in image.items()}
             for r, (x, v) in coords.items():
-                axpy(residue, kernel[r], -(den // v * x))
-            if residue:
+                c = den // v * x
+                for j, y in kernel[r].items():
+                    residue[j] = residue.get(j, 0) - c * y
+            if any(residue.values()):
                 raise AssertionError("kernel is not S_w-stable; broken equivariance")
-            rows.append({r: Fraction(x, v) for r, (x, v) in coords.items()})
+            rows.append({r: Fraction(x, v) if x % v else x // v for r, (x, v) in coords.items()})
         return rows
 
     return (SwModule(w, len(reps), act0),

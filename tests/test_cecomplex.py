@@ -245,6 +245,44 @@ def test_d_squared_zero_m_le_4():
                     assert ce_diff(m, n, t - 1, ce_diff(m, n, t, x)).is_zero()
 
 
+def test_d_squared_witness_is_none_and_rejects_bad_degrees():
+    for m in range(6):
+        for n in range(m + 1):
+            for t in range(2, m - n + 1):
+                assert cecomplex.d_squared_witness(m, n, t) is None
+    for cell in [(3, 0, 1), (3, 0, 0)]:
+        with pytest.raises(ValueError, match="needs t >= 2"):
+            cecomplex.d_squared_witness(*cell)
+    with pytest.raises(ValueError, match="arities must be >= 0"):
+        cecomplex.d_squared_witness(3, -1, 2)
+
+
+def test_suite_ce_catches_a_sign_error_in_one_column(monkeypatch):
+    # flip one entry of the first column of d_2 at (4, 1), on an index where
+    # d_1 is not zero: d_1 d_2 no longer vanishes on that representative
+    cached = cecomplex._diff_columns
+    lower = cached(4, 1, 1)
+    column = cached(4, 1, 2)[0]
+    j = next(j for j in sorted(column) if lower[j])
+
+    def wrong_sign(m, n, t):
+        columns = cached(m, n, t)
+        if (m, n, t) == (4, 1, 2):
+            return ({**columns[0], j: -columns[0][j]},) + columns[1:]
+        return columns
+
+    ok, before = suite_ce(3, 0, 0)
+    assert ok
+    monkeypatch.setattr(cecomplex, "_diff_columns", wrong_sign)
+    assert cecomplex.d_squared_witness(4, 1, 2) == 0
+    # the public differential sees the same error on the same basis element
+    x = ce_basis(4, 1, 2)[0]
+    assert not ce_diff(4, 1, 1, ce_diff(4, 1, 2, x)).is_zero()
+    # cases: all of m <= 3, then d^2 and homology at (4, 0), then one at (4, 1)
+    at = before + sum(ce_dim(4, 0, t) for t in range(2, 5)) + 1 + 1
+    assert suite_ce(4, 0, 0) == (False, at)
+
+
 def test_ce_diff_rejects_t0():
     with pytest.raises(ValueError):
         ce_diff(2, 2, 0, HomElem(2, 2, {0: 1}))

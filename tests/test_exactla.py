@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -301,3 +302,122 @@ def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
     assert out == {3: 1, 2: -8}
     assert axpy({}, {5: 7}) == {5: 7}
     assert axpy({5: 7}, {5: 1}, 0) == {5: 7}
+
+
+# ---------------------------------------------------------------- ints end to end
+
+def test_primitive_drops_explicit_zeros():
+    assert primitive({1: 0}) == {}
+    assert primitive({0: 0, 1: -2}) == {1: 1}
+    assert primitive({0: Fraction(0), 3: Fraction(-4, 6), 5: 2}) == {3: 1, 5: -3}
+    assert primitive([0, 0, -3, 6]) == {2: 1, 3: -2}
+
+
+def _primitive_reference(vec):
+    """Coprime ints, positive leading entry, from a dict of Fractions with no zeros."""
+    den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
+    ints = {j: int(v * den) for j, v in vec.items()}
+    g = math.gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return {j: v // g for j, v in ints.items()}
+
+
+def _gauss_jordan_kernel(columns):
+    """Reference: dense Gauss-Jordan over Fractions on the matrix with these
+    columns, one primitive kernel vector per free (non-pivot) column f,
+    e_f - sum over pivot rows k of R[k][f] e_{pivot k}, in increasing f."""
+    cols = [_as_frac_dict(col) for col in columns]
+    height = 1 + max((i for col in cols for i in col), default=-1)
+    mat = [[Fraction(col.get(i, 0)) for col in cols] for i in range(height)]
+    pivots = []
+    for c in range(len(cols)):
+        k = len(pivots)
+        r = next((i for i in range(k, height) if mat[i][c]), None)
+        if r is None:
+            continue
+        mat[k], mat[r] = mat[r], mat[k]
+        mat[k] = [x / mat[k][c] for x in mat[k]]
+        for i in range(height):
+            if i != k and mat[i][c]:
+                mat[i] = [a - mat[i][c] * b for a, b in zip(mat[i], mat[k])]
+        pivots.append(c)
+    out = []
+    for f in range(len(cols)):
+        if f not in pivots:
+            vec = {p: -mat[k][f] for k, p in enumerate(pivots) if mat[k][f]}
+            vec[f] = Fraction(1)
+            out.append(_primitive_reference(vec))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_kernel_matches_dense_gauss_jordan(kind):
+    rng = random.Random({"int": 41, "frac": 42}[kind])
+
+    def entry():
+        if rng.random() < 0.5:
+            return 0
+        v = rng.randint(-4, 4)
+        return Fraction(v, rng.randint(1, 5)) if kind == "frac" else v
+
+    assert kernel([]) == _gauss_jordan_kernel([]) == []
+    assert kernel([{}, {}, {}]) == _gauss_jordan_kernel([{}, {}, {}]) == [{0: 1}, {1: 1}, {2: 1}]
+    for _ in range(60):
+        height, width = rng.randint(0, 7), rng.randint(0, 8)
+        columns = [{i: v for i in range(height) if (v := entry())} for _ in range(width)]
+        for j in rng.sample(range(width), min(width, rng.randint(0, 2))):
+            columns[j] = {} if rng.random() < 0.5 else [0] * height   # zero columns
+        got = kernel(columns)
+        assert got == _gauss_jordan_kernel(columns)
+        assert all(type(v) is int for vec in got for v in vec.values())
+
+
+def test_add_and_reduce_agree_on_ints_integral_fractions_and_mixed():
+    rng = random.Random(43)
+    for _ in range(40):
+        width = rng.randint(1, 8)
+        inputs = _stream(rng, "int", rng.randint(1, 10), width)
+        probes = [{j: rng.randint(-5, 5) for j in range(width + 1)} for _ in range(5)]
+        forms = {
+            "int": lambda vec: dict(vec),
+            "frac1": lambda vec: {j: Fraction(v) for j, v in vec.items()},
+            "mixed": lambda vec: {j: Fraction(v) if rng.random() < 0.5 else v
+                                  for j, v in vec.items()},
+        }
+        results = {}
+        for kind, form in forms.items():
+            ech = Echelon()
+            grew = [ech.add(form(vec)) for vec in inputs]
+            reps = [ech.reduce(form(vec)) for vec in probes]
+            for _, row, _ in ech.rows:
+                assert all(type(v) is int for v in row.values())
+            results[kind] = (grew, ech.rows, reps)
+        assert results["int"] == results["frac1"] == results["mixed"]
+        # a representative of ints whose division at the end is exact stays in ints
+        for red in results["int"][2]:
+            if all(Fraction(v).denominator == 1 for v in red.values()):
+                assert all(type(v) is int for v in red.values())
+
+
+def test_inputs_are_neither_mutated_nor_returned():
+    rng = random.Random(44)
+    for _ in range(30):
+        width = rng.randint(1, 6)
+        inputs = _stream(rng, rng.choice(["int", "frac", "frac1"]), rng.randint(1, 8), width)
+        inputs += [dict(inputs[0]), {}]
+        saved = copy.deepcopy(inputs)
+        ech = Echelon()
+        for vec in inputs:
+            ech.add(vec)
+        reps = [ech.reduce(vec) for vec in inputs]
+        prims = [primitive(vec) for vec in inputs]
+        ker = kernel(inputs)
+        assert inputs == saved
+        given = {id(vec) for vec in inputs}
+        kept = [row for _, row, _ in ech.rows] + reps + prims + ker
+        assert not any(id(out) in given for out in kept)
+        rows = copy.deepcopy(ech.rows)
+        for vec in inputs:
+            vec.clear()
+        assert ech.rows == rows

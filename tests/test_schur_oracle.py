@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from lieprop import dgcat, schur_oracle
+from lieprop import dgcat, freelie, schur_oracle
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
 from lieprop.mudelta import delta1_basis, include_delta1, project_delta1
-from lieprop.schur_oracle import (SwModule, compositions, cross_check,
-                                  h_modules, is_lyndon, lyndon_bracketing,
+from lieprop.schur_oracle import (SwModule, _bracket_coords, _peel, compositions,
+                                  cross_check, h_modules, is_lyndon, lyndon_bracketing,
                                   lyndon_words, necklace_dim, schur_dim,
                                   weight_basis, weighted_complex_homology)
 
@@ -47,10 +47,67 @@ def test_lyndon_bracketing_structure():
 
 
 def test_weight_basis_expansions_independent():
+    # distinct leading words, each with coefficient 1 and below every other
+    # word of its expansion: the expansions are triangular, so independent
     for d in (2, 3):
         for w in range(1, 5):
-            trees, solver = weight_basis(d, w)
-            assert solver.rank == len(trees) == necklace_dim(d, w)
+            trees, lead = weight_basis(d, w)
+            assert len(trees) == necklace_dim(d, w) == len(lead)
+            assert list(lead) == lyndon_words(d, w)
+            for word, (b, expansion) in lead.items():
+                assert trees[b] == lyndon_bracketing(word)
+                assert min(expansion) == word and expansion[word] == 1
+
+
+def test_lyndon_bracketing_leads_with_its_word():
+    count = 0
+    for d in (1, 2, 3):
+        for w in range(1, 8):
+            for word, (b, expansion) in weight_basis(d, w)[1].items():
+                assert expansion == freelie.expand(lyndon_bracketing(word))
+                assert min(expansion) == word and expansion[word] == 1, word
+                count += 1
+    assert count == 550
+
+
+def _tracked_solver(d, w):
+    """Reference: a tracked echelon of the expansions of the weight-w Lyndon
+    trees, columns keyed by word; its `solve` gives Lyndon coordinates."""
+    solver = Echelon(track=True)
+    for word in lyndon_words(d, w):
+        assert solver.add(freelie.expand(lyndon_bracketing(word)))
+    return solver
+
+
+def test_peel_matches_tracked_solve():
+    count = 0
+    for d in (1, 2, 3):
+        for w in range(1, 7):
+            solver = _tracked_solver(d, w + 1)
+            for tree in weight_basis(d, w)[0]:
+                for letter in range(1, d + 1):
+                    want = solver.solve(freelie.expand((tree, letter)))
+                    got = _bracket_coords(d, w, tree, letter)
+                    assert got == want, (d, w, tree, letter)
+                    assert all(type(c) is int for c in got.values())
+                    count += 1
+    assert count == 635
+
+
+def test_peel_raises_outside_the_lie_span():
+    lead2 = weight_basis(2, 2)[1]
+    with pytest.raises(AssertionError, match="escaped the Lyndon span"):
+        _peel({(1, 1): 1}, lead2)
+    # the symmetric tensor 12 + 21: peeling [1, 2] leaves 2 * 21
+    with pytest.raises(AssertionError, match="escaped the Lyndon span"):
+        _peel({(1, 2): 1, (2, 1): 1}, lead2)
+    assert _peel({(1, 2): 3, (2, 1): -3}, lead2) == {0: 3}
+    # trees that are not basis trees of their weight: 21 is not Lyndon, and
+    # 112 is, but its basis tree is [1, [1, 2]]
+    assert (1, (1, 2)) in weight_basis(2, 3)[0]
+    for w, tree in ((2, (2, 1)), (3, ((1, 1), 2))):
+        with pytest.raises(ValueError, match="not a Lyndon basis tree"):
+            _bracket_coords(2, w, tree, 1)
 
 
 def test_compositions():
