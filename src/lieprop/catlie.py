@@ -241,6 +241,18 @@ def as_perm(tau, m):
     return tau
 
 
+def first_occurrence(bm, lo, hi):
+    """(order, rep) with bm = order . rep for the post-composition action of
+    the permutations of the outputs lo+1..hi: order lists them by their first
+    occurrence in f, and rep renames order[k] to lo+1+k, moving its tree along.
+    rep is the orbit representative: its order is lo+1, ..., hi."""
+    order = tuple(v for v in dict.fromkeys(bm.f) if lo < v <= hi)
+    relabel = {v: k for k, v in enumerate(order, start=lo + 1)}
+    rep = BasisMorphism(bm.m, bm.n, tuple(relabel.get(v, v) for v in bm.f),
+                        bm.trees[:lo] + tuple(bm.trees[v - 1] for v in order) + bm.trees[hi:])
+    return order, rep
+
+
 def act_in(f, tau):
     """Right action of S_m on Hom(m, n): compose(f, perm_hom(tau)) in closed
     form.  The value list becomes f o tau and each comb word is relabelled

@@ -31,10 +31,10 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose, emit,
+from .catlie import (HomElem, _check_arities, basis_trees, compose, emit, first_occurrence,
                      hom_basis, hom_dim, hom_index)
 from .exactla import Echelon, axpy, combine
-from .mudelta import (Delta1Elem, delta1_dim, include_delta1, mu_tilde,
+from .mudelta import (Delta1Elem, adjoint_append, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
 
 
@@ -45,25 +45,23 @@ def _orbits(m, n, t):
     Returns (where, members): index j is sigma(r) for the representative
     r of orbit k, where[j] = (k, sgn sigma), and members[k] lists the
     (j, sgn sigma) of orbit k, r first.  r has the last t outputs first
-    occurring in f in increasing order, so it is the smallest index of
-    its orbit.  For t <= 1 both are None: every index is its own orbit.
+    occurring in f in increasing order and sigma is their order of first
+    occurrence in j (`catlie.first_occurrence`), so r is the smallest
+    index of its orbit.  For t <= 1 both are None: every index is its own
+    orbit.
     """
     if t <= 1:
         return None, None
     index = hom_index(m, n + t)
-    where, members, tail = [], [], {}
+    where, members = [], []
     for j, bm in enumerate(hom_basis(m, n + t)):
-        if bm.f not in tail:
-            order = tuple(dict.fromkeys(v for v in bm.f if v > n))
-            back = tuple(range(n)) + tuple(v - 1 for v in order)  # r's output q+1 is back[q]+1
-            inversions = sum(a > b for a, b in itertools.combinations(order, 2))
-            tail[bm.f] = (tuple(back.index(v - 1) + 1 for v in bm.f), (-1) ** inversions, back)
-        f, sign, back = tail[bm.f]
-        if f == bm.f:
+        order, rep = first_occurrence(bm, n, n + t)
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+        if rep == bm:
             k = len(members)
             members.append([])
         else:
-            k = where[index[BasisMorphism(m, n + t, f, tuple(bm.trees[i] for i in back))]][0]
+            k = where[index[rep]][0]
         where.append((k, sign))
         members[k].append((j, sign))
     return tuple(where), tuple(map(tuple, members))
@@ -129,19 +127,18 @@ def ce_dim(m, n, t):
 def _diff_basis(bm, n, t):
     """The homogeneous CE formula D on one basis morphism, in Hom(m, n+t-1)."""
     trees = basis_trees(bm)
-    ordinary, tail = trees[:n], trees[n:]
+    ordinary, wedge = trees[:n], trees[n:]
     index = hom_index(bm.m, n + t - 1)
     out = {}
     for i in range(t):
         sign = 1 if i % 2 == 0 else -1
-        rest = tail[:i] + tail[i + 1:]
-        for a in range(n):
-            merged = ordinary[:a] + ((ordinary[a], tail[i]),) + ordinary[a + 1:]
+        rest = wedge[:i] + wedge[i + 1:]
+        for merged in adjoint_append(ordinary, wedge[i]):
             axpy(out, emit(merged + rest, index), sign)
         for j in range(i + 1, t):
             sign = 1 if (i + j) % 2 == 0 else -1  # (-1)^{(i+1)+(j+1)} = (-1)^{i+j}
-            rest = tuple(tail[k] for k in range(t) if k not in (i, j))
-            axpy(out, emit(ordinary + ((tail[i], tail[j]),) + rest, index), sign)
+            rest = tuple(wedge[k] for k in range(t) if k not in (i, j))
+            axpy(out, emit(ordinary + ((wedge[i], wedge[j]),) + rest, index), sign)
     return out
 
 

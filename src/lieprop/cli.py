@@ -62,19 +62,21 @@ def _workers():
     return workers
 
 
-def _homology_pair(cell):
+def _homology_row(cell):
     c = dgcat.homology_cell(*cell)
-    return cell, (c.h0_dim, c.h1_dim)
+    return {"m": cell[0], "n": cell[1], "h0": c.h0_dim, "h1": c.h1_dim}
 
 
-def _map_cells(cells):
-    """(m, n) -> (h0, h1) over a list of cells, optionally in worker processes."""
+def _homology_cells(max_m):
+    """{m, n, h0, h1} for every cell n <= m <= max_m, in (m, n) order;
+    optionally in worker processes."""
+    cells = [(m, n) for m in range(0, max_m + 1) for n in range(0, m + 1)]
     workers = _workers()
     if workers > 1 and len(cells) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return dict(ex.map(_homology_pair, cells))
-    return dict(_homology_pair(c) for c in cells)
+            return list(ex.map(_homology_row, cells))
+    return [_homology_row(c) for c in cells]
 
 
 # ---------------------------------------------------------------- suites
@@ -278,6 +280,11 @@ def _emit(config, payload, rows, header):
         cfg = payload.get("config", {})
         lines.append("# config: " + " ".join("%s=%s" % (k, cfg[k]) for k in sorted(cfg)))
         text = "\n".join(lines) + "\n"
+    _write(config, text)
+
+
+def _write(config, text):
+    """Write text to the --out file, or to stdout without one."""
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)
@@ -286,27 +293,20 @@ def _emit(config, payload, rows, header):
 
 
 def cmd_dims(config):
-    rows = []
-    cells = []
-    for m in range(0, config.max_m + 1):
-        for n in range(0, m + 1):
-            ce_dims = [cecomplex.ce_dim(m, n, t) for t in range(0, m - n + 1)]
-            cells.append({"m": m, "n": n, "hom_dim": hom_dim(m, n),
-                          "delta1_dim": delta1_dim(m, n), "ce_dims": ce_dims})
-            rows.append([m, n, hom_dim(m, n), delta1_dim(m, n),
-                         ";".join(str(v) for v in ce_dims)])
+    cells = [{"m": m, "n": n, "hom_dim": hom_dim(m, n), "delta1_dim": delta1_dim(m, n),
+              "ce_dims": [cecomplex.ce_dim(m, n, t) for t in range(0, m - n + 1)]}
+             for m in range(0, config.max_m + 1) for n in range(0, m + 1)]
+    rows = [[c["m"], c["n"], c["hom_dim"], c["delta1_dim"], ";".join(map(str, c["ce_dims"]))]
+            for c in cells]
     payload = {"config": config.as_dict(), "cells": cells}
     _emit(config, payload, rows, ["m", "n", "hom_dim", "delta1_dim", "ce_dims"])
     return 0
 
 
 def cmd_homology(config):
-    cells = [(m, n) for m in range(0, config.max_m + 1) for n in range(0, m + 1)]
-    pairs = _map_cells(cells)
-    rows = [[m, n, pairs[(m, n)][0], pairs[(m, n)][1]] for (m, n) in cells]
-    payload = {"config": config.as_dict(),
-               "cells": [{"m": m, "n": n, "h0": h0, "h1": h1}
-                         for (m, n), (h0, h1) in sorted(pairs.items())]}
+    cells = _homology_cells(config.max_m)
+    rows = [[c["m"], c["n"], c["h0"], c["h1"]] for c in cells]
+    payload = {"config": config.as_dict(), "cells": cells}
     _emit(config, payload, rows, ["m", "n", "h0", "h1"])
     return 0
 
@@ -318,11 +318,7 @@ def cmd_verify(config):
         passed, cases = SUITE_FNS[name](config.max_m, config.seed, config.trials)
         ok = ok and passed
         results.append({"name": name, "pass": passed, "cases": cases})
-    cells = [(m, n) for m in range(0, config.max_m + 1) for n in range(0, m + 1)]
-    pairs = _map_cells(cells)
-    payload = {"config": config.as_dict(),
-               "cells": [{"m": m, "n": n, "h0": h0, "h1": h1}
-                         for (m, n), (h0, h1) in sorted(pairs.items())],
+    payload = {"config": config.as_dict(), "cells": _homology_cells(config.max_m),
                "suites": results}
     rows = [[r["name"], "pass" if r["pass"] else "FAIL", r["cases"]] for r in results]
     _emit(config, payload, rows, ["suite", "status", "cases"])
@@ -351,12 +347,7 @@ def cmd_export_basis(config, m, n, space, t):
                  for x in cecomplex.ce_basis(m, n, t)]
     payload = {"config": config.as_dict(),
                "space": space, "m": m, "n": n, "t": t, "basis": items}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(config, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

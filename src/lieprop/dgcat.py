@@ -13,13 +13,12 @@ Homology is computed cell by cell, and each field of `HomologyCell` is
 built only when something reads it, then cached per cell.
 
 * The dimensions come from the S_n-blocks of mu_tilde_1.  S_n permutes
-  the bases of Hom(m, n) and delta1(m, n) freely by post-composition,
-  and mu_tilde_1 commutes with it, so mu_tilde_1 is evaluated on one
-  delta1 basis element per orbit only and written as a matrix M over
-  Z[S_n].  Its rank is the sum over the partitions lambda of n of
-  d_lambda * rank rho_lambda(M), with rho_lambda from `symrep`; each
-  block is ranked by an untracked echelon.  The blocks also give the
-  multiplicity of each irreducible V_lambda in H0 and in H1.
+  the bases of Hom(m, n) and delta1(m, n) freely by post-composition
+  (orbit representatives by `catlie.first_occurrence`), and mu_tilde_1
+  commutes with it, so its columns on the delta1 representatives form
+  a matrix M over Z[S_n], ranked per partition by `symrep.block_ranks`.
+  The blocks also give the multiplicity of each irreducible V_lambda in
+  H0 and in H1.
 * The boundary data defining H0 is one untracked echelon of all the
   columns of mu_tilde_1: H0 classes are handled as canonical reduced
   representatives against it, so equality of classes is equality of
@@ -32,11 +31,12 @@ import functools
 from math import factorial
 
 from . import symrep
-from .catlie import (BasisMorphism, HomElem, compose, hom_basis, hom_dim,
-                     hom_index, identity)
-from .exactla import Echelon, axpy, kernel
-from .mudelta import (Delta1Elem, delta1_act_left, delta1_act_right,
-                      delta1_basis, delta1_dim, mu, mu_tilde_1, mu_tilde_1_column)
+from .catlie import (HomElem, _check_arities, compose, compose_basis, first_occurrence,
+                     hom_basis, hom_dim, hom_index, identity)
+from .exactla import Echelon, axpy, combine, kernel
+from .mudelta import (Delta1Elem, _act_left, _act_right, check_dg_square, delta1_act_left,
+                      delta1_act_right, delta1_basis, delta1_dim, mu, mu_tilde_1,
+                      mu_tilde_1_column)
 
 
 class DGHom:
@@ -94,32 +94,27 @@ def differential(h):
 def check_leibniz(m, n, p):
     """d(g o f) = dg o f + (-1)^{|g|} g o df over full homogeneous bases.
 
-    Degree (0,0) is trivially 0 = 0.  Degree (0,1) and (1,0) are the two
-    bimodule-morphism identities for mu_tilde_1, and degree (1,1) is the
-    square-zero interchange; all are checked by direct expansion here.
+    Degree (0,0) is trivially 0 = 0.  Degrees (0,1) and (1,0) are the two
+    bimodule-morphism identities for mu_tilde_1, mu_tilde_1(G . y) =
+    G o mu_tilde_1(y) and mu_tilde_1(x . F) = mu_tilde_1(x) o F, compared on
+    plain coordinates for every basis G, F of Hom and x, y of delta1.
+    Degree (1,1) is the square-zero interchange, `mudelta.check_dg_square`.
     """
-    g0 = [HomElem(n, p, {i: 1}) for i in range(hom_dim(n, p))]
-    f0 = [HomElem(m, n, {i: 1}) for i in range(hom_dim(m, n))]
-    g1 = [Delta1Elem(n, p, {i: 1}) for i in range(delta1_dim(n, p))]
-    f1 = [Delta1Elem(m, n, {i: 1}) for i in range(delta1_dim(m, n))]
-    for g in g0:
-        for f in f1:
-            # |g| = 0:  d(g.f) = g o d(f)
-            if mu_tilde_1(delta1_act_left(g, f)) != compose(g, mu_tilde_1(f)):
-                return False
-    for g in g1:
-        mg = mu_tilde_1(g)
-        for f in f0:
-            # |g| = 1, df = 0:  d(g.f) = dg o f
-            if mu_tilde_1(delta1_act_right(g, f)) != compose(mg, f):
-                return False
-    for g in g1:
-        mg = mu_tilde_1(g)
-        for f in f1:
-            # |g| = |f| = 1:  0 = dg . f - g . df
-            if delta1_act_left(mg, f) != delta1_act_right(g, mu_tilde_1(f)):
-                return False
-    return True
+    _check_arities(m, n, p)
+    gb, fb, mp = hom_basis(n, p), hom_basis(m, n), functools.partial(mu_tilde_1_column, m, p)
+    gs = [HomElem(n, p, {i: 1}) for i in range(len(gb))]
+    fs = [HomElem(m, n, {i: 1}) for i in range(len(fb))]
+    for s in range(delta1_dim(m, n)):           # |g| = 0:  d(g . y) = g o dy
+        y, my = Delta1Elem(m, n, {s: 1}), mu_tilde_1_column(m, n, s)
+        if any(combine(_act_left(g, y), mp) != combine(my, lambda i: compose_basis(G, fb[i]))
+               for G, g in zip(gb, gs)):
+            return False
+    for s in range(delta1_dim(n, p)):           # |x| = 1, df = 0:  d(x . f) = dx o f
+        x, mx = Delta1Elem(n, p, {s: 1}), mu_tilde_1_column(n, p, s)
+        if any(combine(_act_right(x, f), mp) != combine(mx, lambda i: compose_basis(gb[i], F))
+               for F, f in zip(fb, fs)):
+            return False
+    return check_dg_square(m, n, p)             # |g| = |f| = 1:  0 = dg . f - g . df
 
 
 class HomologyCell:
@@ -180,35 +175,20 @@ def homology_cell(m, n):
     return HomologyCell(m, n)
 
 
-def _orbit_normal_form(bm, n):
-    """(tau, rep) with bm = tau . rep for the post-composition action of
-    S_n on the first n outputs: rep relabels them by their first
-    occurrence in f, and tau = (tau(1), ..., tau(n)) undoes that."""
-    tau = []
-    for v in bm.f:
-        if v <= n and v not in tau:
-            tau.append(v)
-    relabel = {v: k for k, v in enumerate(tau, start=1)}
-    rep = BasisMorphism(bm.m, bm.n, tuple(relabel.get(v, v) for v in bm.f),
-                        tuple(bm.trees[v - 1] for v in tau) + bm.trees[n:])
-    return tuple(tau), rep
-
-
 @functools.cache
 def _block_ranks(m, n):
-    """{lambda: rank rho_lambda(M)} over the partitions lambda of n.
+    """{lambda: rank rho_lambda(M)} over the partitions lambda of n; the
+    cached per-cell entry of `HomologyCell`.
 
     Post-composition with sigma in S_n permutes the bases of Hom(m, n)
     and of delta1(m, n) (through sigma + 1) freely, and mu_tilde_1 is
     S_n-equivariant, since sigma o mu(n) = mu(n) o (sigma + 1).  So
-    mu_tilde_1 on the delta1 orbit representatives r_j determines it:
-    mu_tilde_1(r_j) = sum_i M_ji h_i with M_ji in Z[S_n] and h_i the Hom
-    orbit representatives, and on Q[S_n]^r it is x -> xM.  By
-    Wedderburn, its rank is the sum of d_lambda * rank rho_lambda(M),
-    where rho_lambda(M) has the entry sum_sigma c_sigma
-    rho_lambda(sigma)[a][b] in row (j, a) and column (i, b), c_sigma
-    being the coefficient of sigma in M_ji.  Here i is the Hom index
-    of h_i.
+    mu_tilde_1 on the delta1 orbit representatives r_j (the first n
+    outputs first occur in f in increasing order) determines it:
+    mu_tilde_1(r_j) = sum_i M_ji h_i with M_ji in Z[S_n], h_i the Hom
+    orbit representatives and i the Hom index of h_i, each term read
+    through `catlie.first_occurrence`.  This builds the rows of M, and
+    `symrep.block_ranks` ranks x -> xM on Q[S_n]^r block by block.
     """
     ident = list(range(1, n + 1))       # first occurrences of 1..n in a representative
     basis, index = hom_basis(m, n), hom_index(m, n)
@@ -220,30 +200,12 @@ def _block_ranks(m, n):
         row = {}
         for k, c in mu_tilde_1_column(m, n, s).items():
             if k not in orbit:
-                tau, rep = _orbit_normal_form(basis[k], n)
+                tau, rep = first_occurrence(basis[k], 0, n)
                 orbit[k] = index[rep], tau
             i, tau = orbit[k]
             axpy(row.setdefault(i, {}), {tau: c})
         matrix.append({i: entry for i, entry in row.items() if entry})
-    taus = {tau for row in matrix for entry in row.values() for tau in entry}
-    ranks = {}
-    for shape in symrep._partitions(n):
-        d = symrep.dim(shape)
-        mats = symrep.rho_cleared(shape, taus)
-        ech = Echelon()
-        for row in matrix:
-            block = [{} for _ in range(d)]
-            for i, entry in row.items():
-                (tau, c), *more = entry.items()
-                acc = [[c * x for x in r] for r in mats[tau]]
-                for tau, c in more:
-                    acc = [[y + c * x for y, x in zip(ra, r)] for ra, r in zip(acc, mats[tau])]
-                for vec, r in zip(block, acc):
-                    vec.update((i * d + b, x) for b, x in enumerate(r) if x)
-            for vec in block:
-                ech.add(vec)
-        ranks[shape] = ech.rank
-    return ranks
+    return symrep.block_ranks(matrix, n)
 
 
 def _mu_columns(m, n):

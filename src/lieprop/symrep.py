@@ -20,13 +20,16 @@ matrix of sigma on V_lambda: column T holds the coordinates of sigma v_T,
 and rho(sigma o tau) = rho(sigma) rho(tau) for the composition
 (sigma o tau)(i) = sigma(tau(i)).  A permutation is the tuple
 (sigma(1), ..., sigma(n)).  The arithmetic is in ints: a matrix is an
-int matrix over one common denominator.
+int matrix over one common denominator.  `block_ranks` ranks a matrix
+over Z[S_n] block by block, one block rho_lambda per partition lambda.
 """
 
 import functools
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+
+from .exactla import Echelon
 
 
 def _partitions(w, largest=None):
@@ -125,8 +128,11 @@ def rho(shape, sigma):
 
     Built as the product of the generator matrices along
     `reduced_word(sigma)`, and cached per (shape, sigma), so only the
-    permutations asked for are ever built.
+    permutations asked for are ever built.  ValueError unless sigma
+    permutes 1..n, n the size of the shape.
     """
+    if sorted(sigma) != list(range(1, sum(shape) + 1)):
+        raise ValueError("not a permutation of 1..%d: %r" % (sum(shape), sigma))
     gens = _generators(shape)
     d = dim(shape)
     den = 1
@@ -153,3 +159,32 @@ def rho_cleared(shape, sigmas):
     scale = lcm(*(den for den, _ in mats.values()))
     return {s: tuple(tuple(x * (scale // den) for x in row) for row in rows)
             for s, (den, rows) in mats.items()}
+
+
+def block_ranks(matrix, n):
+    """{lambda: rank rho_lambda(M)} over the partitions lambda of n, for M a
+    matrix over Z[S_n] given by its rows {i: {sigma: coefficient}}: the block
+    rho_lambda(M) has sum_sigma c_sigma rho_lambda(sigma)[a][b] in row (j, a)
+    and column (i, b), c_sigma the coefficient of sigma in M_ji.  By Wedderburn,
+    x -> xM on Q[S_n]^r has rank sum_lambda d_lambda * rank rho_lambda(M).
+    Each block is one untracked echelon of the int matrices of `rho_cleared`.
+    """
+    sigmas = {s for row in matrix for entry in row.values() for s in entry}
+    ranks = {}
+    for shape in _partitions(n):
+        d = dim(shape)
+        mats = rho_cleared(shape, sigmas)
+        ech = Echelon()
+        for row in matrix:
+            block = [{} for _ in range(d)]
+            for i, entry in row.items():
+                (s, c), *more = entry.items()
+                acc = [[c * x for x in r] for r in mats[s]]
+                for s, c in more:
+                    acc = [[y + c * x for y, x in zip(ra, r)] for ra, r in zip(acc, mats[s])]
+                for vec, r in zip(block, acc):
+                    vec.update((i * d + b, x) for b, x in enumerate(r) if x)
+            for vec in block:
+                ech.add(vec)
+        ranks[shape] = ech.rank
+    return ranks

@@ -75,6 +75,19 @@ def test_homology_json_round_trips(capsys, tmp_path):
     assert json.loads(json.dumps(payload)) == payload
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "--max-m", "4", "--format", "json"],
+    ["export-basis", "--m", "4", "--n", "1", "--space", "ce", "--t", "2"],
+])
+def test_out_file_bytes_equal_stdout_bytes(capsys, tmp_path, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out
+    path = tmp_path / "out.txt"
+    code, nothing = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and nothing == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_homology_text_table(capsys):
     code, out = run_cli(capsys, "homology", "--max-m", "2")
     assert code == 0

@@ -5,12 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from lieprop.catlie import (HomElem, act_out, compose, hom_basis, hom_dim,
-                            identity, perm_hom)
+from lieprop.catlie import (HomElem, act_out, compose, first_occurrence, hom_basis,
+                            hom_dim, hom_index, identity, perm_hom)
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop import cli, dgcat, schur_oracle, symrep
+from lieprop import cecomplex, cli, dgcat, schur_oracle, symrep
 from lieprop.exactla import Echelon, in_span, primitive
 from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis,
                              delta1_dim, iota, mu, mu_tilde_1)
@@ -89,6 +89,26 @@ def test_check_leibniz_cells():
     assert check_leibniz(4, 2, 1)
     assert check_leibniz(4, 3, 1)
     assert check_leibniz(2, 2, 2)  # zero degree-1 spaces, trivially fine
+
+
+def test_check_leibniz_rejects_negative_arities():
+    for cell in [(-1, 0, 0), (2, -1, 0), (2, 1, -1)]:
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            check_leibniz(*cell)
+
+
+def test_check_leibniz_catches_a_sign_error_in_one_column(monkeypatch):
+    # flip one entry of the mu_tilde_1 column of the delta1(3, 2) basis element 0:
+    # G . y and G o mu_tilde_1(y) disagree for every transposition G of Hom(2, 2)
+    column = dgcat.mu_tilde_1_column
+    wrong = dict(column(3, 2, 0))
+    k = min(wrong)
+    wrong[k] = -wrong[k]
+    assert check_leibniz(3, 2, 2) and check_leibniz(4, 2, 1)
+    monkeypatch.setattr(dgcat, "mu_tilde_1_column",
+                        lambda m, n, s: wrong if (m, n, s) == (3, 2, 0) else column(m, n, s))
+    assert not check_leibniz(3, 2, 2)
+    assert check_leibniz(4, 2, 1)  # a cell that never reads the column
 
 
 def test_homology_small_values():
@@ -264,23 +284,55 @@ def _transpositions(n):
         yield tuple(s)
 
 
+def _perm_sign(sigma):
+    """(-1)^(k - number of cycles) for sigma a permutation of 1..k."""
+    cycles, seen = 0, set()
+    for start in range(1, len(sigma) + 1):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = sigma[start - 1]
+    return (-1) ** (len(sigma) - cycles)
+
+
 def test_orbit_normal_form():
+    # the S_n-orbits of Hom(m, n) under post-composition
     for m in range(6):
         for n in range(1, m + 1):
             ident = tuple(range(1, n + 1))
             reps = set()
             for bm in hom_basis(m, n):
-                tau, rep = dgcat._orbit_normal_form(bm, n)
-                assert dgcat._orbit_normal_form(rep, n) == (ident, rep)
+                tau, rep = first_occurrence(bm, 0, n)
+                assert first_occurrence(rep, 0, n) == (ident, rep)
                 assert act_out(tau, HomElem.from_basis(rep)) == HomElem.from_basis(bm)
                 reps.add(rep)
             # the action is free: every orbit has n! elements
             assert len(reps) * factorial(n) == hom_dim(m, n)
+    # the S_t-orbits of the last t outputs of Hom(m, n+t), which the CE complex folds onto
+    for m in range(6):
+        for n in range(m + 1):
+            for t in range(2, m - n + 1):
+                ident = tuple(range(n + 1, n + t + 1))
+                index = hom_index(m, n + t)
+                where, members = cecomplex._orbits(m, n, t)
+                orbits = {}
+                for j, bm in enumerate(hom_basis(m, n + t)):
+                    order, rep = first_occurrence(bm, n, n + t)
+                    assert first_occurrence(rep, n, n + t) == (ident, rep)
+                    sigma = tuple(range(1, n + 1)) + order
+                    assert act_out(sigma, HomElem.from_basis(rep)) == HomElem.from_basis(bm)
+                    sign = _perm_sign(tuple(v - n for v in order))
+                    k = where[index[rep]][0]
+                    assert where[j] == (k, sign) and members[k][0] == (index[rep], 1)
+                    orbits.setdefault(rep, []).append(j)
+                assert len(orbits) == len(members)
+                assert all(len(js) == factorial(t) for js in orbits.values()), (m, n, t)
 
 
 def test_block_ranks_read_the_orbit_representatives(monkeypatch):
     # the first-occurrence filter of _block_ranks picks the delta1 elements
-    # that _orbit_normal_form fixes, and reads only their columns
+    # that first_occurrence fixes, and reads only their columns
     cells = [(m, n) for m in range(7) for n in range(m + 1)]
     ranks = {cell: dgcat._block_ranks(*cell) for cell in cells}
     read = []
@@ -291,7 +343,7 @@ def test_block_ranks_read_the_orbit_representatives(monkeypatch):
     for m, n in cells:
         ident = tuple(range(1, n + 1))
         want += [(m, n, s) for s, bm in enumerate(delta1_basis(m, n)[1])
-                 if dgcat._orbit_normal_form(bm, n)[0] == ident]
+                 if first_occurrence(bm, 0, n)[0] == ident]
         assert dgcat._block_ranks.__wrapped__(m, n) == ranks[(m, n)]
     assert read == want
     assert len(read) == 873
@@ -303,7 +355,7 @@ def test_mu_tilde_1_is_equivariant():
         for n in range(2, m + 1):
             ident = tuple(range(1, n + 1))
             reps = [s for s, bm in enumerate(delta1_basis(m, n)[1])
-                    if dgcat._orbit_normal_form(bm, n)[0] == ident]
+                    if first_occurrence(bm, 0, n)[0] == ident]
             assert len(reps) * factorial(n) == delta1_dim(m, n)
             for s in reps:
                 z = Delta1Elem(m, n, {s: 1})

@@ -1,8 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
-from lieprop.symrep import (_partitions, dim, reduced_word, rho, rho_cleared,
+import pytest
+
+from lieprop.exactla import Echelon
+from lieprop.symrep import (_partitions, block_ranks, dim, reduced_word, rho, rho_cleared,
                             standard_tableaux)
 
 
@@ -108,3 +112,72 @@ def test_rho_cleared_shares_one_scale():
                     for row, irow in zip(rows, ints) for w, v in zip(row, irow) if w}
         scales.add(scale)
     assert len(scales) == 1
+
+
+def test_rho_rejects_non_permutations():
+    for shape, sigma in [((2, 1), (1, 2)), ((2, 1), (1, 1, 3)), ((2, 1), (0, 1, 2)),
+                         ((2,), (1, 2, 3)), ((), (1,))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            rho(shape, sigma)
+    assert rho((2, 1), (1, 2, 3)) == (1, ((1, 0), (0, 1)))
+
+
+def _regular_rank(matrix, n):
+    """Rank of x -> xM on Q[S_n]^r from the explicit matrix: row (j, sigma)
+    holds the coordinates of sigma M_j, sigma M_j having the entry
+    sum_tau c_tau (sigma o tau) in column i."""
+    ech = Echelon()
+    for row in matrix:
+        for sigma in itertools.permutations(range(1, n + 1)):
+            vec = {}
+            for i, entry in row.items():
+                for tau, c in entry.items():
+                    k = (i, compose(sigma, tau))
+                    vec[k] = vec.get(k, 0) + c
+            ech.add({k: c for k, c in vec.items() if c})
+    return ech.rank
+
+
+def _times(a, b):
+    """The product ab in Z[S_n], a and b as {sigma: coefficient}."""
+    out = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            out[compose(s, t)] = out.get(compose(s, t), 0) + x * y
+    return {p: c for p, c in out.items() if c}
+
+
+def _plus(a, b):
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = out.get(p, 0) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def test_block_ranks_match_the_regular_representation():
+    # seeded random matrices over Z[S_n]: most entries carry a factor 1 +- s
+    # for a transposition s, so blocks lose rank, and the last row is a
+    # Z[S_n]-combination of two others
+    rng = random.Random(18)
+    for n in range(5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+
+        def elem():
+            return {p: rng.choice([-2, -1, 1, 2]) for p in rng.sample(perms, min(2, len(perms)))}
+
+        for _ in range(10):
+            factor = {perms[0]: 1}
+            if n >= 2 and rng.random() < 0.7:
+                factor[perms[1]] = rng.choice([-1, 1])
+            cols = rng.randint(1, 3)
+            rows = [{i: _times(factor, elem()) for i in rng.sample(range(cols), rng.randint(1, cols))}
+                    for _ in range(rng.randint(1, 3))]
+            last = {}
+            for x, row in ((elem(), rows[0]), (elem(), rows[-1])):
+                for i, e in row.items():
+                    last[i] = _plus(last.get(i, {}), _times(x, e))
+            rows = [{i: e for i, e in row.items() if e} for row in rows + [last]]
+            ranks = block_ranks(rows, n)
+            assert set(ranks) == set(_partitions(n))
+            assert sum(dim(shape) * r for shape, r in ranks.items()) == \
+                _regular_rank(rows, n), (n, rows)
