@@ -247,8 +247,10 @@ def first_occurrence(bm, lo, hi):
     occurrence in f, and rep renames order[k] to lo+1+k, moving its tree along.
     rep is the orbit representative: its order is lo+1, ..., hi."""
     order = tuple(v for v in dict.fromkeys(bm.f) if lo < v <= hi)
+    if order == tuple(range(lo + 1, lo + 1 + len(order))):     # bm is its own rep
+        return order, bm
     relabel = {v: k for k, v in enumerate(order, start=lo + 1)}
-    rep = BasisMorphism(bm.m, bm.n, tuple(relabel.get(v, v) for v in bm.f),
+    rep = BasisMorphism(bm.m, bm.n, tuple(map(relabel.get, bm.f, bm.f)),
                         bm.trees[:lo] + tuple(bm.trees[v - 1] for v in order) + bm.trees[hi:])
     return order, rep
 

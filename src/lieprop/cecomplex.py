@@ -31,8 +31,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (HomElem, _check_arities, basis_trees, compose, emit, first_occurrence,
-                     hom_basis, hom_dim, hom_index)
+from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose, emit,
+                     first_occurrence, hom_basis, hom_dim, hom_index)
 from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, adjoint_append, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, pi)
@@ -46,21 +46,28 @@ def _orbits(m, n, t):
     r of orbit k, where[j] = (k, sgn sigma), and members[k] lists the
     (j, sgn sigma) of orbit k, r first.  r has the last t outputs first
     occurring in f in increasing order and sigma is their order of first
-    occurrence in j (`catlie.first_occurrence`), so r is the smallest
-    index of its orbit.  For t <= 1 both are None: every index is its own
-    orbit.
+    occurrence in j (`catlie.first_occurrence`, run once per value list f),
+    so r is the smallest index of its orbit.  For t <= 1 both are None:
+    every index is its own orbit.
     """
     if t <= 1:
         return None, None
-    index = hom_index(m, n + t)
-    where, members = [], []
-    for j, bm in enumerate(hom_basis(m, n + t)):
-        order, rep = first_occurrence(bm, n, n + t)
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
-        if rep == bm:
+    basis, index, positions = hom_basis(m, n + t), hom_index(m, n + t), tuple(range(n + t))
+    where, members, signs, f = [], [], {}, None
+    for j, bm in enumerate(basis):
+        if bm.f != f:
+            # hom_basis lists each f's elements together, so the rule runs once per f, on
+            # a probe whose trees are the output positions: probe.trees says where each goes
+            f = bm.f
+            order, probe = first_occurrence(BasisMorphism(m, n + t, f, positions), n, n + t)
+            if order not in signs:
+                signs[order] = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+            sign = signs[order]
+        if probe.f == f:        # its own representative
             k = len(members)
             members.append([])
         else:
+            rep = BasisMorphism(m, n + t, probe.f, tuple(map(bm.trees.__getitem__, probe.trees)))
             k = where[index[rep]][0]
         where.append((k, sign))
         members[k].append((j, sign))
@@ -266,6 +273,8 @@ def coend_with_qsn(t, n, m):
 
 def coend_yoneda(k, n):
     """Dimension of Hom(-, k) tensored with the S_n module: n! iff k = n."""
+    _check_arities(k, n)
+
     def space(a):
         return [HomElem(a, k, {i: 1}) for i in range(hom_dim(a, k))]
 

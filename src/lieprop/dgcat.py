@@ -34,9 +34,9 @@ from . import symrep
 from .catlie import (HomElem, _check_arities, compose, compose_basis, first_occurrence,
                      hom_basis, hom_dim, hom_index, identity)
 from .exactla import Echelon, axpy, combine, kernel
-from .mudelta import (Delta1Elem, _act_left, _act_right, check_dg_square, delta1_act_left,
-                      delta1_act_right, delta1_basis, delta1_dim, mu, mu_tilde_1,
-                      mu_tilde_1_column)
+from .mudelta import (Delta1Elem, _act_right, _delta1_indices, _left_composite,
+                      check_dg_square, delta1_act_left, delta1_act_right, delta1_basis,
+                      delta1_dim, mu, mu_tilde_1, mu_tilde_1_column)
 
 
 class DGHom:
@@ -97,18 +97,25 @@ def check_leibniz(m, n, p):
     Degree (0,0) is trivially 0 = 0.  Degrees (0,1) and (1,0) are the two
     bimodule-morphism identities for mu_tilde_1, mu_tilde_1(G . y) =
     G o mu_tilde_1(y) and mu_tilde_1(x . F) = mu_tilde_1(x) o F, compared on
-    plain coordinates for every basis G, F of Hom and x, y of delta1.
+    plain coordinates for every basis G, F of Hom and x, y of delta1.  In
+    degree (0,1), G . y for y = (a, y') is the left composite G o y'
+    (`mudelta._left_composite`, one per (G, y')) glued back at each a.
     Degree (1,1) is the square-zero interchange, `mudelta.check_dg_square`.
     """
     _check_arities(m, n, p)
     gb, fb, mp = hom_basis(n, p), hom_basis(m, n), functools.partial(mu_tilde_1_column, m, p)
     gs = [HomElem(n, p, {i: 1}) for i in range(len(gb))]
     fs = [HomElem(m, n, {i: 1}) for i in range(len(fb))]
-    for s in range(delta1_dim(m, n)):           # |g| = 0:  d(g . y) = g o dy
-        y, my = Delta1Elem(m, n, {s: 1}), mu_tilde_1_column(m, n, s)
-        if any(combine(_act_left(g, y), mp) != combine(my, lambda i: compose_basis(G, fb[i]))
-               for G, g in zip(gb, gs)):
-            return False
+    ys = [_delta1_indices(m, n, a) for a in range(1, m + 1)]   # ys[a-1][y'] = y
+    ups = [_delta1_indices(m, p, a) for a in range(1, m + 1)]  # glue at a into delta1(m, p)
+    for i, y in enumerate(hom_basis(m - 1, n) if m else ()):   # |g| = 0:  d(g . y) = g o dy
+        lefts = [_left_composite(g, y) for g in gs]
+        for ya, up in zip(ys, ups):
+            my = mu_tilde_1_column(m, n, ya[i])
+            if any(combine({up[j]: v for j, v in left.items()}, mp)
+                   != combine(my, lambda k: compose_basis(G, fb[k]))
+                   for G, left in zip(gb, lefts)):
+                return False
     for s in range(delta1_dim(n, p)):           # |x| = 1, df = 0:  d(x . f) = dx o f
         x, mx = Delta1Elem(n, p, {s: 1}), mu_tilde_1_column(n, p, s)
         if any(combine(_act_right(x, f), mp) != combine(mx, lambda i: compose_basis(gb[i], F))

@@ -10,8 +10,10 @@ coordinate maps).
 Both actions compose in smaller hom-spaces: `_cut` deletes an output and
 its fiber, relabelling the rest in order (tree indices carry over), and
 `_glue` puts them back over a new last output.  So delta1(m, n) = [m] x
-Hom(m-1, n); (g boxplus 1) o y is g o y' glued back, one g o y' for all m
-positions of a; x o F is x' o F' with F's fiber over x's lone input glued back.
+Hom(m-1, n), y = (a, y'): (g boxplus 1) o y is the left composite g o y'
+(`_left_composite`) glued back, one for all m positions of a; x o F is the
+right term of F at the lone input b of x (`_right_term`), x' o F' with F's
+fiber over b glued back, F cut once per (b, F) for every x'.
 The right action of tau in S_m is cut too: y o tau is y' o tau' with a glued back
 at a' = tau^{-1}(a), tau' = tau: [m] - {a'} -> [m] - {a} relabelled in order; for
 adjacent tau, tau' is adjacent or 1, so one image in Hom(m-1, n) serves many a.
@@ -51,6 +53,9 @@ tests downstream.
 
 The module also carries executable checks of the centrality identity, the
 Lie-action identity and the square-zero interchange (`check_dg_square`).
+The square-zero check reads both sides through the same two helpers as the
+public actions, in one exact pass per cell, with the difference of the sides
+accumulated per pair in one int dict.
 Centrality goes through the output cut: each term of phi o mu(n) or of
 mu(t) o (phi boxplus 1) changes one output of phi and the input n+1, so both
 sides are glued from composites on Hom(k+1, 1), one pair per (fiber size k, tree).
@@ -258,28 +263,46 @@ def _glue(m, p, fib, tree):
     return out
 
 
+def _delta1_indices(m, p, a):
+    """The delta1(m, p) index of (a, y') for each basis y' of Hom(m-1, p), in order."""
+    back = _delta1_position(m, p)
+    return [back[k] for k in _glue(m, p, (a,), 0)]
+
+
+def _left_composite(g, y):
+    """Coordinates of g o y' in Hom(m-1, p), y' a basis morphism of Hom(m-1, n): the
+    left composite that (g boxplus 1) o y glues back at the lone input a of y = (a, y'),
+    shared by all m positions of a."""
+    gb = hom_basis(g.m, g.n)
+    return combine(g.coords, lambda i: compose_basis(gb[i], y))
+
+
+def _right_term(F, b, t):
+    """The right term of a basis F of Hom(m, n) at b: x' -> coordinates of pi(x o F)
+    for x = (b, x') in delta1(n, t), x' o F' with F's fiber over b glued back.  F is
+    cut at b once and the cut serves every x' with lone input b."""
+    fib, tree, cut = _cut(F, b)
+    up = _glue(F.m, t, fib, tree)
+    return lambda x: combine(compose_basis(x, cut), lambda j: _pi_column(F.m, t, up[j]))
+
+
 def _act_left(g, z):
-    """Coordinates of (g boxplus 1) o y: g o y' with a glued back (module docstring)."""
-    zb, back, gb = delta1_basis(z.m, z.n)[1], _delta1_position(z.m, g.n), hom_basis(g.m, g.n)
-    out = {}
+    """Coordinates of (g boxplus 1) o y: `_left_composite` glued back at a."""
+    zb, back, out = delta1_basis(z.m, z.n)[1], _delta1_position(z.m, g.n), {}
     for s, c in z.coords.items():
         fib, tree, y = _cut(zb[s], z.n + 1)
         up = _glue(z.m, g.n, fib, tree)
-        for i, gc in g.coords.items():
-            axpy(out, {back[up[j]]: v for j, v in compose_basis(gb[i], y).items()}, c * gc)
+        axpy(out, {back[up[j]]: v for j, v in _left_composite(g, y).items()}, c)
     return out
 
 
 def _act_right(z, f):
-    """Coordinates of pi(x o F): x' o F' with F's fiber over the lone input b of x glued back."""
-    zb, fb, t, out = delta1_basis(z.m, z.n)[1], hom_basis(f.m, f.n), z.n, {}
+    """Coordinates of pi(x o F): the `_right_term` of F at the lone input b of x."""
+    zb, fb, out = delta1_basis(z.m, z.n)[1], hom_basis(f.m, f.n), {}
     for s, c in z.coords.items():
-        (b,), _, x = _cut(zb[s], t + 1)
+        (b,), _, x = _cut(zb[s], z.n + 1)
         for i, fc in f.coords.items():
-            fib, tree, F = _cut(fb[i], b)
-            up = _glue(f.m, t, fib, tree)
-            for j, v in compose_basis(x, F).items():
-                axpy(out, _pi_column(f.m, t, up[j]), c * fc * v)
+            axpy(out, _right_term(fb[i], b, z.n)(x), c * fc)
     return out
 
 
@@ -360,21 +383,35 @@ def check_lie_action(n):
 
 
 def check_dg_square(m, n, t):
-    """Square zero: x . mu_tilde_1(y) = mu_tilde_1(x) . y for all basis x of
-    delta1(n, t) and y of delta1(m, n), one matrix identity per cell: with
-    R_x(F) = `_act_right` of x on each basis F of Hom(m, n) and L_y(G) =
-    `_act_left` of each basis G of Hom(n, t) on y built once, for every pair
-        sum_F mu_tilde(y)[F] R_x(F) == sum_G mu_tilde(x)[G] L_y(G)  exactly."""
+    """Square zero: x . mu_tilde_1(y) = mu_tilde_1(x) . y for all basis x = (b, x') of
+    delta1(n, t) and y = (a, y') of delta1(m, n), read through the delta1 cut, in one
+    exact pass per cell.  Per (b, F), F in the support of some mu_tilde(y), one
+    `_right_term`; per x, its values R_x(F) = x . F; per (x, y'), one `_left_composite`
+    mu_tilde(x) o y', which glued back at a is mu_tilde(x) . y.  For every pair
+        sum_F mu_tilde(y)[F] R_x(F) - (mu_tilde(x) o y' glued at a)
+    is accumulated into one int dict and must vanish."""
     _check_arities(m, n, t)
     if not delta1_dim(n, t) or not delta1_dim(m, n):
         return True
-    xs = [Delta1Elem(n, t, {s: 1}) for s in range(delta1_dim(n, t))]
-    ys = [Delta1Elem(m, n, {s: 1}) for s in range(delta1_dim(m, n))]
-    mxs = [mu_tilde(include_delta1(x)).coords for x in xs]
-    mys = [mu_tilde(include_delta1(y)).coords for y in ys]
-    fs = [(F, HomElem(m, n, {F: 1})) for F in sorted(set().union(*mys))]
-    gs = [(G, HomElem(n, t, {G: 1})) for G in sorted(set().union(*mxs))]
-    rs = [{F: _act_right(x, f) for F, f in fs} for x in xs]
-    ls = [{G: _act_left(g, y) for G, g in gs} for y in ys]
-    return all(combine(my, r.__getitem__) == combine(mx, l.__getitem__)
-               for mx, r in zip(mxs, rs) for my, l in zip(mys, ls))
+    mys = [mu_tilde(include_delta1(Delta1Elem(m, n, {s: 1}))).coords
+           for s in range(delta1_dim(m, n))]
+    fb, fs = hom_basis(m, n), sorted(set().union(*mys))
+    ys = [_delta1_indices(m, n, a) for a in range(1, m + 1)]   # ys[a-1][y'] = y
+    ups = [_delta1_indices(m, t, a) for a in range(1, m + 1)]  # glue at a into delta1(m, t)
+    for b in range(1, n + 1):
+        terms = [(F, _right_term(fb[F], b, t)) for F in fs]
+        for s, x in zip(_delta1_indices(n, t, b), hom_basis(n - 1, t)):
+            mx = mu_tilde(include_delta1(Delta1Elem(n, t, {s: 1})))
+            r = {F: term(x) for F, term in terms}
+            for i, y in enumerate(hom_basis(m - 1, n)):
+                left = _left_composite(mx, y)
+                for ya, up in zip(ys, ups):
+                    diff = {}
+                    for F, c in mys[ya[i]].items():
+                        for k, v in r[F].items():
+                            diff[k] = diff.get(k, 0) + c * v
+                    for j, v in left.items():
+                        diff[up[j]] = diff.get(up[j], 0) - v
+                    if any(diff.values()):
+                        return False
+    return True

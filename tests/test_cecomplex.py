@@ -320,6 +320,13 @@ def test_yoneda_oracle():
             assert coend_yoneda(k, n) == expect, (k, n)
 
 
+def test_coend_yoneda_rejects_negative_arities():
+    # both used to return 0
+    for cell in [(-1, 2), (1, -2), (-1, -1)]:
+        with pytest.raises(ValueError, match="arities must be >= 0"):
+            coend_yoneda(*cell)
+
+
 def test_coend_dims_n2():
     assert coend_with_qsn(0, 2, 2)[0] == 2
     dim, residuals = coend_with_qsn(1, 2, 1)

@@ -337,22 +337,63 @@ def _negated(coords):
 
 
 def test_dg_square_fails_on_a_sign_error_in_the_left_action(monkeypatch):
-    # check_dg_square runs the helper behind delta1_act_left, so a bug in
+    # check_dg_square runs the left composite behind delta1_act_left, so a bug in
     # the public action must fail the check
-    act_left = mudelta._act_left
-    monkeypatch.setattr(mudelta, "_act_left", lambda g, w: _negated(act_left(g, w)))
+    composite = mudelta._left_composite
+    monkeypatch.setattr(mudelta, "_left_composite", lambda g, y: _negated(composite(g, y)))
     z = iota(4)
     assert delta1_act_left(identity(3), z) == -z
     assert not check_dg_square(4, 3, 2)
 
 
+def _negated_term(term):
+    return lambda x: _negated(term(x))
+
+
 def test_dg_square_fails_on_a_sign_error_in_the_right_action(monkeypatch):
-    # the mirror of the left-action mutant: check_dg_square runs the helper
-    # behind delta1_act_right
-    act_right = mudelta._act_right
-    monkeypatch.setattr(mudelta, "_act_right", lambda z, f: _negated(act_right(z, f)))
+    # the mirror of the left-action mutant: check_dg_square runs the right
+    # term behind delta1_act_right
+    right_term = mudelta._right_term
+    monkeypatch.setattr(mudelta, "_right_term",
+                        lambda F, b, t: _negated_term(right_term(F, b, t)))
     z = iota(4)
     assert delta1_act_right(z, identity(4)) == -z
+    assert not check_dg_square(4, 3, 2)
+
+
+def test_dg_square_fails_on_one_wrong_left_composite(monkeypatch):
+    # flip g o y' for the one y' = identity of Hom(3, 3): only the delta1(4, 3)
+    # elements (a, y') with that y' are acted on wrongly
+    composite, ident = mudelta._left_composite, hom_basis(3, 3)[0]
+    assert ident == BasisMorphism(3, 3, (1, 2, 3), (0, 0, 0))
+    monkeypatch.setattr(mudelta, "_left_composite",
+                        lambda g, y: _negated(composite(g, y)) if y == ident else composite(g, y))
+    z = iota(4)                                    # (4, identity of Hom(3, 3))
+    assert delta1_act_left(identity(3), z) == -z
+    for a, k, sign in [(1, 0, -1), (2, 0, -1), (4, 1, 1), (1, 5, 1)]:   # (a, hom_basis(3, 3)[k])
+        w = Delta1Elem(4, 3, {mudelta._delta1_indices(4, 3, a)[k]: 1})
+        assert delta1_act_left(identity(3), w) == w.scale(sign), (a, k)
+    assert not check_dg_square(4, 3, 2)
+
+
+def test_dg_square_fails_on_one_wrong_right_term(monkeypatch):
+    # flip the right term of the one pair (b, F) = (1, the first F of Hom(4, 3)
+    # that some mu_tilde(y) reaches): x . F is wrong for the x with lone input 1
+    # and right for every other x
+    right_term = mudelta._right_term
+    F = hom_basis(4, 3)[min(mudelta.mu_tilde_1_column(4, 3, 0))]
+    monkeypatch.setattr(mudelta, "_right_term",
+                        lambda G, b, t: _negated_term(right_term(G, b, t)) if (G, b) == (F, 1)
+                        else right_term(G, b, t))
+    f, seen = HomElem.from_basis(F), set()
+    for s in range(delta1_dim(3, 2)):
+        x = Delta1Elem(3, 2, {s: 1})
+        (b,), _, _ = mudelta._cut(delta1_basis(3, 2)[1][s], 3)
+        want = pi(compose(include_delta1(x), f))
+        got = delta1_act_right(x, f)
+        assert (got == want) == (b != 1 or want.is_zero()), (s, b)
+        seen.add((b, got == want))
+    assert (1, False) in seen and (2, True) in seen
     assert not check_dg_square(4, 3, 2)
 
 
@@ -370,8 +411,8 @@ def _pairwise_dg_square(m, n, t):
 
 
 def test_dg_square_matches_the_pairwise_loop():
-    cells = [(m, n, t) for m in range(5) for n in range(m + 1) for t in range(n + 1)]
-    assert len(cells) == 35
+    cells = [(m, n, t) for m in range(6) for n in range(m + 1) for t in range(n + 1)]
+    assert len(cells) == 56
     for cell in cells:
         assert check_dg_square(*cell) == _pairwise_dg_square(*cell), cell
 
