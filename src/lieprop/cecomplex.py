@@ -23,7 +23,8 @@ The chain map onto the two-term DG complex is the identity in degree 0,
 pi in degree 1 and zero above; the module provides the executable chain
 map conditions, homology dimensions, and the coend of the complex
 against the symmetric-group module supported at a single object (with
-its Yoneda oracle).
+its Yoneda oracle), also on representatives: one cached relation span
+per (n, m, t), `coend_relations`, with Hom(-, k) = CE_0(-, k).
 """
 
 import functools
@@ -31,11 +32,11 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose, emit,
+from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose_basis, emit,
                      first_occurrence, hom_basis, hom_dim, hom_index)
 from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, adjoint_append, delta1_dim, include_delta1, mu_tilde,
-                      mu_tilde_1, pi)
+                      mu_tilde_1, mu_tilde_1_column, pi)
 
 
 @functools.cache
@@ -149,12 +150,16 @@ def _diff_basis(bm, n, t):
     return out
 
 
+def _reps(m, n, t):
+    """The representatives of the S_t-orbits of hom_basis(m, n+t), in orbit order."""
+    basis, members = hom_basis(m, n + t), _orbits(m, n, t)[1]
+    return basis if members is None else [basis[orbit[0][0]] for orbit in members]
+
+
 @functools.cache
 def _diff_columns(m, n, t):
     """The integer columns fold(D(r)), one per representative r; read-only."""
-    basis, members = hom_basis(m, n + t), _orbits(m, n, t)[1]
-    reps = basis if members is None else [basis[orbit[0][0]] for orbit in members]
-    return tuple(_fold(_diff_basis(bm, n, t), _orbits(m, n, t - 1)[0]) for bm in reps)
+    return tuple(_fold(_diff_basis(bm, n, t), _orbits(m, n, t - 1)[0]) for bm in _reps(m, n, t))
 
 
 def ce_diff(m, n, t, x):
@@ -226,22 +231,20 @@ def ce_to_dgcat(m, n):
             "ok": retraction and compat and d2_kill}
 
 
-def coend_relations(space_of, n, low):
-    """Echelon span of { x o phi : x in space_of(a), phi in Hom(n, a), a < n }.
-
-    space_of(a) yields HomElems with source arity a; `low` bounds the
-    arities a from below (the space is zero under it).  Stops early once
-    the relations fill the whole target subspace.
-    """
-    ech = Echelon()
-    cap = len(space_of(n))
-    for a in range(low, n):
-        xs = space_of(a)
-        if not xs:
-            continue
-        for x in xs:
-            for bm in hom_basis(n, a):
-                ech.add(compose(x, HomElem.from_basis(bm)).coords)
+@functools.cache
+def coend_relations(n, m, t):
+    """Echelon of the relations of CE_t(-, m) tensored over the PROP with Q[S_n] at
+    object n: fold(r o phi) for every representative r of CE_t(a, m), m + t <= a < n,
+    and basis phi of Hom(n, a), stopping once they fill CE_t(n, m); cached, read-only.
+    This is the span of the x o phi in representative coordinates: fold(x o phi) =
+    t! fold(r o phi) for x the orbit sum of r, as precomposition commutes with S_t on
+    the outputs, and fold is injective on the image of e_t."""
+    _check_arities(n, m, t)
+    ech, cap, where = Echelon(), ce_dim(n, m, t), _orbits(n, m, t)[0]
+    for a in range(m + t, n):
+        for r in _reps(a, m, t):
+            for phi in hom_basis(n, a):
+                ech.add(_fold(compose_basis(r, phi), where))
                 if ech.rank == cap:
                     return ech
     return ech
@@ -251,35 +254,21 @@ def coend_with_qsn(t, n, m):
     """CE_t tensored over the PROP with the S_n group algebra at object n,
     evaluated at left slot m.
 
-    Returns (dimension, residual rows of the induced differential); the
-    rows are canonical representatives and are all zero exactly when the
-    induced differential vanishes.
+    Returns (dimension, residual rows of the induced differential): the columns
+    `_diff_columns(n, m, t)` reduced modulo `coend_relations(n, m, t-1)`, in
+    representative coordinates (d(basis_k) = t * expand(column_k)).  The rows are
+    canonical and all zero exactly when the induced differential vanishes.
     """
-    def space(a):
-        return ce_basis(a, m, t)
-
-    rel = coend_relations(space, n, m + t)
-    dim = len(space(n)) - rel.rank
-    residuals = []
-    if t >= 1:
-        def space_prev(a):
-            return ce_basis(a, m, t - 1)
-
-        rel_prev = coend_relations(space_prev, n, m + t - 1)
-        for x in space(n):
-            residuals.append(rel_prev.reduce(ce_diff(n, m, t, x).coords))
-    return dim, residuals
+    dim = ce_dim(n, m, t) - coend_relations(n, m, t).rank
+    if t < 1:
+        return dim, []
+    return dim, list(map(coend_relations(n, m, t - 1).reduce, _diff_columns(n, m, t)))
 
 
 def coend_yoneda(k, n):
     """Dimension of Hom(-, k) tensored with the S_n module: n! iff k = n."""
     _check_arities(k, n)
-
-    def space(a):
-        return [HomElem(a, k, {i: 1}) for i in range(hom_dim(a, k))]
-
-    rel = coend_relations(space, n, k)
-    return len(space(n)) - rel.rank
+    return hom_dim(n, k) - coend_relations(n, k, 0).rank
 
 
 def check_H_ce_QSn(n):
@@ -315,12 +304,8 @@ def naturality_check(n):
     """
     _check_arities(n)
     for m in range(n):
-        def space0(a):
-            return [HomElem(a, m, {i: 1}) for i in range(hom_dim(a, m))]
-
-        rel0 = coend_relations(space0, n, m)
+        rel0 = coend_relations(n, m, 0)
         for s in range(delta1_dim(n, m)):
-            v = mu_tilde_1(Delta1Elem(n, m, {s: 1}))
-            if rel0.reduce(v.coords):
+            if rel0.reduce(mu_tilde_1_column(n, m, s)):
                 return False
     return True

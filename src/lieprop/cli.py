@@ -1,7 +1,8 @@
 """Command-line driver: dimension tables, verification suites, homology
 tables and basis exports, with machine-readable output.
 
-Exit codes: 0 all checks pass, 1 verification failure, 2 usage error.
+Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
+(among them an --out that is a directory or whose directory does not exist).
 The environment variable LIEPROP_WORKERS caps the number of worker
 processes used to fan homology cells out in parallel (default 1); a
 value that is not an integer >= 1 is a usage error.
@@ -44,6 +45,9 @@ class RunConfig:
             self.suites = SUITES
         if self.format not in ("json", "csv", "text"):
             raise ValueError("unknown format %r" % self.format)
+        out_dir = os.path.dirname(self.out or "") or "."
+        if self.out and (os.path.isdir(self.out) or not os.path.isdir(out_dir)):
+            raise ValueError("--out must name a file in an existing directory, got %r" % self.out)
 
     def as_dict(self):
         return {"max_m": self.max_m, "suites": list(self.suites),

@@ -263,10 +263,11 @@ def _glue(m, p, fib, tree):
     return out
 
 
+@functools.cache
 def _delta1_indices(m, p, a):
     """The delta1(m, p) index of (a, y') for each basis y' of Hom(m-1, p), in order."""
     back = _delta1_position(m, p)
-    return [back[k] for k in _glue(m, p, (a,), 0)]
+    return tuple(back[k] for k in _glue(m, p, (a,), 0))
 
 
 def _left_composite(g, y):
@@ -288,11 +289,11 @@ def _right_term(F, b, t):
 
 def _act_left(g, z):
     """Coordinates of (g boxplus 1) o y: `_left_composite` glued back at a."""
-    zb, back, out = delta1_basis(z.m, z.n)[1], _delta1_position(z.m, g.n), {}
+    zb, out = delta1_basis(z.m, z.n)[1], {}
     for s, c in z.coords.items():
-        fib, tree, y = _cut(zb[s], z.n + 1)
-        up = _glue(z.m, g.n, fib, tree)
-        axpy(out, {back[up[j]]: v for j, v in _left_composite(g, y).items()}, c)
+        (a,), _, y = _cut(zb[s], z.n + 1)
+        up = _delta1_indices(z.m, g.n, a)
+        axpy(out, {up[j]: v for j, v in _left_composite(g, y).items()}, c)
     return out
 
 
@@ -325,10 +326,10 @@ def delta1_act_right(z, f):
 def delta1_act_in_column(m, n, s, tau):
     """delta1_act_in of the basis element s of delta1(m, n), tau a checked tuple:
     y' o tau' in Hom(m-1, n) with the lone input glued back at tau^{-1}(a)."""
-    (a,), tree, y = _cut(delta1_basis(m, n)[1][s], n + 1)
-    up, back = _glue(m, n, (tau.index(a) + 1,), tree), _delta1_position(m, n)
+    (a,), _, y = _cut(delta1_basis(m, n)[1][s], n + 1)
+    up = _delta1_indices(m, n, tau.index(a) + 1)
     image = _act_in_basis(y, tuple(t - (t > a) for t in tau if t != a))
-    return {back[up[j]]: c for j, c in image.items()}
+    return {up[j]: c for j, c in image.items()}
 
 
 def delta1_act_in(z, tau):

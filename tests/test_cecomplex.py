@@ -7,10 +7,10 @@ from math import factorial
 import pytest
 
 from lieprop import cecomplex
-from lieprop.catlie import BasisMorphism, HomElem, hom_basis, hom_dim, hom_index
+from lieprop.catlie import BasisMorphism, HomElem, compose, hom_basis, hom_dim, hom_index
 from lieprop.cli import suite_ce
 from lieprop.cecomplex import (ce_basis, ce_diff, ce_dim, ce_homology_dims,
-                               ce_to_dgcat, check_H_ce_QSn, coend_with_qsn,
+                               ce_to_dgcat, check_H_ce_QSn, coend_relations, coend_with_qsn,
                                coend_yoneda, e_t_apply, naturality_check)
 from lieprop.dgcat import homology_cell
 from lieprop.exactla import Echelon, axpy, combine
@@ -327,6 +327,43 @@ def test_coend_yoneda_rejects_negative_arities():
             coend_yoneda(*cell)
 
 
+def _coend_relations_by_definition(n, m, t):
+    """Reference span: x o phi for every ce_basis element x of CE_t(a, m), m + t <= a < n,
+    and every basis phi of Hom(n, a), in full coordinates of Hom(n, m+t), through the
+    general `compose`; stops once the rank reaches dim CE_t(n, m)."""
+    ech, cap = Echelon(), ce_dim(n, m, t)
+    for a in range(m + t, n):
+        for x in ce_basis(a, m, t):
+            for phi in hom_basis(n, a):
+                ech.add(compose(x, HomElem.from_basis(phi)).coords)
+                if ech.rank == cap:
+                    return ech
+    return ech
+
+
+def test_coend_relations_match_the_definition_n5():
+    cells = [(n, m, t) for n in range(6) for m in range(n + 1) for t in range(n - m + 1)]
+    assert len(cells) == 56
+    for n, m, t in cells:
+        got, want = coend_relations(n, m, t), _coend_relations_by_definition(n, m, t)
+        assert got.rank == want.rank, (n, m, t)
+        # fold is injective on the image of e_t, and expand maps representative
+        # coordinates back into it: each span holds the rows of the other
+        where, members = cecomplex._orbits(n, m, t)
+        for _, row, _ in want.rows:
+            assert not got.reduce(cecomplex._fold(row, where)), (n, m, t)
+        for _, row, _ in got.rows:
+            assert not want.reduce(cecomplex._expand(row, members, 1)), (n, m, t)
+
+
+def test_coend_relations_are_built_once_per_cell():
+    # the 15 cells (4, m, t) with m + t <= 4, shared by the degree-t and degree-(t+1)
+    # coends, the Yoneda oracle and the naturality check
+    coend_relations.cache_clear()
+    assert check_H_ce_QSn(4) and naturality_check(4)
+    assert coend_relations.cache_info().misses == 15
+
+
 def test_coend_dims_n2():
     assert coend_with_qsn(0, 2, 2)[0] == 2
     dim, residuals = coend_with_qsn(1, 2, 1)
@@ -355,7 +392,9 @@ def test_naturality_small():
 
 def test_checks_reject_negative_arities():
     for call in (lambda: ce_to_dgcat(-1, 0), lambda: ce_to_dgcat(2, -1),
-                 lambda: check_H_ce_QSn(-1), lambda: naturality_check(-1)):
+                 lambda: check_H_ce_QSn(-1), lambda: naturality_check(-1),
+                 lambda: coend_relations(-1, 0, 0), lambda: coend_relations(3, -1, 1),
+                 lambda: coend_relations(3, 1, -1)):
         with pytest.raises(ValueError, match="arities must be >= 0"):
             call()
 

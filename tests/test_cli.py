@@ -179,6 +179,25 @@ def test_invalid_workers_usage_error(capsys, monkeypatch, value):
     assert "LIEPROP_WORKERS" in captured.err
 
 
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_usage_error(capsys, monkeypatch, tmp_path, target):
+    # found before any work starts, not as a traceback with the failure exit code
+    import lieprop.cli as cli_mod
+
+    def no_work(max_m):
+        raise AssertionError("the homology table was computed")
+
+    monkeypatch.setattr(cli_mod, "_homology_cells", no_work)
+    path = tmp_path / "nowhere" / "x.json" if target == "missing directory" else tmp_path
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--max-m", "3", "--out", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert not (tmp_path / "nowhere").exists()
+
+
 @pytest.mark.parametrize("flag", ["--m", "--n", "--t"])
 def test_export_basis_rejects_negative_sizes(capsys, flag):
     argv = {"--m": "2", "--n": "1", "--t": "0"}
