@@ -9,13 +9,11 @@ value that is not an integer >= 1 is a usage error.
 """
 
 import argparse
-import csv
 import io
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import cecomplex, dgcat, mudelta, schur_oracle
 from .catlie import HomElem, boxplus, compose, hom_basis, hom_dim, identity
@@ -24,16 +22,12 @@ from .mudelta import delta1_basis, delta1_dim
 SUITES = ("catlie", "mudelta", "dg", "ce", "qsn", "oracle")
 
 
-@dataclass
 class RunConfig:
-    max_m: int = 4
-    suites: tuple = ()
-    format: str = "text"
-    seed: int = 0
-    out: str = None
-    trials: int = 100
+    """The options of one command, validated; "all" or no suite means every suite."""
 
-    def __post_init__(self):
+    def __init__(self, max_m=4, suites=(), format="text", seed=0, out=None, trials=100):
+        self.max_m, self.suites, self.format = max_m, suites, format
+        self.seed, self.out, self.trials = seed, out, trials
         if self.max_m < 1:
             raise ValueError("--max-m must be >= 1")
         if self.trials < 0:
@@ -272,6 +266,7 @@ def _emit(config, payload, rows, header):
     if config.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif config.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

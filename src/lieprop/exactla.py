@@ -11,15 +11,15 @@ sparse ``{column: int}`` dicts kept primitive (coprime integer entries,
 positive pivot in the row's smallest column).  The arithmetic is ints
 end to end: a vector of ints goes straight into elimination, and only
 a vector holding Fractions is first cleared of denominators (times the
-lcm of its denominators).  Each step cross-multiplies
-(``r <- a*r - b*row``), and a new row is divided by its content, which
-keeps coefficients small without ever rounding.  `kernel`
-back-substitutes to reduced row echelon form and reads one kernel
-vector off each free column, scaled by the lcm of the pivot entries it
-meets, so it builds no Fraction either.  `Echelon.reduce` returns the
-canonical representative of a vector modulo the span (the unique one
-vanishing on all pivot columns); it eliminates in ints and divides
-once at the end, so it returns ints whenever that division is exact.
+lcm of its denominators).  An untracked step is the gcd-reduced
+``r <- (a/g)*r - (b/g)*row``, g = gcd(a, b), and a new row is divided by
+its content, which keeps coefficients small without rounding.  `kernel`
+back-substitutes by the same step to reduced row echelon form and reads
+one kernel vector off each free column, scaled by the lcm of the pivot
+entries it meets, so it builds no Fraction either.  `Echelon.reduce`
+returns the canonical representative of a vector modulo the span (the
+unique one vanishing on all pivot columns); it eliminates in ints and
+divides once at the end, so it returns ints whenever that is exact.
 `in_span` is the one-shot membership test on tuples.  No function
 here mutates or returns a dict it was given.
 
@@ -234,8 +234,8 @@ class Echelon:
         """Untracked fraction-free elimination of the int dict r (owned by
         the caller) against the pivots it meets, smallest first.
 
-        Returns (r, P), with P the product of the pivot entries r was
-        multiplied by.
+        Entry b meets pivot entry a as ``r <- (a/g)*r - (b/g)*row``,
+        g = gcd(a, b).  Returns (r, P), with P the product of the a/g.
         """
         pivot_cols, rows = self.pivot_cols, self.rows
         heap = [p for p in r if p in pivot_cols]
@@ -247,7 +247,8 @@ class Echelon:
             if not b:
                 continue
             row = rows[pivot_cols[p]][1]
-            a = row[p]
+            g = gcd(row[p], b)
+            a, b = row[p] // g, b // g
             if a != 1:
                 r = {j: a * v for j, v in r.items()}
                 scale *= a
@@ -295,9 +296,9 @@ class Echelon:
         already reduced.  A vector holding Fractions is cleared to ints
         (times the lcm L of its denominators; L = 1 for ints) and
         eliminated in ints, which scales it by the product P of the
-        pivots used.  The entries are divided by L * P once, at the end:
-        they stay ints when L * P divides all of them, and are Fractions
-        otherwise.  Does not insert.
+        multipliers of `_clear_pivots`.  The entries are divided by L * P
+        once, at the end: they stay ints when L * P divides all of them,
+        and are Fractions otherwise.  Does not insert.
         """
         den, r = _int_vector(vec)
         r, scale = self._clear_pivots(r)
@@ -353,7 +354,8 @@ def kernel(columns):
         r = row
         for q in [c for c in row if c in reduced]:
             red = reduced[q]
-            a, b = red[q], r[q]
+            g = gcd(red[q], r[q])
+            a, b = red[q] // g, r[q] // g
             if a != 1 or r is row:
                 r = {j: a * v for j, v in r.items()}
             axpy(r, red, -b)

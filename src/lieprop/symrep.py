@@ -167,24 +167,27 @@ def block_ranks(matrix, n):
     rho_lambda(M) has sum_sigma c_sigma rho_lambda(sigma)[a][b] in row (j, a)
     and column (i, b), c_sigma the coefficient of sigma in M_ji.  By Wedderburn,
     x -> xM on Q[S_n]^r has rank sum_lambda d_lambda * rank rho_lambda(M).
-    Each block is one untracked echelon of the int matrices of `rho_cleared`.
+    Each block is one untracked echelon of the nonzero entries of `rho_cleared`,
+    stopped at full column rank: d_lambda times the number of indices i in M.
     """
     sigmas = {s for row in matrix for entry in row.values() for s in entry}
+    cols = len({i for row in matrix for i in row})
     ranks = {}
     for shape in _partitions(n):
         d = dim(shape)
-        mats = rho_cleared(shape, sigmas)
+        entries = {s: [(a, b, x) for a, r in enumerate(rows) for b, x in enumerate(r) if x]
+                   for s, rows in rho_cleared(shape, sigmas).items()}
         ech = Echelon()
         for row in matrix:
             block = [{} for _ in range(d)]
             for i, entry in row.items():
-                (s, c), *more = entry.items()
-                acc = [[c * x for x in r] for r in mats[s]]
-                for s, c in more:
-                    acc = [[y + c * x for y, x in zip(ra, r)] for ra, r in zip(acc, mats[s])]
-                for vec, r in zip(block, acc):
-                    vec.update((i * d + b, x) for b, x in enumerate(r) if x)
-            for vec in block:
+                for s, c in entry.items():
+                    for a, b, x in entries[s]:
+                        vec, k = block[a], i * d + b
+                        vec[k] = vec.get(k, 0) + c * x
+            for vec in block:       # `add` drops the entries that cancelled
                 ech.add(vec)
+            if ech.rank == d * cols:
+                break
         ranks[shape] = ech.rank
     return ranks

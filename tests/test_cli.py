@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lieprop
 from lieprop import cecomplex
-from lieprop.cli import RunConfig, build_parser, main
+from lieprop.cli import SUITES, RunConfig, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -29,6 +33,26 @@ def test_runconfig_defaults_to_all_suites():
     assert set(cfg.suites) == {"catlie", "mudelta", "dg", "ce", "qsn", "oracle"}
     cfg = RunConfig(suites=("all",))
     assert set(cfg.suites) == {"catlie", "mudelta", "dg", "ce", "qsn", "oracle"}
+
+
+def test_runconfig_keeps_its_keywords_and_as_dict():
+    cfg = RunConfig(max_m=3, suites=("ce",), format="json", seed=5, trials=7)
+    assert (cfg.max_m, cfg.suites, cfg.format, cfg.seed, cfg.out, cfg.trials) == \
+        (3, ("ce",), "json", 5, None, 7)
+    assert cfg.as_dict() == {"max_m": 3, "suites": ["ce"], "format": "json", "seed": 5,
+                             "trials": 7}
+    assert RunConfig().as_dict() == {"max_m": 4, "suites": list(SUITES), "format": "text",
+                                     "seed": 0, "trials": 100}
+
+
+def test_cli_import_loads_neither_dataclasses_nor_csv():
+    # `python -S`: no site packages, so only lieprop's own imports load modules
+    src = os.path.dirname(os.path.dirname(lieprop.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import lieprop.cli; "
+            "print(sorted({'dataclasses', 'csv'} & set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_dims_csv_contains_spot_row(capsys):

@@ -16,6 +16,7 @@ from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis,
                              delta1_dim, iota, mu, mu_tilde_1)
 
 M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
+M8 = json.loads(Path(__file__).with_name("homology_m8.json").read_text())["homology"]
 
 
 def _random_dghom(rng, m, n):
@@ -400,3 +401,11 @@ def test_homology_m7_pinned():
         cell = homology_cell(m, n)
         assert (cell.h0_dim, cell.h1_dim) == (h0, h1)
     assert (homology_cell(7, 0).h0_dim, homology_cell(7, 0).h1_dim) == (0, 0)
+
+
+def test_homology_m8_pinned_table_is_consistent():
+    # the file only: the cells themselves take a CI step, not Tier-1
+    assert [(m, n) for m, n, _, _ in M8] == [(8, n) for n in range(1, 9)]
+    for m, n, h0, h1 in M8:
+        assert 0 <= h0 <= hom_dim(m, n) and 0 <= h1 <= delta1_dim(m, n), (m, n)
+        assert h0 - h1 == hom_dim(m, n) - delta1_dim(m, n), (m, n)

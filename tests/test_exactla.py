@@ -295,6 +295,44 @@ def test_untracked_echelon_matches_insertion_order_pass(kind):
             assert ech.reduce(vec) == ref.reduce(vec)
 
 
+def test_clear_pivots_scales_by_pivot_over_gcd():
+    ech = Echelon()
+    ech.add({0: 4, 1: 1})
+    # b = 6 against the pivot 4: g = 2, so r <- 2*r - 3*row
+    assert ech._clear_pivots({0: 6, 1: 1}) == ({1: -1}, 2)
+    assert ech.reduce({0: 6, 1: 1}) == {1: Fraction(-1, 2)}
+    # b = 8: the pivot divides it, so r is not re-scaled at all
+    assert ech._clear_pivots({0: 8, 2: 1}) == ({1: -2, 2: 1}, 1)
+    assert ech.reduce({0: 8, 2: 1}) == {1: -2, 2: 1}
+
+
+def test_working_entries_stay_bounded_when_every_pivot_is_two(monkeypatch):
+    # rows 2 e_k + 2 e_{k+1} + e_t: clearing pivot k brings in pivot k + 1 with
+    # an even entry, so a vector on column 0 meets all of them in turn
+    size, t = 40, 41
+    ech, ref = Echelon(), _InsertionOrderEchelon()
+    for k in range(size):
+        assert ech.add({k: 2, k + 1: 2, t: 1}) and ref.add({k: 2, k + 1: 2, t: 1})
+    assert {row[p] for p, row, _ in ech.rows} == {2}
+    largest = [0]
+
+    def watched_axpy(out, vec, c=1):
+        res = axpy(out, vec, c)
+        largest[0] = max([largest[0], abs(c)] + [abs(v) for v in res.values()])
+        return res
+
+    monkeypatch.setattr(exactla, "axpy", watched_axpy)
+    # b = 2 at every pivot: no re-scaling; b = 1 at pivot 0: one factor 2, then b = 2
+    for vec, scale in (({0: 2}, 1), ({0: 1}, 2), ({0: 2, 5: -4, 17: 6}, 1)):
+        largest[0] = 0
+        r, got = ech._clear_pivots(dict(vec))
+        assert got == scale and largest[0] <= 8
+        assert not any(p in r for p in ech.pivot_cols)
+        assert ech.reduce(vec) == ref.reduce(vec)
+    # the plain step r <- a*r - b*row doubles r at each of the 40 pivots
+    assert ref._pass({0: 2})[1] == 2 ** size
+
+
 def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
     out = {0: 2, 1: Fraction(1, 3), 3: 1}
     res = axpy(out, {0: 1, 1: Fraction(1, 6), 2: 4}, -2)

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from lieprop import symrep
 from lieprop.exactla import Echelon
 from lieprop.symrep import (_partitions, block_ranks, dim, reduced_word, rho, rho_cleared,
                             standard_tableaux)
@@ -181,3 +182,69 @@ def test_block_ranks_match_the_regular_representation():
             assert set(ranks) == set(_partitions(n))
             assert sum(dim(shape) * r for shape, r in ranks.items()) == \
                 _regular_rank(rows, n), (n, rows)
+
+
+def _block_rank(rows, shape, stop=None):
+    """Rank of the first `stop` block rows rho_lambda(M_j), each built from
+    the Fraction matrices of `rho`."""
+    d = dim(shape)
+    ech = Echelon()
+    for row in rows[:stop]:
+        for a in range(d):
+            vec = {}
+            for i, entry in row.items():
+                for sigma, c in entry.items():
+                    for b, x in enumerate(_matrix(shape, sigma)[a]):
+                        vec[(i, b)] = vec.get((i, b), 0) + c * x
+            ech.add({k: x for k, x in vec.items() if x})
+    return ech.rank
+
+
+def test_block_ranks_stop_at_full_column_rank_exactly(monkeypatch):
+    # seeded matrices over Z[S_n] with more rows than columns; each entry
+    # carries a factor 1 +- s with probability 1/2, so some blocks reach
+    # full column rank before their last row, some only at it, some never
+    echelons = []
+
+    class CountingEchelon(Echelon):
+        def __init__(self):
+            super().__init__()
+            self.adds = 0
+            echelons.append(self)
+
+        def add(self, vec):
+            self.adds += 1
+            return super().add(vec)
+
+    monkeypatch.setattr(symrep, "Echelon", CountingEchelon)
+    rng = random.Random(21)
+    seen = set()
+    for n in range(1, 5):
+        perms = _perms(n)
+
+        def elem():
+            return {p: rng.choice([-2, -1, 1, 2]) for p in rng.sample(perms, min(3, len(perms)))}
+
+        for _ in range(12):
+            factor = {perms[0]: 1}
+            if n >= 2:
+                factor[_transposition(n, rng.randint(1, n - 1))] = rng.choice([-1, 1])
+            cols = rng.randint(1, 2)
+            rows = [{i: _times(factor, elem()) if rng.random() < 0.5 else elem()
+                     for i in range(cols)} for _ in range(cols + rng.randint(1, 2))]
+            rows = [{i: e for i, e in row.items() if e} for row in rows]
+            cols = len({i for row in rows for i in row})
+            echelons.clear()
+            ranks = block_ranks(rows, n)
+            assert sum(dim(shape) * r for shape, r in ranks.items()) == \
+                _regular_rank(rows, n), (n, rows)
+            for shape, ech in zip(_partitions(n), echelons):
+                d = dim(shape)
+                assert ranks[shape] == _block_rank(rows, shape), (shape, rows)
+                # the rows fed: all of them unless a prefix is of full column rank
+                used = next((k for k in range(1, len(rows) + 1)
+                             if _block_rank(rows, shape, k) == d * cols), len(rows))
+                assert ech.adds == d * used, (shape, rows)
+                seen.add("before" if used < len(rows) else
+                         "at last" if ranks[shape] == d * cols else "short")
+    assert seen == {"before", "at last", "short"}
