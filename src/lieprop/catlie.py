@@ -16,7 +16,7 @@ is coordinate equality; `act_in` does neither (its docstring).
 
 import functools
 import itertools
-from math import factorial
+from math import factorial, prod
 from typing import NamedTuple
 
 from . import freelie
@@ -81,14 +81,38 @@ def stirling_cycle(m, n):
     return row[n]
 
 
+def tree_tuples(f, n):
+    """The tree indices of the basis morphisms on the value list f, in basis order."""
+    return itertools.product(*[range(freelie.lie_dim(len(fib))) for fib in fibers(f, n)])
+
+
 @functools.cache
 def hom_basis(m, n):
     out = []
     for f in surjections(m, n):
-        ranges = [range(freelie.lie_dim(len(fib))) for fib in fibers(f, n)]
-        for trees in itertools.product(*ranges):
+        for trees in tree_tuples(f, n):
             out.append(BasisMorphism(m, n, f, trees))
     return tuple(out)
+
+
+@functools.cache
+def orbit_offsets(m, n):
+    """{f: (offset, strides)} over the value lists f of the S_n-orbit
+    representatives of Hom(m, n), in lexicographic order, built with no
+    basis table.  Each new output of f is the next one, so the outputs first
+    occur in increasing order and `first_occurrence` fixes (f, trees) for
+    every trees.  Listed in basis order, the representative (f, trees) is
+    number offset + sum_k trees[k] * strides[k]."""
+    lists = [()]
+    for _ in range(m):
+        lists = [f + (v,) for f in lists for v in range(1, min(max(f, default=0) + 1, n) + 1)]
+    out, offset = {}, 0
+    for f in lists:
+        if max(f, default=0) == n:
+            sizes = [freelie.lie_dim(f.count(v)) for v in range(1, n + 1)]
+            out[f] = (offset, tuple(prod(sizes[k + 1:]) for k in range(n)))
+            offset += prod(sizes)
+    return out
 
 
 @functools.cache

@@ -17,26 +17,28 @@ built only when something reads it, then cached per cell.
   (orbit representatives by `catlie.first_occurrence`), and mu_tilde_1
   commutes with it, so its columns on the delta1 representatives form
   a matrix M over Z[S_n], ranked per partition by `symrep.block_ranks`.
-  The blocks also give the multiplicity of each irreducible V_lambda in
-  H0 and in H1.
+  M is built on the representatives alone (`_block_matrix`), so the
+  dimensions build no basis table, index or column cache.  The blocks
+  also give the multiplicity of each irreducible V_lambda in H0 and in H1.
 * The boundary data defining H0 is one untracked echelon of all the
-  columns of mu_tilde_1: H0 classes are handled as canonical reduced
-  representatives against it, so equality of classes is equality of
-  representatives.
+  columns of mu_tilde_1 on the full bases: H0 classes are handled as
+  canonical reduced representatives against it, so equality of classes
+  is equality of representatives.
 * The kernel basis spanning H1 is built by `exactla.kernel` on the same
   columns.
 """
 
 import functools
 from math import factorial
+from operator import mul
 
 from . import symrep
-from .catlie import (HomElem, _check_arities, compose, compose_basis, first_occurrence,
-                     hom_basis, hom_dim, hom_index, identity)
-from .exactla import Echelon, axpy, combine, kernel
+from .catlie import (BasisMorphism, HomElem, _check_arities, compose, compose_basis,
+                     first_occurrence, hom_basis, hom_dim, identity, orbit_offsets)
+from .exactla import Echelon, combine, kernel
 from .mudelta import (Delta1Elem, _act_right, _delta1_indices, _left_composite,
-                      check_dg_square, delta1_act_left, delta1_act_right, delta1_basis,
-                      delta1_dim, mu, mu_tilde_1, mu_tilde_1_column)
+                      _mu_tilde_1_terms, check_dg_square, delta1_act_left, delta1_act_right,
+                      delta1_dim, delta1_representatives, mu, mu_tilde_1, mu_tilde_1_column)
 
 
 class DGHom:
@@ -127,8 +129,9 @@ def check_leibniz(m, n, p):
 class HomologyCell:
     """Homology data of one cell.  Every field is built on first read and
     cached per cell at module level: `rank`, `h0_dim`, `h1_dim` and
-    `multiplicities` from the S_n blocks, `boundaries` from the full
-    column echelon, `kernel` from the kernel basis."""
+    `multiplicities` from the S_n blocks on orbit representatives,
+    `boundaries` from the full column echelon, `kernel` from the kernel
+    basis."""
 
     __slots__ = ("m", "n")
 
@@ -184,35 +187,45 @@ def homology_cell(m, n):
 
 @functools.cache
 def _block_ranks(m, n):
-    """{lambda: rank rho_lambda(M)} over the partitions lambda of n; the
-    cached per-cell entry of `HomologyCell`.
+    """{lambda: rank rho_lambda(M)} over the partitions lambda of n, for M
+    the matrix of `_block_matrix`; the cached per-cell entry of
+    `HomologyCell`, ranked x -> xM on Q[S_n]^r block by block by
+    `symrep.block_ranks`."""
+    return symrep.block_ranks(_block_matrix(m, n), n)
+
+
+def _block_matrix(m, n):
+    """The rows of mu_tilde_1 as a matrix M over Z[S_n], built on the orbit
+    representatives only: no basis table, index or column cache.
 
     Post-composition with sigma in S_n permutes the bases of Hom(m, n)
     and of delta1(m, n) (through sigma + 1) freely, and mu_tilde_1 is
     S_n-equivariant, since sigma o mu(n) = mu(n) o (sigma + 1).  So
-    mu_tilde_1 on the delta1 orbit representatives r_j (the first n
-    outputs first occur in f in increasing order) determines it:
-    mu_tilde_1(r_j) = sum_i M_ji h_i with M_ji in Z[S_n], h_i the Hom
-    orbit representatives and i the Hom index of h_i, each term read
-    through `catlie.first_occurrence`.  This builds the rows of M, and
-    `symrep.block_ranks` ranks x -> xM on Q[S_n]^r block by block.
+    mu_tilde_1 on the delta1 representatives r_j
+    (`mudelta.delta1_representatives`, in basis order) determines it:
+    mu_tilde_1(r_j) = sum_i M_ji h_i with M_ji in Z[S_n] and h_i the Hom
+    representatives, numbered in basis order by `catlie.orbit_offsets`.
+    Row j is {i: {tau: coefficient}}.  Each term (f, trees) of
+    mu_tilde_1(r_j) is tau . h_i by `catlie.first_occurrence`, run once per
+    value list f on a probe whose trees are the output positions: it gives
+    tau, the representative's value list and where each tree goes.  The
+    action is free, so the terms of a row are distinct pairs (i, tau).
     """
-    ident = list(range(1, n + 1))       # first occurrences of 1..n in a representative
-    basis, index = hom_basis(m, n), hom_index(m, n)
-    orbit = {}                          # Hom index k -> (i, tau) with basis_k = tau . h_i
-    matrix = []                         # matrix[j] = {i: {tau: coefficient}}
-    for s, bm in enumerate(delta1_basis(m, n)[1]):
-        if [v for v in dict.fromkeys(bm.f) if v <= n] != ident:
-            continue
+    offsets, orbit, matrix = orbit_offsets(m, n), {}, []
+    positions = tuple(range(n))
+    for y in delta1_representatives(m, n):
         row = {}
-        for k, c in mu_tilde_1_column(m, n, s).items():
-            if k not in orbit:
-                tau, rep = first_occurrence(basis[k], 0, n)
-                orbit[k] = index[rep], tau
-            i, tau = orbit[k]
-            axpy(row.setdefault(i, {}), {tau: c})
-        matrix.append({i: entry for i, entry in row.items() if entry})
-    return symrep.block_ranks(matrix, n)
+        for f, terms in _mu_tilde_1_terms(y, n):
+            if f not in orbit:
+                tau, probe = first_occurrence(BasisMorphism(m, n, f, positions), 0, n)
+                offset, strides = offsets[probe.f]
+                # the tree of output p+1 is at output k+1 of the rep, k = probe.trees.index(p)
+                orbit[f] = tau, offset, [strides[probe.trees.index(p)] for p in range(n)]
+            tau, offset, weights = orbit[f]
+            for ts, c in terms:
+                row.setdefault(offset + sum(map(mul, ts, weights)), {})[tau] = c
+        matrix.append(row)
+    return matrix
 
 
 def _mu_columns(m, n):

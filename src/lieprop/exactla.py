@@ -34,9 +34,11 @@ package tracks: tracking stays as the reference the tests check
 untracked elimination against, and because the benchmark reports
 `Echelon.solve` and tracked `Echelon.add` as metrics of their own.
 
-`axpy` is the one sparse accumulate, `out += c * vec` with cancelled
-entries dropped, and `SparseElem` is the base of the element types of
-the downstream modules: sparse coordinates over the basis of one cell.
+`axpy` is the sparse accumulate, `out += c * vec` with cancelled
+entries dropped; only the untracked elimination step inlines it, to push
+the pivot columns it brings in during the same pass.  `SparseElem` is the
+base of the element types of the downstream modules: sparse coordinates
+over the basis of one cell.
 """
 
 import heapq
@@ -235,7 +237,9 @@ class Echelon:
         the caller) against the pivots it meets, smallest first.
 
         Entry b meets pivot entry a as ``r <- (a/g)*r - (b/g)*row``,
-        g = gcd(a, b).  Returns (r, P), with P the product of the a/g.
+        g = gcd(a, b); a pivot entry 1 takes no gcd.  One pass over the
+        row subtracts it and pushes the pivot columns it brings in.
+        Returns (r, P), with P the product of the a/g.
         """
         pivot_cols, rows = self.pivot_cols, self.rows
         heap = [p for p in r if p in pivot_cols]
@@ -247,15 +251,25 @@ class Echelon:
             if not b:
                 continue
             row = rows[pivot_cols[p]][1]
-            g = gcd(row[p], b)
-            a, b = row[p] // g, b // g
+            a = row[p]
             if a != 1:
-                r = {j: a * v for j, v in r.items()}
-                scale *= a
-            for j in row:
-                if j not in r and j in pivot_cols:
-                    heapq.heappush(heap, j)
-            axpy(r, row, -b)
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    r = {j: a * v for j, v in r.items()}
+                    scale *= a
+            for j, v in row.items():
+                old = r.get(j)
+                if old is None:             # r has no zero entries
+                    r[j] = -b * v
+                    if j in pivot_cols:
+                        heapq.heappush(heap, j)
+                else:
+                    old -= b * v
+                    if old:
+                        r[j] = old
+                    else:
+                        del r[j]
         return r, scale
 
     def add(self, vec):

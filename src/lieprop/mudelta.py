@@ -36,9 +36,12 @@ with a moved into the fiber of output j.  [T, a] is the comb (h, s_2, ...,
 s_k, a) if a > h, and 2^(k-1) combs +-(a, ...) if a < h (`freelie.bracket_leaf`).
 
 Distinct (j, comb) pairs are distinct basis morphisms of Hom(m, n), so
-each column is read off with no accumulation.  The columns are cached
-per delta1 basis element.  `cecomplex.ce_to_dgcat` certifies the closed
-form against the definition (its `mu_compat`).
+each column is read off with no accumulation.  One generator,
+`_mu_tilde_1_terms`, reads the closed form off a basis element with no
+table; `mu_tilde_1_column` looks its terms up in `hom_index` and is cached
+per delta1 basis element, and `dgcat` reads them on the S_n-orbit
+representatives (`delta1_representatives`).  `cecomplex.ce_to_dgcat`
+certifies the closed form against the definition (its `mu_compat`).
 
 pi: Hom(m, n+1) ->> delta1(m, n) is computed by the recursion
 
@@ -65,8 +68,8 @@ import functools
 
 from . import freelie
 from .catlie import (BasisMorphism, HomElem, _act_in_basis, _check_arities, as_perm,
-                     basis_trees, boxplus, compose, compose_basis, emit, hom_basis, hom_dim,
-                     hom_index, identity, perm_hom)
+                     basis_trees, boxplus, compose, compose_basis, emit, fibers, hom_basis,
+                     hom_dim, hom_index, identity, orbit_offsets, perm_hom, tree_tuples)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf
 
@@ -178,22 +181,43 @@ def iota(a):
     return Delta1Elem(a, a - 1, {index_of[bm]: 1})
 
 
+def delta1_representatives(m, n):
+    """The delta1(m, n) basis elements y = (a, y') that `catlie.first_occurrence`
+    fixes on the outputs 1..n, in basis order, built through the cut with no
+    table: y' runs over the Hom(m-1, n) representatives (`catlie.orbit_offsets`),
+    the lone input a over [m], and y has the trees of y' and the one-leaf tree
+    over n+1."""
+    if m < 1:
+        return
+    lists = sorted((g[:a - 1] + (n + 1,) + g[a - 1:], g)
+                   for g in orbit_offsets(m - 1, n) for a in range(1, m + 1))
+    for f, g in lists:
+        for trees in tree_tuples(g, n):
+            yield BasisMorphism(m, n + 1, f, trees + (0,))
+
+
+def _mu_tilde_1_terms(y, n):
+    """mu_tilde_1 of the delta1(m, n) basis element y in closed form (module
+    docstring), one (f, [(trees, coefficient), ...]) per output j <= n: a moves
+    into the fiber of j, which gives the value list f, and each comb of
+    [T_j, a] is one basis morphism (f, trees).  The one reading of the closed
+    form, for `mu_tilde_1_column` and for `dgcat`'s rows on representatives."""
+    a, ts = y.f.index(n + 1) + 1, y.trees
+    for j, fib in enumerate(fibers(y.f, n + 1)[:n]):
+        positions = freelie.comb_index(sorted(fib + (a,)))
+        yield y.f[:a - 1] + (j + 1,) + y.f[a:], [
+            (ts[:j] + (positions[w[1:]],) + ts[j + 1:n], c)
+            for c, w in bracket_leaf(freelie.leaves(freelie.lie_basis(fib)[ts[j]]), a)]
+
+
 @functools.cache
 def mu_tilde_1_column(m, n, s):
     """Coordinates of mu_tilde_1 of the delta1(m, n) basis element s, in
     closed form (module docstring).  Cached and shared between callers:
     the dict is read-only."""
-    bm = delta1_basis(m, n)[1][s]
-    trees = basis_trees(bm)
-    a = bm.f.index(n + 1) + 1
-    index = hom_index(m, n)
-    out = {}
-    for j in range(n):
-        word = freelie.leaves(trees[j])
-        positions = freelie.comb_index(sorted(word + (a,)))
-        f = bm.f[:a - 1] + (j + 1,) + bm.f[a:]
-        for c, w in bracket_leaf(word, a):
-            ts = bm.trees[:j] + (positions[w[1:]],) + bm.trees[j + 1:n]
+    index, out = hom_index(m, n), {}
+    for f, terms in _mu_tilde_1_terms(delta1_basis(m, n)[1][s], n):
+        for ts, c in terms:
             out[index[BasisMorphism(m, n, f, ts)]] = c
     return out
 

@@ -5,15 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from lieprop.catlie import (HomElem, act_out, compose, first_occurrence, hom_basis,
-                            hom_dim, hom_index, identity, perm_hom)
+from lieprop.catlie import (BasisMorphism, HomElem, act_out, compose, first_occurrence,
+                            hom_basis, hom_dim, hom_index, identity, orbit_offsets, perm_hom,
+                            tree_tuples)
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop import cecomplex, cli, dgcat, schur_oracle, symrep
-from lieprop.exactla import Echelon, in_span, primitive
-from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis,
-                             delta1_dim, iota, mu, mu_tilde_1)
+from lieprop import catlie, cecomplex, cli, dgcat, schur_oracle, symrep
+from lieprop.exactla import Echelon, axpy, in_span, primitive
+from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis, delta1_dim,
+                             delta1_representatives, iota, mu, mu_tilde_1, mu_tilde_1_column)
 
 M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
 M8 = json.loads(Path(__file__).with_name("homology_m8.json").read_text())["homology"]
@@ -331,23 +332,80 @@ def test_orbit_normal_form():
                 assert all(len(js) == factorial(t) for js in orbits.values()), (m, n, t)
 
 
-def test_block_ranks_read_the_orbit_representatives(monkeypatch):
-    # the first-occurrence filter of _block_ranks picks the delta1 elements
-    # that first_occurrence fixes, and reads only their columns
-    cells = [(m, n) for m in range(7) for n in range(m + 1)]
-    ranks = {cell: dgcat._block_ranks(*cell) for cell in cells}
-    read = []
-    column = dgcat.mu_tilde_1_column
-    monkeypatch.setattr(dgcat, "mu_tilde_1_column",
-                        lambda m, n, s: read.append((m, n, s)) or column(m, n, s))
-    want = []
+def _block_matrix_by_full_basis(m, n):
+    """The Z[S_n] rows of mu_tilde_1 read on the full bases: every delta1 element
+    whose outputs 1..n first occur in increasing order, in basis order, its
+    `mu_tilde_1_column`, and each term k mapped by `first_occurrence` to
+    (Hom index of its representative, tau).  Columns are full Hom indices."""
+    ident = list(range(1, n + 1))
+    basis, index = hom_basis(m, n), hom_index(m, n)
+    orbit, matrix = {}, []
+    for s, bm in enumerate(delta1_basis(m, n)[1]):
+        if [v for v in dict.fromkeys(bm.f) if v <= n] != ident:
+            continue
+        row = {}
+        for k, c in mu_tilde_1_column(m, n, s).items():
+            if k not in orbit:
+                tau, rep = first_occurrence(basis[k], 0, n)
+                orbit[k] = index[rep], tau
+            i, tau = orbit[k]
+            axpy(row.setdefault(i, {}), {tau: c})
+        matrix.append({i: entry for i, entry in row.items() if entry})
+    return matrix
+
+
+def _renumbered_full_basis_rows(m, n):
+    """`_block_matrix_by_full_basis` with each Hom index replaced by the number of
+    its representative among the representatives in basis order."""
+    ident = tuple(range(1, n + 1))
+    reps = [k for k, bm in enumerate(hom_basis(m, n)) if first_occurrence(bm, 0, n)[0] == ident]
+    number = {k: i for i, k in enumerate(reps)}
+    return [{number[k]: entry for k, entry in row.items()}
+            for row in _block_matrix_by_full_basis(m, n)]
+
+
+def test_orbit_representatives_are_the_basis_elements_first_occurrence_fixes():
+    delta1_reps = 0
+    for m in range(7):
+        for n in range(m + 2):
+            ident = tuple(range(1, n + 1))
+            fixed = [bm for bm in hom_basis(m, n) if first_occurrence(bm, 0, n) == (ident, bm)]
+            offsets = orbit_offsets(m, n)
+            reps = [BasisMorphism(m, n, f, trees) for f in offsets for trees in tree_tuples(f, n)]
+            assert reps == fixed, (m, n)
+            assert len(reps) * factorial(n) == hom_dim(m, n)
+            for i, bm in enumerate(reps):
+                offset, strides = offsets[bm.f]
+                assert offset + sum(t * s for t, s in zip(bm.trees, strides)) == i
+            fixed = [bm for bm in delta1_basis(m, n)[1] if first_occurrence(bm, 0, n) == (ident, bm)]
+            assert list(delta1_representatives(m, n)) == fixed, (m, n)
+            delta1_reps += len(fixed)
+    assert delta1_reps == 873
+
+
+def test_block_rows_on_representatives_equal_the_full_basis_reading():
+    cells = [(m, n) for m in range(7) for n in range(m + 2)]
+    assert {(0, 0), (1, 0), (6, 0), (3, 4), (6, 7)} <= set(cells)
+    rows = 0
     for m, n in cells:
-        ident = tuple(range(1, n + 1))
-        want += [(m, n, s) for s, bm in enumerate(delta1_basis(m, n)[1])
-                 if first_occurrence(bm, 0, n)[0] == ident]
-        assert dgcat._block_ranks.__wrapped__(m, n) == ranks[(m, n)]
-    assert read == want
-    assert len(read) == 873
+        matrix = dgcat._block_matrix(m, n)
+        assert matrix == _renumbered_full_basis_rows(m, n), (m, n)
+        rows += len(matrix)
+    assert rows == 873
+    assert dgcat._block_matrix(1, 0) == [{}]    # delta1(1, 0) is iota_1, and mu_tilde_1 kills it
+
+
+def test_homology_dims_build_no_full_basis_table():
+    cells = [(m, n) for m in range(7) for n in range(m + 1)]
+    want = {cell: (homology_cell(*cell).h0_dim, homology_cell(*cell).h1_dim,
+                   homology_cell(*cell).multiplicities) for cell in cells}
+    caches = [hom_basis, hom_index, delta1_basis, catlie.basis_trees, mu_tilde_1_column]
+    for cache in caches + [homology_cell, dgcat._block_ranks]:
+        cache.cache_clear()
+    for cell in cells:
+        hc = homology_cell(*cell)
+        assert (hc.h0_dim, hc.h1_dim, hc.multiplicities) == want[cell], cell
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 5
 
 
 def test_mu_tilde_1_is_equivariant():

@@ -205,8 +205,18 @@ def test_untracked_echelon_on_fractions_is_integer_only(kind, monkeypatch):
         assert all(type(v) is int for v in vec.values())
         return axpy(out, vec, c)
 
+    clear_pivots = Echelon._clear_pivots
+
+    def int_clear_pivots(self, r):
+        # the elimination step accumulates inline: ints in, ints out
+        assert all(type(v) is int for v in r.values())
+        out, scale = clear_pivots(self, r)
+        assert type(scale) is int and all(type(v) is int for v in out.values())
+        return out, scale
+
     # every accumulate inside add and reduce sees ints only
     monkeypatch.setattr(exactla, "axpy", int_axpy)
+    monkeypatch.setattr(Echelon, "_clear_pivots", int_clear_pivots)
     rng = random.Random({"frac": 21, "frac1": 22}[kind])
     for _ in range(30):
         width = rng.randint(1, 6)
@@ -314,23 +324,54 @@ def test_working_entries_stay_bounded_when_every_pivot_is_two(monkeypatch):
     for k in range(size):
         assert ech.add({k: 2, k + 1: 2, t: 1}) and ref.add({k: 2, k + 1: 2, t: 1})
     assert {row[p] for p, row, _ in ech.rows} == {2}
-    largest = [0]
+    largest, met = [0], [0]
 
-    def watched_axpy(out, vec, c=1):
-        res = axpy(out, vec, c)
-        largest[0] = max([largest[0], abs(c)] + [abs(v) for v in res.values()])
-        return res
+    def watched_gcd(a, b):
+        # every pivot entry is 2, so each step takes one gcd of it and the
+        # working entry b on the pivot column
+        met[0] += 1
+        largest[0] = max(largest[0], abs(a), abs(b))
+        return math.gcd(a, b)
 
-    monkeypatch.setattr(exactla, "axpy", watched_axpy)
+    monkeypatch.setattr(exactla, "gcd", watched_gcd)
     # b = 2 at every pivot: no re-scaling; b = 1 at pivot 0: one factor 2, then b = 2
     for vec, scale in (({0: 2}, 1), ({0: 1}, 2), ({0: 2, 5: -4, 17: 6}, 1)):
-        largest[0] = 0
+        largest[0] = met[0] = 0
         r, got = ech._clear_pivots(dict(vec))
-        assert got == scale and largest[0] <= 8
+        assert got == scale and met[0] >= 1
+        assert max([largest[0]] + [abs(v) for v in r.values()]) <= 8
         assert not any(p in r for p in ech.pivot_cols)
         assert ech.reduce(vec) == ref.reduce(vec)
     # the plain step r <- a*r - b*row doubles r at each of the 40 pivots
     assert ref._pass({0: 2})[1] == 2 ** size
+
+
+def test_clear_pivots_takes_no_gcd_when_every_pivot_entry_is_one(monkeypatch):
+    # rows e_k + 3 e_{k+1} - 2 e_t: a vector on column 0 meets every pivot in turn
+    size, t = 30, 31
+    ech, ref = Echelon(), _InsertionOrderEchelon()
+    for k in range(size):
+        assert ech.add({k: 1, k + 1: 3, t: -2}) and ref.add({k: 1, k + 1: 3, t: -2})
+    assert {row[p] for p, row, _ in ech.rows} == {1}
+    calls = []
+
+    def counted_gcd(*args):
+        calls.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(exactla, "gcd", counted_gcd)
+    for vec in ({0: 1}, {0: 5, 7: -2, 30: 4}, {3: -1, t: 6}, {0: 2, 1: -6, t: 4}):
+        r, scale = ech._clear_pivots(dict(vec))
+        assert scale == 1 and not any(p in r for p in ech.pivot_cols)
+        assert ech.reduce(vec) == ref.reduce(vec)
+    assert not ech.add({0: 1, 1: 3, 2: 2, 3: 6, t: -6, 32: 0})     # row 0 + 2 row 2: no new row
+    assert calls == []
+    # a pivot entry 2 takes one gcd at each step that meets it
+    ech.add({40: 2, 41: 1})
+    assert calls == [(2, 1)]                                    # the new row's content
+    del calls[:]
+    assert ech._clear_pivots({40: 3, 41: 1}) == ({41: -1}, 2)
+    assert calls == [(2, 3)]
 
 
 def test_axpy_accumulates_in_place_and_drops_cancelled_entries():
