@@ -112,6 +112,19 @@ def bracket_leaf(word, a):
     return out
 
 
+@functools.cache
+def bracket_leaf_table(k, t, r):
+    """[T, a] for T = lie_basis(S)[t], |S| = k, and a of rank r (1-based) among
+    the k+1 labels S | {a}, as (comb index over S | {a}, coefficient) pairs in
+    `bracket_leaf`'s order.  `comb_index` reads sorted labels, so the entry
+    depends only on this order pattern: it is computed once on 1..k+1 and
+    serves every label set.  Cached, so read-only."""
+    labels = tuple(range(1, k + 2))
+    positions = comb_index(labels)
+    word = leaves(lie_basis(labels[:r - 1] + labels[r:])[t])
+    return tuple((positions[w[1:]], c) for c, w in bracket_leaf(word, r))
+
+
 def basis_expansions(labels):
     """Expansions of the basis trees, cached per label set."""
     return _basis_expansions(tuple(labels))

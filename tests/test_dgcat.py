@@ -11,13 +11,14 @@ from lieprop.catlie import (BasisMorphism, HomElem, act_out, compose, first_occu
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop import catlie, cecomplex, cli, dgcat, schur_oracle, symrep
+from lieprop import catlie, cecomplex, cli, dgcat, freelie, schur_oracle, symrep
 from lieprop.exactla import Echelon, axpy, in_span, primitive
 from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis, delta1_dim,
                              delta1_representatives, iota, mu, mu_tilde_1, mu_tilde_1_column)
 
 M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
 M8 = json.loads(Path(__file__).with_name("homology_m8.json").read_text())["homology"]
+M9 = json.loads(Path(__file__).with_name("homology_m9.json").read_text())["homology"]
 
 
 def _random_dghom(rng, m, n):
@@ -395,6 +396,40 @@ def test_block_rows_on_representatives_equal_the_full_basis_reading():
     assert dgcat._block_matrix(1, 0) == [{}]    # delta1(1, 0) is iota_1, and mu_tilde_1 kills it
 
 
+def test_block_rows_keep_the_order_of_the_full_basis_reading():
+    # same rows as above, compared as item lists: the columns in each row and
+    # the (tau, coefficient) pairs in each entry come in the same order
+    for m in range(7):
+        for n in range(m + 2):
+            want = _renumbered_full_basis_rows(m, n)
+            for row, want_row in zip(dgcat._block_matrix(m, n), want, strict=True):
+                assert [(i, list(e.items())) for i, e in row.items()] == \
+                    [(i, list(e.items())) for i, e in want_row.items()], (m, n)
+
+
+def test_homology_reads_bracket_leaf_once_per_comb_pattern(monkeypatch, capsys):
+    # [T, a] depends only on (fiber size k, tree index t, rank r of a), so
+    # `homology --max-m 6` reads bracket_leaf once per pattern it meets,
+    # through `freelie.bracket_leaf_table`, and not once per term
+    bracket_leaf, seen = freelie.bracket_leaf, []
+
+    def counted(word, a):
+        seen.append((len(word), freelie.comb_index(sorted(word))[word[1:]],
+                     sorted(word + (a,)).index(a) + 1))
+        return bracket_leaf(word, a)
+
+    monkeypatch.setattr(freelie, "bracket_leaf", counted)
+    monkeypatch.setenv("LIEPROP_WORKERS", "1")
+    for cache in (freelie.bracket_leaf_table, homology_cell, dgcat._block_ranks):
+        cache.cache_clear()
+    assert cli.main(["homology", "--max-m", "6"]) == 0
+    capsys.readouterr()
+    assert len(seen) == len(set(seen)) == freelie.bracket_leaf_table.cache_info().currsize
+    # every k <= 5, t < (k-1)! and r <= k+1 is met
+    assert sorted(seen) == [(k, t, r) for k in range(1, 6) for t in range(factorial(k - 1))
+                            for r in range(1, k + 2)]
+
+
 def test_homology_dims_build_no_full_basis_table():
     cells = [(m, n) for m in range(7) for n in range(m + 1)]
     want = {cell: (homology_cell(*cell).h0_dim, homology_cell(*cell).h1_dim,
@@ -465,5 +500,13 @@ def test_homology_m8_pinned_table_is_consistent():
     # the file only: the cells themselves take a CI step, not Tier-1
     assert [(m, n) for m, n, _, _ in M8] == [(8, n) for n in range(1, 9)]
     for m, n, h0, h1 in M8:
+        assert 0 <= h0 <= hom_dim(m, n) and 0 <= h1 <= delta1_dim(m, n), (m, n)
+        assert h0 - h1 == hom_dim(m, n) - delta1_dim(m, n), (m, n)
+
+
+def test_homology_m9_pinned_rows_are_consistent():
+    # the file only: a CI step recomputes (9, 9), (9, 8) and (9, 7)
+    assert [(m, n) for m, n, _, _ in M9] == [(9, n) for n in range(9, 4, -1)]
+    for m, n, h0, h1 in M9:
         assert 0 <= h0 <= hom_dim(m, n) and 0 <= h1 <= delta1_dim(m, n), (m, n)
         assert h0 - h1 == hom_dim(m, n) - delta1_dim(m, n), (m, n)

@@ -549,6 +549,26 @@ def test_bracket_leaf_matches_normalize_tree():
     assert headless == 1 + 4 + 18 + 96
 
 
+def test_bracket_leaf_table_is_bracket_leaf_on_any_label_set():
+    # every (k, t, r) with k <= 6, on seeded increasing label sets besides 1..k+1
+    rng = random.Random(23)
+    entries = 0
+    for k in range(1, 7):
+        label_sets = [tuple(range(1, k + 2))]
+        label_sets += [tuple(sorted(rng.sample(range(-20, 40), k + 1))) for _ in range(3)]
+        for t in range(freelie.lie_dim(k)):
+            for r in range(1, k + 2):
+                entry = freelie.bracket_leaf_table(k, t, r)
+                for labels in label_sets:
+                    a, rest = labels[r - 1], labels[:r - 1] + labels[r:]
+                    positions = freelie.comb_index(labels)
+                    word = freelie.leaves(freelie.lie_basis(rest)[t])
+                    want = tuple((positions[w[1:]], c) for c, w in freelie.bracket_leaf(word, a))
+                    assert entry == want, (k, t, r, labels)
+                entries += 1
+    assert entries == 187 + 840
+
+
 def test_mu_tilde_1_closed_form_matches_composition_m6():
     elements = 0
     branches = {True: 0, False: 0}         # a < h_j, per (element, output j)
@@ -563,6 +583,33 @@ def test_mu_tilde_1_closed_form_matches_composition_m6():
                 elements += 1
     assert elements == 4672
     assert branches[True] and branches[False]
+
+
+def _mu_tilde_1_column_per_term(m, n, s):
+    """mu_tilde_1 of the delta1(m, n) basis element s with one `freelie.bracket_leaf`
+    call per output on the fiber's own labels, each comb looked up by `comb_index`
+    over the fiber and a, and each term in `hom_index`: the per-element reading
+    that `freelie.bracket_leaf_table` replaces."""
+    y = delta1_basis(m, n)[1][s]
+    a, ts, index, out = y.f.index(n + 1) + 1, y.trees, catlie.hom_index(m, n), {}
+    for j, fib in enumerate(catlie.fibers(y.f, n + 1)[:n]):
+        positions = freelie.comb_index(sorted(fib + (a,)))
+        f = y.f[:a - 1] + (j + 1,) + y.f[a:]
+        for c, w in freelie.bracket_leaf(freelie.leaves(freelie.lie_basis(fib)[ts[j]]), a):
+            out[index[BasisMorphism(m, n, f, ts[:j] + (positions[w[1:]],) + ts[j + 1:n])]] = c
+    return out
+
+
+def test_mu_tilde_1_columns_equal_the_per_term_reading_in_order():
+    elements = 0
+    for m in range(7):
+        for n in range(m + 1):
+            for s in range(delta1_dim(m, n)):
+                got = mudelta.mu_tilde_1_column(m, n, s)
+                assert list(got.items()) == list(_mu_tilde_1_column_per_term(m, n, s).items()), \
+                    (m, n, s)
+                elements += 1
+    assert elements == 4672
 
 
 def test_mu_tilde_1_columns_are_left_intact():
@@ -607,13 +654,14 @@ def fresh_columns():
 
 def test_mu_compat_certifies_the_closed_form(monkeypatch, fresh_columns):
     assert suite_mudelta(5, 0, 0) == (True, 56)
-    bracket_leaf = mudelta.bracket_leaf
+    table = mudelta.bracket_leaf_table
 
-    def wrong_sign(word, a):
-        terms = bracket_leaf(word, a)
-        return [(-c, w) for c, w in terms] if a < word[0] else terms
+    def wrong_sign(k, t, r):
+        # r = 1: a is below the head of T, the 2^(k-1)-comb branch of bracket_leaf
+        terms = table(k, t, r)
+        return tuple((p, -c) for p, c in terms) if r == 1 else terms
 
-    monkeypatch.setattr(mudelta, "bracket_leaf", wrong_sign)
+    monkeypatch.setattr(mudelta, "bracket_leaf_table", wrong_sign)
     mudelta.mu_tilde_1_column.cache_clear()
     rep = cecomplex.ce_to_dgcat(3, 1)
     assert rep["retraction"] and not rep["mu_compat"]
