@@ -282,9 +282,7 @@ def first_occurrence(bm, lo, hi):
 def act_in(f, tau):
     """Right action of S_m on Hom(m, n): compose(f, perm_hom(tau)) in closed
     form.  The value list becomes f o tau and each comb word is relabelled
-    by tau^{-1}.  If its least label l follows the labels u, the comb is
-    [comb(u), l], which `freelie.bracket_leaf` writes as +-combs headed by
-    l, bracketed on the right by the rest of the word: basis combs.
+    by tau^{-1} and read in the comb basis by `freelie.comb_coords`.
     """
     tau = as_perm(tau, f.m)
     basis = hom_basis(f.m, f.n)
@@ -294,15 +292,6 @@ def act_in(f, tau):
 @functools.cache
 def _act_in_basis(bm, tau):
     inv = {t: i for i, t in enumerate(tau, start=1)}
-    per_output = [_comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
+    per_output = [freelie.comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
                   for tree in basis_trees(bm)]
     return _product(bm.n, tuple(bm.f[t - 1] for t in tau), per_output, hom_index(bm.m, bm.n))
-
-
-@functools.cache
-def _comb_coords(word):
-    """(tree index, coefficient) pairs of the comb of any word."""
-    p = word.index(min(word))
-    terms = freelie.bracket_leaf(word[:p], word[p]) if p else ((1, word[:1]),)
-    positions = freelie.comb_index(sorted(word))
-    return tuple((positions[w[1:] + word[p + 1:]], c) for c, w in terms)

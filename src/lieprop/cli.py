@@ -23,10 +23,11 @@ SUITES = ("catlie", "mudelta", "dg", "ce", "qsn", "oracle")
 
 
 class RunConfig:
-    """The options of one command, validated; "all" or no suite means every suite."""
+    """The options of one command, validated; "all" or no suite means every
+    suite, and a repeated suite runs once, in the order first named."""
 
     def __init__(self, max_m=4, suites=(), format="text", seed=0, out=None, trials=100):
-        self.max_m, self.suites, self.format = max_m, suites, format
+        self.max_m, self.suites, self.format = max_m, tuple(dict.fromkeys(suites)), format
         self.seed, self.out, self.trials = seed, out, trials
         if self.max_m < 1:
             raise ValueError("--max-m must be >= 1")

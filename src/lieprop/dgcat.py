@@ -36,7 +36,6 @@ from . import symrep
 from .catlie import (BasisMorphism, HomElem, _check_arities, compose, compose_basis,
                      first_occurrence, hom_basis, hom_dim, identity, orbit_offsets, tree_tuples)
 from .exactla import Echelon, combine, kernel
-from .freelie import bracket_leaf_table
 from .mudelta import (Delta1Elem, _act_right, _delta1_indices, _delta1_value_lists,
                       _left_composite, _mu_tilde_1_terms, check_dg_square, delta1_act_left,
                       delta1_act_right, delta1_dim, mu, mu_tilde_1, mu_tilde_1_column)
@@ -210,31 +209,32 @@ def _block_matrix(m, n):
     The loop runs over the representative value lists f
     (`mudelta._delta1_value_lists`) outside and their tree tuples inside.
     Per (f, j), `mudelta._mu_tilde_1_terms` gives the value list f_j of the
-    terms on output j, and `catlie.first_occurrence`, run once per f_j on a
-    probe whose trees are the output positions, gives tau, the offset of
-    the representative's value list and where each tree goes, so a stride
-    per output.  For a tree tuple ts the terms on output j then have index
-    base_j + p * stride_j, base_j from the trees other than ts[j], for
-    (p, c) in `freelie.bracket_leaf_table`.  The action is free, so the
-    terms of a row are distinct pairs (i, tau).
+    terms on output j and their table of `freelie.bracket_leaf_table`, and
+    `catlie.first_occurrence`, run once per f_j on a probe whose trees are
+    the output positions, gives tau, the offset of the representative's
+    value list and where each tree goes, so a stride per output.  For a
+    tree tuple ts the terms on output j then have index base_j + p *
+    stride_j, base_j from the trees other than ts[j], for (p, c) in
+    table[ts[j]].  The action is free, so the terms of a row are distinct
+    pairs (i, tau).
     """
     offsets, orbit, matrix = orbit_offsets(m, n), {}, []
     positions = tuple(range(n))
     for f, g, a in _delta1_value_lists(m, n):
         outputs = []
-        for j, (fj, k, r) in enumerate(_mu_tilde_1_terms(f, a, n)):
+        for j, (fj, table) in enumerate(_mu_tilde_1_terms(f, a, n)):
             if fj not in orbit:
                 tau, probe = first_occurrence(BasisMorphism(m, n, fj, positions), 0, n)
                 offset, strides = offsets[probe.f]
                 # the tree of output p+1 is at output k+1 of the rep, k = probe.trees.index(p)
                 orbit[fj] = tau, offset, [strides[probe.trees.index(p)] for p in range(n)]
-            outputs.append((j, k, r) + orbit[fj])
+            outputs.append((j, table) + orbit[fj])
         for ts in tree_tuples(g, n):
             row = {}
-            for j, k, r, tau, offset, weights in outputs:
+            for j, table, tau, offset, weights in outputs:
                 stride = weights[j]
                 base = offset + sum(map(mul, ts, weights)) - ts[j] * stride
-                for p, c in bracket_leaf_table(k, ts[j], r):
+                for p, c in table[ts[j]]:
                     row.setdefault(base + p * stride, {})[tau] = c
             matrix.append(row)
     return matrix

@@ -14,12 +14,14 @@ a vector holding Fractions is first cleared of denominators (times the
 lcm of its denominators).  An untracked step is the gcd-reduced
 ``r <- (a/g)*r - (b/g)*row``, g = gcd(a, b), and a new row is divided by
 its content, which keeps coefficients small without rounding.  `kernel`
-back-substitutes by the same step to reduced row echelon form and reads
-one kernel vector off each free column, scaled by the lcm of the pivot
-entries it meets, so it builds no Fraction either.  `Echelon.reduce`
-returns the canonical representative of a vector modulo the span (the
-unique one vanishing on all pivot columns); it eliminates in ints and
-divides once at the end, so it returns ints whenever that is exact.
+back-substitutes through `Echelon.add` too, re-adding the echelon rows to
+a fresh `Echelon` in decreasing pivot order, which leaves reduced row
+echelon form; it reads one kernel vector off each free column, scaled by
+the lcm of the pivot entries it meets, so it builds no Fraction either.
+`Echelon.reduce` returns the canonical representative of a vector modulo
+the span (the unique one vanishing on all pivot columns); it eliminates
+in ints and divides once at the end, so it returns ints whenever that is
+exact.
 `in_span` is the one-shot membership test on tuples.  No function
 here mutates or returns a dict it was given.
 
@@ -345,9 +347,13 @@ def kernel(columns):
 
     There is one vector per free column f, a column that depends on the
     columns before it, in increasing f.  The rows of the matrix are
-    eliminated untracked and then back-substituted to reduced row
-    echelon form R, whose pivot columns are exactly the columns that
-    are independent of the ones before them; the vector of f is
+    eliminated untracked, and the echelon rows are back-substituted to
+    reduced row echelon form R by adding them to a fresh `Echelon` in
+    decreasing pivot order: each one meets exactly the later pivot
+    columns, whose rows already vanish on every other pivot column, and
+    `add` clears them and makes the row primitive.  The pivot columns of
+    R are exactly the columns that are independent of the ones before
+    them; the vector of f is
     ``{f: 1} + {p: -R_p[f] / R_p[p]}``, read off in ints as
     ``{f: L} + {p: -(L / R_p[p]) R_p[f]}`` with L the lcm of the pivot
     entries R_p[p] of the rows that meet f, and then made primitive.  It
@@ -358,26 +364,15 @@ def kernel(columns):
     for j, col in enumerate(columns):
         for i, v in _as_frac_dict(col).items():
             rows.setdefault(i, {})[j] = v
-    ech = Echelon()
+    ech, reduced = Echelon(), Echelon()
     for i in sorted(rows):
         ech.add(rows[i])
-    # back-substitution: the reduced rows R_q with q > p vanish on every
-    # pivot column but q, so clearing p's row of them needs one pass
-    reduced = {}
-    for p, row, _ in sorted(ech.rows, key=lambda t: t[0], reverse=True):
-        r = row
-        for q in [c for c in row if c in reduced]:
-            red = reduced[q]
-            g = gcd(red[q], r[q])
-            a, b = red[q] // g, r[q] // g
-            if a != 1 or r is row:
-                r = {j: a * v for j, v in r.items()}
-            axpy(r, red, -b)
-        reduced[p] = row if r is row else _primitive(r)
-    pivots = sorted(reduced.items())
+    for _, row, _ in sorted(ech.rows, key=lambda t: t[0], reverse=True):
+        reduced.add(row)
+    pivots = [(p, red) for p, red, _ in reversed(reduced.rows)]
     out = []
     for f in range(len(columns)):
-        if f not in reduced:
+        if f not in reduced.pivot_cols:
             meets = [(p, red) for p, red in pivots if f in red]
             den = lcm(*(red[p] for p, red in meets))
             vec = {p: -(den // red[p]) * red[f] for p, red in meets}

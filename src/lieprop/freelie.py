@@ -19,6 +19,13 @@ is then certified by re-expanding and subtracting; a nonzero residue
 would mean the input escaped the span of the basis, which cannot happen
 for well-formed trees and is treated as an internal error.
 
+Combs skip normalization: `bracket_leaf` writes [T, a] for a comb T as
+signed comb words, and `comb_coords`, its one caller, reads the comb of
+any word of distinct labels in the basis.  That is the one closed form
+of the comb rule: `catlie.act_in` relabels comb words and reads them
+through it, and `bracket_leaf_table` holds [T, a] once per order pattern
+for `mudelta` and `dgcat`, read off comb words with no tree built.
+
 Trees are plain nested structures: a leaf is its label (any orderable,
 hashable value; ints in practice) and a bracket is a pair
 ``(left, right)``.
@@ -113,16 +120,28 @@ def bracket_leaf(word, a):
 
 
 @functools.cache
-def bracket_leaf_table(k, t, r):
-    """[T, a] for T = lie_basis(S)[t], |S| = k, and a of rank r (1-based) among
-    the k+1 labels S | {a}, as (comb index over S | {a}, coefficient) pairs in
-    `bracket_leaf`'s order.  `comb_index` reads sorted labels, so the entry
-    depends only on this order pattern: it is computed once on 1..k+1 and
-    serves every label set.  Cached, so read-only."""
-    labels = tuple(range(1, k + 2))
-    positions = comb_index(labels)
-    word = leaves(lie_basis(labels[:r - 1] + labels[r:])[t])
-    return tuple((positions[w[1:]], c) for c, w in bracket_leaf(word, r))
+def comb_coords(word):
+    """The comb of a word of distinct labels in the comb basis over its sorted
+    labels, as (tree index, coefficient) pairs: the one closed form.  If the
+    least label l follows the labels u, the comb is [comb(u), l], which
+    `bracket_leaf` writes as +-combs headed by l, bracketed on the right by
+    the rest of the word.  Cached, so read-only."""
+    p = word.index(min(word))
+    terms = bracket_leaf(word[:p], word[p]) if p else ((1, word[:1]),)
+    positions = comb_index(sorted(word))
+    return tuple((positions[w[1:] + word[p + 1:]], c) for c, w in terms)
+
+
+@functools.cache
+def bracket_leaf_table(k, r):
+    """[T, a] for T the comb t over k labels S, at index t, and a of rank r
+    (1-based) among the k+1 labels S | {a}, as `comb_coords` pairs over
+    S | {a}.  The comb basis reads sorted labels, so the entry depends only
+    on (k, t, r): it is read once on the word (1,) + tail, tail the t-th
+    permutation of 2..k in the lex order of `lie_basis`, shifted past r and
+    followed by r.  Cached, so read-only."""
+    return tuple(comb_coords(tuple(x + (x >= r) for x in (1,) + tail) + (r,))
+                 for tail in itertools.permutations(range(2, k + 1)))
 
 
 def basis_expansions(labels):

@@ -35,19 +35,19 @@ least label of its fiber, and its input a alone over output n+1, so
 with a moved into the fiber of output j.  [T, a] is the comb (h, s_2, ...,
 s_k, a) if a > h, and 2^(k-1) combs +-(a, ...) if a < h (`freelie.bracket_leaf`).
 The comb basis reads sorted labels, so [T, a] depends only on the fiber
-size k, the tree index of T and the rank r of a among the k+1 labels:
-`freelie.bracket_leaf_table(k, t, r)` holds it once per pattern, as comb
+size k, the tree index t of T and the rank r of a among the k+1 labels:
+`freelie.bracket_leaf_table(k, r)[t]` holds it once per pattern, as comb
 indices over the fiber with a, and no term calls `bracket_leaf`.
 
 Distinct (j, comb) pairs are distinct basis morphisms of Hom(m, n), so
 each column is read off with no accumulation.  One helper,
 `_mu_tilde_1_terms`, reads the closed form off a delta1 value list f and
-its lone input a: per output j, the new value list and the (k, r) of the
-table, for every tree tuple on f at once.  `mu_tilde_1_column` maps the
+its lone input a: per output j, the new value list and the table of its
+(k, r), for every tree tuple on f at once.  `mu_tilde_1_column` maps the
 trees of one basis element through the table, looks the terms up in
 `hom_index` and is cached per delta1 basis element; `dgcat._block_matrix`
 maps all the tree tuples of each S_n-orbit representative value list
-(`_delta1_value_lists`, the list `delta1_representatives` reads).
+(`_delta1_value_lists`).
 `cecomplex.ce_to_dgcat` certifies the closed form against the definition
 (its `mu_compat`).
 
@@ -77,7 +77,7 @@ import functools
 from . import freelie
 from .catlie import (BasisMorphism, HomElem, _act_in_basis, _check_arities, as_perm,
                      basis_trees, boxplus, compose, compose_basis, emit, hom_basis,
-                     hom_dim, hom_index, identity, orbit_offsets, perm_hom, tree_tuples)
+                     hom_dim, hom_index, identity, orbit_offsets, perm_hom)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf_table
 
@@ -201,28 +201,20 @@ def _delta1_value_lists(m, n):
                   for g in orbit_offsets(m - 1, n) for a in range(1, m + 1))
 
 
-def delta1_representatives(m, n):
-    """The delta1(m, n) basis elements y = (a, y') that `catlie.first_occurrence`
-    fixes on the outputs 1..n, in basis order, built through the cut with no
-    table: the trees of y' and the one-leaf tree over n+1 on each value list of
-    `_delta1_value_lists`, the list that `dgcat._block_matrix` reads too."""
-    for f, g, _ in _delta1_value_lists(m, n):
-        for trees in tree_tuples(g, n):
-            yield BasisMorphism(m, n + 1, f, trees + (0,))
-
-
 def _mu_tilde_1_terms(f, a, n):
     """mu_tilde_1 in closed form (module docstring) on the delta1(m, n) value
     list f with its lone input a over n+1, for every tree tuple at once: one
-    (f_j, k_j, r_j) per output j <= n.  a moves into the fiber of j, which gives
-    the value list f_j; k_j is the size of that fiber before, and r_j the rank
-    of a among its k_j + 1 labels.  A basis element (f, trees) maps to the
-    basis morphisms (f_j, trees with the tree t of output j replaced by p),
-    with coefficient c, for (p, c) in `bracket_leaf_table(k_j, t, r_j)`.  The
-    one reading of the closed form, for `mu_tilde_1_column` per element and
-    for `dgcat._block_matrix` per value list."""
+    (f_j, table_j) per output j <= n.  a moves into the fiber of j, which gives
+    the value list f_j, and table_j = `bracket_leaf_table(k_j, r_j)`, with k_j
+    the size of that fiber before and r_j the rank of a among its k_j + 1
+    labels.  A basis element (f, trees) maps to the basis morphisms (f_j,
+    trees with the tree t of output j replaced by p), with coefficient c, for
+    (p, c) in table_j[t].  The one reading of the closed form, for
+    `mu_tilde_1_column` per element and for `dgcat._block_matrix` per value
+    list."""
     before, after = f[:a - 1], f[a:]
-    return [(before + (j,) + after, f.count(j), before.count(j) + 1) for j in range(1, n + 1)]
+    return [(before + (j,) + after, bracket_leaf_table(f.count(j), before.count(j) + 1))
+            for j in range(1, n + 1)]
 
 
 @functools.cache
@@ -232,9 +224,9 @@ def mu_tilde_1_column(m, n, s):
     the dict is read-only."""
     y, index, out = delta1_basis(m, n)[1][s], hom_index(m, n), {}
     ts = y.trees
-    for j, (f, k, r) in enumerate(_mu_tilde_1_terms(y.f, y.f.index(n + 1) + 1, n)):
+    for j, (f, table) in enumerate(_mu_tilde_1_terms(y.f, y.f.index(n + 1) + 1, n)):
         front, back = ts[:j], ts[j + 1:n]
-        for p, c in bracket_leaf_table(k, ts[j], r):
+        for p, c in table[ts[j]]:
             out[index[BasisMorphism(m, n, f, front + (p,) + back)]] = c
     return out
 

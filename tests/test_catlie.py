@@ -204,7 +204,7 @@ def test_act_in_composes_nothing(monkeypatch):
                       (freelie, "graft"), (freelie, "normalize_tree")]:
         monkeypatch.setattr(mod, name, forbidden)
     catlie._act_in_basis.cache_clear()
-    catlie._comb_coords.cache_clear()
+    freelie.comb_coords.cache_clear()
     for n in range(6):
         for i in range(hom_dim(5, n)):
             for tau in ((5, 3, 1, 2, 4), *_adjacent(5)):

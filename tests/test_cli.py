@@ -130,6 +130,16 @@ def test_verify_single_suite_passes(capsys):
     assert {"m": 2, "n": 1, "h0": 0, "h1": 1} in payload["cells"]
 
 
+def test_verify_runs_a_repeated_suite_once_in_first_seen_order(capsys):
+    assert RunConfig(suites=("ce", "qsn", "ce", "qsn")).suites == ("ce", "qsn")
+    code, out = run_cli(capsys, "verify", "--suite", "qsn", "--suite", "catlie",
+                        "--suite", "qsn", "--max-m", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [s["name"] for s in payload["suites"]] == ["qsn", "catlie"]
+    assert payload["config"]["suites"] == ["qsn", "catlie"]
+
+
 def test_verify_oracle_suite(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "oracle", "--max-m", "3",
                         "--format", "json")

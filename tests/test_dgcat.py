@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from math import factorial
@@ -13,8 +14,8 @@ from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            h0_reduce, homology_cell, syzygy_euler_check)
 from lieprop import catlie, cecomplex, cli, dgcat, freelie, schur_oracle, symrep
 from lieprop.exactla import Echelon, axpy, in_span, primitive
-from lieprop.mudelta import (Delta1Elem, delta1_act_left, delta1_basis, delta1_dim,
-                             delta1_representatives, iota, mu, mu_tilde_1, mu_tilde_1_column)
+from lieprop.mudelta import (Delta1Elem, _delta1_value_lists, delta1_act_left, delta1_basis,
+                             delta1_dim, iota, mu, mu_tilde_1, mu_tilde_1_column)
 
 M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
 M8 = json.loads(Path(__file__).with_name("homology_m8.json").read_text())["homology"]
@@ -379,7 +380,9 @@ def test_orbit_representatives_are_the_basis_elements_first_occurrence_fixes():
                 offset, strides = offsets[bm.f]
                 assert offset + sum(t * s for t, s in zip(bm.trees, strides)) == i
             fixed = [bm for bm in delta1_basis(m, n)[1] if first_occurrence(bm, 0, n) == (ident, bm)]
-            assert list(delta1_representatives(m, n)) == fixed, (m, n)
+            reps = [BasisMorphism(m, n + 1, f, trees + (0,))
+                    for f, g, _ in _delta1_value_lists(m, n) for trees in tree_tuples(g, n)]
+            assert reps == fixed, (m, n)
             delta1_reps += len(fixed)
     assert delta1_reps == 873
 
@@ -409,8 +412,10 @@ def test_block_rows_keep_the_order_of_the_full_basis_reading():
 
 def test_homology_reads_bracket_leaf_once_per_comb_pattern(monkeypatch, capsys):
     # [T, a] depends only on (fiber size k, tree index t, rank r of a), so
-    # `homology --max-m 6` reads bracket_leaf once per pattern it meets,
-    # through `freelie.bracket_leaf_table`, and not once per term
+    # `homology --max-m 6` reads it once per pattern it meets, as an entry
+    # of `freelie.bracket_leaf_table(k, r)`, and not once per term; the
+    # entries go through `freelie.comb_coords`, which calls bracket_leaf
+    # only when a is below the head of T (r = 1)
     bracket_leaf, seen = freelie.bracket_leaf, []
 
     def counted(word, a):
@@ -420,14 +425,22 @@ def test_homology_reads_bracket_leaf_once_per_comb_pattern(monkeypatch, capsys):
 
     monkeypatch.setattr(freelie, "bracket_leaf", counted)
     monkeypatch.setenv("LIEPROP_WORKERS", "1")
-    for cache in (freelie.bracket_leaf_table, homology_cell, dgcat._block_ranks):
+    for cache in (freelie.bracket_leaf_table, freelie.comb_coords, homology_cell,
+                  dgcat._block_ranks):
         cache.cache_clear()
     assert cli.main(["homology", "--max-m", "6"]) == 0
     capsys.readouterr()
-    assert len(seen) == len(set(seen)) == freelie.bracket_leaf_table.cache_info().currsize
+    # one table per (k, r) with k <= 5, read below from the cache
+    assert freelie.bracket_leaf_table.cache_info().currsize == 2 + 3 + 4 + 5 + 6
+    tables = {(k, r): freelie.bracket_leaf_table(k, r) for k in range(1, 6) for r in range(1, k + 2)}
+    assert freelie.bracket_leaf_table.cache_info().misses == len(tables)
+    entries = [(k, t, r) for (k, r), table in tables.items() for t in range(len(table))]
+    assert len(entries) == len(set(entries)) == 187
     # every k <= 5, t < (k-1)! and r <= k+1 is met
-    assert sorted(seen) == [(k, t, r) for k in range(1, 6) for t in range(factorial(k - 1))
-                            for r in range(1, k + 2)]
+    assert sorted(entries) == [(k, t, r) for k in range(1, 6) for t in range(factorial(k - 1))
+                               for r in range(1, k + 2)]
+    assert len(seen) == len(set(seen))
+    assert sorted(seen) == [(k, t, 1) for k in range(1, 6) for t in range(factorial(k - 1))]
 
 
 def test_homology_dims_build_no_full_basis_table():
@@ -441,6 +454,33 @@ def test_homology_dims_build_no_full_basis_table():
         hc = homology_cell(*cell)
         assert (hc.h0_dim, hc.h1_dim, hc.multiplicities) == want[cell], cell
     assert [cache.cache_info().currsize for cache in caches] == [0] * 5
+
+
+def test_homology_builds_no_lie_basis_tree(monkeypatch, capsys):
+    # the bracket tables are read off comb words: no cell of `homology
+    # --max-m 6` builds a basis tree of Lie(S)
+    monkeypatch.setenv("LIEPROP_WORKERS", "1")
+    for cache in (freelie._lie_basis, freelie.bracket_leaf_table, freelie.comb_coords,
+                  homology_cell, dgcat._block_ranks):
+        cache.cache_clear()
+    assert cli.main(["homology", "--max-m", "6"]) == 0
+    capsys.readouterr()
+    assert freelie.bracket_leaf_table.cache_info().currsize
+    assert freelie._lie_basis.cache_info().currsize == 0
+
+
+# sha256 of the kernel vectors, as sorted (index, coefficient) lists, of
+# every cell (m, n) with n <= m <= 6, in that order
+KERNEL_DIGEST_M6 = "db4d09ad60da038afdb61e04c33261cebcc9c4dd8438cccce3fd978f2e2d7abc"
+
+
+def test_kernel_vectors_digest_m6():
+    digest = hashlib.sha256()
+    for m in range(7):
+        for n in range(m + 1):
+            kernel = [sorted(z.coords.items()) for z in homology_cell(m, n).kernel]
+            digest.update(repr((m, n, kernel)).encode())
+    assert digest.hexdigest() == KERNEL_DIGEST_M6
 
 
 def test_mu_tilde_1_is_equivariant():

@@ -556,9 +556,11 @@ def test_bracket_leaf_table_is_bracket_leaf_on_any_label_set():
     for k in range(1, 7):
         label_sets = [tuple(range(1, k + 2))]
         label_sets += [tuple(sorted(rng.sample(range(-20, 40), k + 1))) for _ in range(3)]
+        for r in range(1, k + 2):
+            assert len(freelie.bracket_leaf_table(k, r)) == freelie.lie_dim(k)
         for t in range(freelie.lie_dim(k)):
             for r in range(1, k + 2):
-                entry = freelie.bracket_leaf_table(k, t, r)
+                entry = freelie.bracket_leaf_table(k, r)[t]
                 for labels in label_sets:
                     a, rest = labels[r - 1], labels[:r - 1] + labels[r:]
                     positions = freelie.comb_index(labels)
@@ -656,10 +658,10 @@ def test_mu_compat_certifies_the_closed_form(monkeypatch, fresh_columns):
     assert suite_mudelta(5, 0, 0) == (True, 56)
     table = mudelta.bracket_leaf_table
 
-    def wrong_sign(k, t, r):
+    def wrong_sign(k, r):
         # r = 1: a is below the head of T, the 2^(k-1)-comb branch of bracket_leaf
-        terms = table(k, t, r)
-        return tuple((p, -c) for p, c in terms) if r == 1 else terms
+        terms = table(k, r)
+        return tuple(tuple((p, -c) for p, c in entry) for entry in terms) if r == 1 else terms
 
     monkeypatch.setattr(mudelta, "bracket_leaf_table", wrong_sign)
     mudelta.mu_tilde_1_column.cache_clear()
