@@ -20,7 +20,7 @@ built only when something reads it, then cached per cell.
   M is built on the representatives alone (`_block_matrix`), so the
   dimensions build no basis table, index or column cache.  The blocks
   also give the multiplicity of each irreducible V_lambda in H0 and in H1.
-* The boundary data defining H0 is one untracked echelon of all the
+* The boundary data defining H0 is one echelon of all the
   columns of mu_tilde_1 on the full bases: H0 classes are handled as
   canonical reduced representatives against it, so equality of classes
   is equality of representatives.
@@ -173,7 +173,7 @@ class HomologyCell:
 
     def h0_boundary_basis(self):
         """Echelonized spanning set of the boundary space, as HomElems."""
-        return [HomElem(self.m, self.n, dict(row)) for _, row, _ in self.boundaries.rows]
+        return [HomElem(self.m, self.n, dict(row)) for _, row in self.boundaries.rows]
 
 
 @functools.cache
@@ -247,7 +247,7 @@ def _mu_columns(m, n):
 
 @functools.cache
 def _cell_boundaries(m, n):
-    """The untracked echelon of all the columns of mu_tilde_1: the span of
+    """The echelon of all the columns of mu_tilde_1: the span of
     the boundaries, against which H0 representatives are reduced."""
     ech = Echelon()
     for col in _mu_columns(m, n):

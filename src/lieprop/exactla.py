@@ -11,7 +11,8 @@ sparse ``{column: int}`` dicts kept primitive (coprime integer entries,
 positive pivot in the row's smallest column).  The arithmetic is ints
 end to end: a vector of ints goes straight into elimination, and only
 a vector holding Fractions is first cleared of denominators (times the
-lcm of its denominators).  An untracked step is the gcd-reduced
+lcm of its denominators).  The one elimination step,
+`Echelon._clear_pivots`, is the gcd-reduced
 ``r <- (a/g)*r - (b/g)*row``, g = gcd(a, b), and a new row is divided by
 its content, which keeps coefficients small without rounding.  `kernel`
 back-substitutes through `Echelon.add` too, re-adding the echelon rows to
@@ -25,19 +26,14 @@ exact.
 `in_span` is the one-shot membership test on tuples.  No function
 here mutates or returns a dict it was given.
 
-When `Echelon.track` is true, each pivot row also records how it was
-formed from the inserted vectors, as a pair ``(s, comb)`` of an int
-and a sparse dict of ints with
-
-    s * row == sum_j comb[j] * inserted_vector_j,
-
-which is what `solve` reads its exact solutions from.  Nothing in the
-package tracks: tracking stays as the reference the tests check
-untracked elimination against, and because the benchmark reports
-`Echelon.solve` and tracked `Echelon.add` as metrics of their own.
+`Echelon.solve` is kept for the benchmark, which reports it and tracked
+`Echelon.add` as metrics of their own; nothing in the package calls it.
+A tracking echelon (`track=True`) only keeps a sparse copy of each vector
+as given, and `solve` reads its exact solutions off the `kernel` of those
+vectors and the target.
 
 `axpy` is the sparse accumulate, `out += c * vec` with cancelled
-entries dropped; only the untracked elimination step inlines it, to push
+entries dropped; only the elimination step inlines it, to push
 the pivot columns it brings in during the same pass.  `SparseElem` is the
 base of the element types of the downstream modules: sparse coordinates
 over the basis of one cell.
@@ -185,58 +181,32 @@ class Echelon:
     """Incremental exact row-echelon span over Q.
 
     Each new row takes its smallest column as its pivot, which is what
-    makes `reduce` canonical.  Untracked elimination (`add` without
-    tracking, and `reduce`) visits only the pivots the vector meets: a
-    min-heap holds the pivot columns present in it, the smallest is
-    eliminated first and the pivot columns its row brings in are
-    pushed.  A pivot row holds only columns >= its pivot, so a
-    cleared pivot never comes back.  The result vanishes on every pivot
-    column, which fixes it up to scale whatever the order.  Tracked
-    elimination makes one pass over the pivot rows in insertion order
-    (a pivot row never contains the pivot columns of earlier rows), so
-    the combinations of `solve` do not depend on the heap.
+    makes `reduce` canonical.  Elimination (`add` and `reduce`) visits
+    only the pivots the vector meets: a min-heap holds the pivot columns
+    present in it, the smallest is eliminated first and the pivot
+    columns its row brings in are pushed.  A pivot row holds only
+    columns >= its pivot, so a cleared pivot never comes back.  The
+    result vanishes on every pivot column, which fixes it up to scale
+    whatever the order.
 
-    `rows` holds ``(pivot_col, row, track)`` in insertion order, where
-    `track` is ``(s, comb)`` as in the module docstring, or None when
-    not tracking.
+    `rows` holds ``(pivot_col, row)`` in insertion order.  When `track`
+    is true, `inputs` holds a sparse copy of each vector given to `add`,
+    Fractions included, which is all that `solve` reads.
     """
 
     def __init__(self, track=False):
-        self.rows = []          # (pivot_col, row_dict, (s, comb)|None) in insertion order
+        self.rows = []          # (pivot_col, row_dict) in insertion order
         self.pivot_cols = {}    # pivot_col -> index into rows
         self.track = track
-        self.count = 0          # vectors fed in so far
+        self.inputs = []        # the vectors fed in, when tracking
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def _eliminate(self, r, comb):
-        """Tracked fraction-free single pass over int entries:
-        `r <- a*r - b*row` for the pivot rows in insertion order.
-
-        `r` must be a dict the caller owns; it may be updated in place.
-        The pass keeps a running scale S with S * r == comb . inputs:
-        each step sets comb <- (a*s)*comb - (b*S)*rcomb and then
-        S <- S*s.  Returns (r, S, comb).
-        """
-        scale = 1
-        for p, row, (s, rcomb) in self.rows:
-            b = r.get(p)
-            if not b:
-                continue
-            a = row[p]
-            if a != 1:
-                r = {j: a * v for j, v in r.items()}
-            axpy(r, row, -b)
-            x = a * s
-            comb = axpy({j: x * v for j, v in comb.items()}, rcomb, -b * scale)
-            scale *= s
-        return r, scale, comb
-
     def _clear_pivots(self, r):
-        """Untracked fraction-free elimination of the int dict r (owned by
-        the caller) against the pivots it meets, smallest first.
+        """Fraction-free elimination of the int dict r (owned by the
+        caller) against the pivots it meets, smallest first.
 
         Entry b meets pivot entry a as ``r <- (a/g)*r - (b/g)*row``,
         g = gcd(a, b); a pivot entry 1 takes no gcd.  One pass over the
@@ -278,31 +248,17 @@ class Echelon:
         """Insert a vector.  Returns True if the rank grew.
 
         A vector of ints is eliminated as given; one holding Fractions is
-        first cleared to ints (times the lcm L of its denominators).  The
-        new row is the remainder divided by its content.  When tracking,
-        its combination starts at L and the new row's (s, comb) is
-        divided by its content.
+        first cleared to ints (times the lcm of its denominators).  The
+        new row is the remainder divided by its content.
         """
-        idx = self.count
-        self.count += 1
-        den, r = _int_vector(vec)
         if self.track:
-            r, scale, comb = self._eliminate(r, {idx: den})
-        else:
-            r, _ = self._clear_pivots(r)
+            self.inputs.append(_as_frac_dict(vec))
+        r, _ = self._clear_pivots(_int_vector(vec)[1])
         if not r:
             return False
         p = min(r)
-        row = _primitive(r)
-        track = None
-        if self.track:
-            s = scale * (r[p] // row[p])
-            g = gcd(s, *comb.values())
-            if s < 0:
-                g = -g
-            track = (s // g, {j: v // g for j, v in comb.items()})
         self.pivot_cols[p] = len(self.rows)
-        self.rows.append((p, row, track))
+        self.rows.append((p, _primitive(r)))
         return True
 
     def reduce(self, vec):
@@ -329,16 +285,23 @@ class Echelon:
         return not self.reduce(vec)
 
     def solve(self, vec):
-        """Coefficients x with vec = sum_j x[j] * inserted_vector_j, or None.
+        """Coefficients x with vec = sum_j x[j] * inputs[j], as Fractions, or
+        None when vec is outside the span.  Needs a tracking echelon.
 
-        Needs a tracking echelon.
+        Read off `kernel(inputs + [vec])`: vec lies in the span exactly
+        when its column f, the last, is free, and then the kernel vector z
+        of f, which lies on f and the inputs that grew the rank, gives
+        x[j] = -z[j] / z[f].
         """
-        den, r = _int_vector(vec)
-        r, _, comb = self._eliminate(r, {-1: den})
-        if r:
+        if not self.track:
+            raise ValueError("solve needs Echelon(track=True)")
+        f = len(self.inputs)
+        ker = kernel(self.inputs + [vec])
+        if not ker or f not in ker[-1]:
             return None
-        c0 = comb.pop(-1)
-        return {j: Fraction(-v, c0) for j, v in comb.items()}
+        z = ker[-1]
+        c = z.pop(f)
+        return {j: Fraction(-v, c) for j, v in z.items()}
 
 
 def kernel(columns):
@@ -347,7 +310,7 @@ def kernel(columns):
 
     There is one vector per free column f, a column that depends on the
     columns before it, in increasing f.  The rows of the matrix are
-    eliminated untracked, and the echelon rows are back-substituted to
+    eliminated, and the echelon rows are back-substituted to
     reduced row echelon form R by adding them to a fresh `Echelon` in
     decreasing pivot order: each one meets exactly the later pivot
     columns, whose rows already vanish on every other pivot column, and
@@ -367,9 +330,9 @@ def kernel(columns):
     ech, reduced = Echelon(), Echelon()
     for i in sorted(rows):
         ech.add(rows[i])
-    for _, row, _ in sorted(ech.rows, key=lambda t: t[0], reverse=True):
+    for _, row in sorted(ech.rows, key=lambda t: t[0], reverse=True):
         reduced.add(row)
-    pivots = [(p, red) for p, red, _ in reversed(reduced.rows)]
+    pivots = list(reversed(reduced.rows))
     out = []
     for f in range(len(columns)):
         if f not in reduced.pivot_cols:

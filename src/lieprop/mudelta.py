@@ -419,23 +419,24 @@ def check_lie_action(n):
 def check_dg_square(m, n, t):
     """Square zero: x . mu_tilde_1(y) = mu_tilde_1(x) . y for all basis x = (b, x') of
     delta1(n, t) and y = (a, y') of delta1(m, n), read through the delta1 cut, in one
-    exact pass per cell.  Per (b, F), F in the support of some mu_tilde(y), one
-    `_right_term`; per x, its values R_x(F) = x . F; per (x, y'), one `_left_composite`
-    mu_tilde(x) o y', which glued back at a is mu_tilde(x) . y.  For every pair
-        sum_F mu_tilde(y)[F] R_x(F) - (mu_tilde(x) o y' glued at a)
+    exact pass per cell.  mu_tilde_1 is read from `mu_tilde_1_column`, the columns the
+    homology uses, which `cecomplex.ce_to_dgcat` certifies against the composite with
+    mu.  Per (b, F), F in the support of some mu_tilde_1(y), one `_right_term`; per x,
+    its values R_x(F) = x . F; per (x, y'), one `_left_composite` mu_tilde_1(x) o y',
+    which glued back at a is mu_tilde_1(x) . y.  For every pair
+        sum_F mu_tilde_1(y)[F] R_x(F) - (mu_tilde_1(x) o y' glued at a)
     is accumulated into one int dict and must vanish."""
     _check_arities(m, n, t)
     if not delta1_dim(n, t) or not delta1_dim(m, n):
         return True
-    mys = [mu_tilde(include_delta1(Delta1Elem(m, n, {s: 1}))).coords
-           for s in range(delta1_dim(m, n))]
+    mys = [mu_tilde_1_column(m, n, s) for s in range(delta1_dim(m, n))]
     fb, fs = hom_basis(m, n), sorted(set().union(*mys))
     ys = [_delta1_indices(m, n, a) for a in range(1, m + 1)]   # ys[a-1][y'] = y
     ups = [_delta1_indices(m, t, a) for a in range(1, m + 1)]  # glue at a into delta1(m, t)
     for b in range(1, n + 1):
         terms = [(F, _right_term(fb[F], b, t)) for F in fs]
         for s, x in zip(_delta1_indices(n, t, b), hom_basis(n - 1, t)):
-            mx = mu_tilde(include_delta1(Delta1Elem(n, t, {s: 1})))
+            mx = mu_tilde_1(Delta1Elem(n, t, {s: 1}))
             r = {F: term(x) for F, term in terms}
             for i, y in enumerate(hom_basis(m - 1, n)):
                 left = _left_composite(mx, y)

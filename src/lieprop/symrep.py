@@ -27,7 +27,7 @@ over Z[S_n] block by block, one block rho_lambda per partition lambda.
 import functools
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .exactla import Echelon
 
@@ -66,9 +66,17 @@ def standard_tableaux(shape):
     return tuple(out)
 
 
+@functools.cache
 def dim(shape):
-    """d_lambda, the dimension of V_lambda."""
-    return len(standard_tableaux(shape))
+    """d_lambda, the dimension of V_lambda: the number of standard tableaux,
+    n! over the product of the hook lengths (Frame, Robinson and Thrall,
+    Canad. J. Math. 1954), with no tableau built."""
+    heights = [sum(1 for part in shape if part > c) for c in range(shape[0] if shape else 0)]
+    hooks = 1
+    for r, part in enumerate(shape):
+        for c in range(part):
+            hooks *= (part - c) + (heights[c] - r) - 1
+    return factorial(sum(shape)) // hooks
 
 
 @functools.cache
@@ -167,7 +175,7 @@ def block_ranks(matrix, n):
     rho_lambda(M) has sum_sigma c_sigma rho_lambda(sigma)[a][b] in row (j, a)
     and column (i, b), c_sigma the coefficient of sigma in M_ji.  By Wedderburn,
     x -> xM on Q[S_n]^r has rank sum_lambda d_lambda * rank rho_lambda(M).
-    Each block is one untracked echelon of the nonzero entries of `rho_cleared`,
+    Each block is one echelon of the nonzero entries of `rho_cleared`,
     stopped at full column rank: d_lambda times the number of indices i in M.
     """
     sigmas = {s for row in matrix for entry in row.values() for s in entry}

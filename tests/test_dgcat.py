@@ -13,9 +13,10 @@ from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
 from lieprop import catlie, cecomplex, cli, dgcat, freelie, schur_oracle, symrep
-from lieprop.exactla import Echelon, axpy, in_span, primitive
+from lieprop.exactla import Echelon, axpy, in_span
 from lieprop.mudelta import (Delta1Elem, _delta1_value_lists, delta1_act_left, delta1_basis,
                              delta1_dim, iota, mu, mu_tilde_1, mu_tilde_1_column)
+from test_exactla import _gauss_jordan_kernel
 
 M7 = json.loads(Path(__file__).with_name("homology_m7.json").read_text())["homology"]
 M8 = json.loads(Path(__file__).with_name("homology_m8.json").read_text())["homology"]
@@ -214,24 +215,17 @@ def test_euler_small():
 def test_homology_cells_pinned_to_untracked_echelon():
     for m, n in [(5, 3), (6, 2)]:
         cell = homology_cell(m, n)
-        plain, tracked = Echelon(), Echelon(track=True)
-        expected = []
-        for j in range(delta1_dim(m, n)):
-            col = mu_tilde_1(Delta1Elem(m, n, {j: 1})).coords
+        plain = Echelon()
+        cols = [mu_tilde_1(Delta1Elem(m, n, {j: 1})).coords for j in range(delta1_dim(m, n))]
+        for col in cols:
             plain.add(col)
-            if not tracked.add(col):
-                # col_j = sum_i x_i col_i over the independent columns i < j
-                x = tracked.solve(col)
-                expected.append(primitive({**x, j: -1}))
-        assert [(p, row) for p, row, _ in cell.boundaries.rows] == \
-            [(p, row) for p, row, _ in plain.rows]
-        assert [z.coords for z in cell.kernel] == expected
+        assert cell.boundaries.rows == plain.rows
+        # one vector per column that depends on the columns before it, on that
+        # column and the independent ones before it: the dense Fraction reference
+        assert [z.coords for z in cell.kernel] == _gauss_jordan_kernel(cols)
         assert len(cell.kernel) == cell.h1_dim == delta1_dim(m, n) - plain.rank
         for z in cell.kernel:
             assert mu_tilde_1(z).is_zero()
-        if (m, n) == (5, 3):
-            # pivot rows whose tracked scale s is not 1 reach the solves
-            assert any(s != 1 for _, _, (s, _) in tracked.rows)
 
 
 def test_homology_computes_no_kernel(capsys, monkeypatch):
@@ -516,6 +510,23 @@ def test_multiplicities():
         assert cell.h0_dim == factorial(m - 2)
         assert {shape: h0 for shape, (h0, _) in cell.multiplicities.items()} == \
             {(2,): factorial(m - 2), (1, 1): 0}
+
+
+def test_zero_cells_build_no_standard_tableau(monkeypatch):
+    # the cell (1, 16) is zero, yet it reads d_lambda for the 231 partitions
+    # of 16, which have 46,206,736 standard tableaux in all
+    calls = []
+
+    def counted(shape):
+        calls.append(shape)
+        return ()
+
+    monkeypatch.setattr(symrep, "standard_tableaux", counted)
+    cell = homology_cell(1, 16)
+    assert (cell.h0_dim, cell.h1_dim) == (0, 0)
+    mult = cell.multiplicities
+    assert len(mult) == 231 and set(mult.values()) == {(0, 0)}
+    assert calls == []
 
 
 def test_homology_cell_rejects_negative_arities():

@@ -121,6 +121,8 @@ def test_echelon_solve_roundtrip():
     sol = ech.solve(target)
     assert sol == {0: 2, 1: -1, 2: 1}
     assert ech.solve({3: 1}) is None
+    with pytest.raises(ValueError, match="track=True"):
+        Echelon().solve({0: 1})
 
 
 def test_primitive_normalizes_sign_and_content():
@@ -134,7 +136,7 @@ def test_sparse_and_dense_rank_three_agree():
     assert _rank(sparse) == _rank(dense) == 3
 
 
-# ---------------------------------------------------------------- integer tracking
+# ------------------------------------------------------------- tracking and solve
 
 def _stream(rng, kind, count, width):
     """Random vectors in a low-rank subspace, so that some are dependent.
@@ -174,27 +176,41 @@ def test_tracked_combinations_are_exact_ints(kind):
             grew = tracked.add(vec)
             assert grew == plain.add(vec)
             if not grew:
-                dependent.append((k, primitive({**tracked.solve(vec), k: -1})))
+                dependent.append(k)
+        # one dependency per input that depends on those before it, in exact ints
         deps = kernel(inputs)
-        assert len(deps) == len(dependent)
-        for (k, by_solve), dep in zip(dependent, deps):
-            assert dep.get(k, 0) != 0 and max(dep) == k
+        assert [max(dep) for dep in deps] == dependent
+        for dep in deps:
             assert all(type(c) is int for c in dep.values())
             assert primitive(dep) == dep
             assert not _combine(dep, inputs)
-            assert dep == by_solve
-        for _, row, (s, comb) in tracked.rows:
-            assert type(s) is int and s > 0
-            assert all(type(c) is int for c in comb.values())
-            assert {j: s * v for j, v in row.items()} == _combine(comb, inputs)
-        assert [(p, row) for p, row, _ in tracked.rows] == \
-            [(p, row) for p, row, _ in plain.rows]
-        target_comb = {i: rng.randint(-3, 3) for i in range(len(inputs))}
-        target = _combine(target_comb, inputs)
-        x = tracked.solve(target)
+        assert deps == _gauss_jordan_kernel(inputs)
+        # tracking eliminates as without it, and keeps each input as given
+        assert tracked.rows == plain.rows and tracked.pivot_cols == plain.pivot_cols
+        assert tracked.inputs == inputs and plain.inputs == []
+        assert not any(kept is vec for kept, vec in zip(tracked.inputs, inputs))
+
+
+@pytest.mark.parametrize("kind", ["int", "frac", "frac1"])
+def test_solve_is_exact_on_the_inputs_as_given(kind):
+    rng = random.Random({"int": 14, "frac": 15, "frac1": 16}[kind])
+    for _ in range(30):
+        inputs = _stream(rng, kind, rng.randint(1, 10), rng.randint(1, 6))
+        by_free = {max(z): z for z in _gauss_jordan_kernel(inputs)}
+        ech = Echelon(track=True)
+        for k, vec in enumerate(inputs):
+            # fed inputs[:k], solve(inputs[k]) is the reference dependency of
+            # input k, and None exactly when input k grows the rank
+            x = ech.solve(vec)
+            assert ech.add(vec) == (x is None) == (k not in by_free)
+            if x is not None:
+                assert all(type(c) is Fraction for c in x.values())
+                assert primitive({**x, k: -1}) == by_free[k]
+        target = _combine({i: rng.randint(-3, 3) for i in range(len(inputs))}, inputs)
+        x = ech.solve(target)
         assert x is not None and _combine(x, inputs) == target
         outside = {max((j for v in inputs for j in v), default=0) + 1: 1}
-        assert tracked.solve(outside) is None
+        assert ech.solve(outside) is None
 
 
 @pytest.mark.parametrize("kind", ["frac", "frac1"])
@@ -221,29 +237,29 @@ def test_untracked_echelon_on_fractions_is_integer_only(kind, monkeypatch):
     for _ in range(30):
         width = rng.randint(1, 6)
         inputs = _stream(rng, kind, rng.randint(1, 10), width)
-        ech, scaled, tracked = Echelon(), Echelon(), Echelon(track=True)
+        ech, scaled = Echelon(), Echelon()
         for vec in inputs:
             den = math.lcm(*(Fraction(v).denominator for v in vec.values()))
             k = den * rng.choice([-3, -2, -1, 1, 2, 5])
             grew = ech.add(vec)
             assert grew == scaled.add({j: int(k * v) for j, v in vec.items()})
-            tracked.add(vec)
-        for _, row, track in ech.rows:
-            assert track is None
+        for _, row in ech.rows:
             assert all(type(v) is int for v in row.values())
         assert ech.rows == scaled.rows
         # vectors mostly outside the span
+        diffs = []
         for _ in range(5):
             v = {j: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for j in range(width + 1)}
             v = {j: c for j, c in v.items() if c}
             red = ech.reduce(v)
             assert not any(p in red for p in ech.pivot_cols)
-            diff = axpy(dict(v), red, -1)
-            x = tracked.solve(diff)
-            assert x is not None and _combine(x, inputs) == diff
+            diffs.append(axpy(dict(v), red, -1))
             k = rng.choice([-4, -1, 2, 3])
             assert ech.reduce({j: k * c for j, c in v.items()}) == \
                 {j: k * c for j, c in red.items()}
+        # v - reduce(v) lies in the span of the inputs
+        for diff, x in zip(diffs, _gauss_jordan_solutions(inputs, diffs)):
+            assert x is not None and _combine(x, inputs) == diff
 
 
 class _InsertionOrderEchelon:
@@ -299,7 +315,7 @@ def test_untracked_echelon_matches_insertion_order_pass(kind):
         for _ in range(rng.randint(1, 40)):
             vec = sparse_vec(width)
             assert ech.add(vec) == ref.add(vec)
-        assert [(p, row) for p, row, _ in ech.rows] == ref.rows
+        assert ech.rows == ref.rows
         for _ in range(10):
             vec = sparse_vec(width)
             assert ech.reduce(vec) == ref.reduce(vec)
@@ -323,7 +339,7 @@ def test_working_entries_stay_bounded_when_every_pivot_is_two(monkeypatch):
     ech, ref = Echelon(), _InsertionOrderEchelon()
     for k in range(size):
         assert ech.add({k: 2, k + 1: 2, t: 1}) and ref.add({k: 2, k + 1: 2, t: 1})
-    assert {row[p] for p, row, _ in ech.rows} == {2}
+    assert {row[p] for p, row in ech.rows} == {2}
     largest, met = [0], [0]
 
     def watched_gcd(a, b):
@@ -352,7 +368,7 @@ def test_clear_pivots_takes_no_gcd_when_every_pivot_entry_is_one(monkeypatch):
     ech, ref = Echelon(), _InsertionOrderEchelon()
     for k in range(size):
         assert ech.add({k: 1, k + 1: 3, t: -2}) and ref.add({k: 1, k + 1: 3, t: -2})
-    assert {row[p] for p, row, _ in ech.rows} == {1}
+    assert {row[p] for p, row in ech.rows} == {1}
     calls = []
 
     def counted_gcd(*args):
@@ -402,31 +418,69 @@ def _primitive_reference(vec):
     return {j: v // g for j, v in ints.items()}
 
 
+def _integral(x):
+    """x as an int when it is one, so that integral entries compute in ints."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _gauss_jordan_kernel(columns):
     """Reference: dense Gauss-Jordan over Fractions on the matrix with these
     columns, one primitive kernel vector per free (non-pivot) column f,
-    e_f - sum over pivot rows k of R[k][f] e_{pivot k}, in increasing f."""
+    e_f - sum over pivot columns p of R_p[f] e_p, in increasing f, with R_p
+    the row reduced on p.
+
+    The rows are the labels present in some column (any sortable labels,
+    such as words).  Each column takes as its pivot the row with the
+    fewest nonzero entries among those not yet used, and clearing the
+    column subtracts only those entries."""
     cols = [_as_frac_dict(col) for col in columns]
-    height = 1 + max((i for col in cols for i in col), default=-1)
-    mat = [[Fraction(col.get(i, 0)) for col in cols] for i in range(height)]
-    pivots = []
+    labels = {i: k for k, i in enumerate(sorted({i for col in cols for i in col}))}
+    mat = [[0] * len(cols) for _ in labels]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            mat[labels[i]][j] = _integral(v)
+    pivots = {}                     # pivot column -> its row
     for c in range(len(cols)):
-        k = len(pivots)
-        r = next((i for i in range(k, height) if mat[i][c]), None)
-        if r is None:
+        hits = [i for i, row in enumerate(mat) if row[c]]
+        used = set(pivots.values())
+        free = [i for i in hits if i not in used]
+        if not free:
             continue
-        mat[k], mat[r] = mat[r], mat[k]
-        mat[k] = [x / mat[k][c] for x in mat[k]]
-        for i in range(height):
-            if i != k and mat[i][c]:
-                mat[i] = [a - mat[i][c] * b for a, b in zip(mat[i], mat[k])]
-        pivots.append(c)
+        r = min(free, key=lambda i: len(cols) - mat[i].count(0))
+        lead = Fraction(mat[r][c])
+        entries = [(j, _integral(x / lead)) for j, x in enumerate(mat[r]) if x]
+        for j, x in entries:
+            mat[r][j] = x
+        for i in hits:
+            if i != r:
+                row, a = mat[i], mat[i][c]
+                for j, x in entries:
+                    row[j] = _integral(row[j] - a * x)
+        pivots[c] = r
     out = []
     for f in range(len(cols)):
         if f not in pivots:
-            vec = {p: -mat[k][f] for k, p in enumerate(pivots) if mat[k][f]}
+            vec = {p: -mat[r][f] for p, r in pivots.items() if mat[r][f]}
             vec[f] = Fraction(1)
             out.append(_primitive_reference(vec))
+    return out
+
+
+def _gauss_jordan_solutions(basis, targets):
+    """Reference: for each target, x with target == sum_j x[j] * basis[j] as
+    Fractions, supported on the basis vectors independent of those before
+    them, or None outside the span of the basis.  Read off one
+    `_gauss_jordan_kernel` of basis + targets: a target in the span has a
+    free column f whose kernel vector z lies on f and the basis only, and
+    x[j] = -z[j] / z[f]."""
+    by_free = {max(z): z for z in _gauss_jordan_kernel(list(basis) + list(targets))}
+    out = []
+    for f in range(len(basis), len(basis) + len(targets)):
+        z = by_free.get(f)
+        if z is None or any(len(basis) <= j < f for j in z):
+            out.append(None)
+        else:
+            out.append({j: Fraction(-v, z[f]) for j, v in z.items() if j != f})
     return out
 
 
@@ -469,7 +523,7 @@ def test_add_and_reduce_agree_on_ints_integral_fractions_and_mixed():
             ech = Echelon()
             grew = [ech.add(form(vec)) for vec in inputs]
             reps = [ech.reduce(form(vec)) for vec in probes]
-            for _, row, _ in ech.rows:
+            for _, row in ech.rows:
                 assert all(type(v) is int for v in row.values())
             results[kind] = (grew, ech.rows, reps)
         assert results["int"] == results["frac1"] == results["mixed"]
@@ -494,7 +548,7 @@ def test_inputs_are_neither_mutated_nor_returned():
         ker = kernel(inputs)
         assert inputs == saved
         given = {id(vec) for vec in inputs}
-        kept = [row for _, row, _ in ech.rows] + reps + prims + ker
+        kept = [row for _, row in ech.rows] + reps + prims + ker
         assert not any(id(out) in given for out in kept)
         rows = copy.deepcopy(ech.rows)
         for vec in inputs:

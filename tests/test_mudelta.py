@@ -332,6 +332,16 @@ def test_dg_square_small_and_generator_pair():
         assert lhs == rhs == expect
 
 
+def test_dg_square_reads_the_certified_columns(monkeypatch):
+    # mu_tilde_1 comes from mu_tilde_1_column, which ce_to_dgcat certifies; the
+    # composite with mu is read nowhere else
+    def no_composite(w):
+        raise AssertionError("mu_tilde composed on Hom(%d, %d)" % (w.m, w.n))
+
+    monkeypatch.setattr(mudelta, "mu_tilde", no_composite)
+    assert check_dg_square(4, 3, 2) and check_dg_square(3, 2, 1)
+
+
 def _negated(coords):
     return {i: -c for i, c in coords.items()}
 

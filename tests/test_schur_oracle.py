@@ -10,6 +10,7 @@ from lieprop.schur_oracle import (SwModule, _bracket_coords, _peel, compositions
                                   cross_check, h_modules, is_lyndon, lyndon_bracketing,
                                   lyndon_words, necklace_dim, schur_dim,
                                   weight_basis, weighted_complex_homology)
+from test_exactla import _gauss_jordan_kernel, _gauss_jordan_solutions
 
 
 def test_necklace_values():
@@ -70,27 +71,22 @@ def test_lyndon_bracketing_leads_with_its_word():
     assert count == 550
 
 
-def _tracked_solver(d, w):
-    """Reference: a tracked echelon of the expansions of the weight-w Lyndon
-    trees, columns keyed by word; its `solve` gives Lyndon coordinates."""
-    solver = Echelon(track=True)
-    for word in lyndon_words(d, w):
-        assert solver.add(freelie.expand(lyndon_bracketing(word)))
-    return solver
-
-
-def test_peel_matches_tracked_solve():
+def test_peel_matches_gauss_jordan_solve():
     count = 0
     for d in (1, 2, 3):
         for w in range(1, 7):
-            solver = _tracked_solver(d, w + 1)
-            for tree in weight_basis(d, w)[0]:
-                for letter in range(1, d + 1):
-                    want = solver.solve(freelie.expand((tree, letter)))
-                    got = _bracket_coords(d, w, tree, letter)
-                    assert got == want, (d, w, tree, letter)
-                    assert all(type(c) is int for c in got.values())
-                    count += 1
+            # reference: the weight-(w + 1) Lyndon trees, expanded, as the basis of
+            # one dense Gauss-Jordan solve of every bracket [T, a] with T of weight w
+            basis = [freelie.expand(lyndon_bracketing(word)) for word in lyndon_words(d, w + 1)]
+            assert _gauss_jordan_kernel(basis) == []
+            cases = [(tree, letter) for tree in weight_basis(d, w)[0]
+                     for letter in range(1, d + 1)]
+            wants = _gauss_jordan_solutions(basis, [freelie.expand(case) for case in cases])
+            for (tree, letter), want in zip(cases, wants):
+                got = _bracket_coords(d, w, tree, letter)
+                assert got == want, (d, w, tree, letter)
+                assert all(type(c) is int for c in got.values())
+                count += 1
     assert count == 635
 
 
@@ -333,27 +329,29 @@ def test_cross_check_oracle_grid():
 def _reference_generators(w, n):
     """{tau: (H0 matrix, H1 matrix)} over the adjacent transpositions and, for
     w >= 3, the w-cycle (2, 3, ..., w, 1), which is not its own inverse, by
-    composition with perm_hom(tau) and a tracked solve against the kernel."""
+    composition with perm_hom(tau) and one dense Gauss-Jordan solve of all the
+    images against the kernel basis."""
     cell = dgcat.homology_cell(w, n)
     reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]
     rep_pos = {i: r for r, i in enumerate(reps)}
-    ker = Echelon(track=True)
-    for z in cell.kernel:
-        assert ker.add(z.coords)
-    out = {}
+    ker = [z.coords for z in cell.kernel]
+    assert _gauss_jordan_kernel(ker) == []
     taus = [tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
             for pos in range(1, w)]
-    for tau in taus + ([tuple(range(2, w + 1)) + (1,)] if w >= 3 else []):
+    taus += [tuple(range(2, w + 1)) + (1,)] if w >= 3 else []
+    images = [project_delta1(compose(include_delta1(z), perm_hom(tau))).coords
+              for tau in taus for z in cell.kernel]
+    m1s = _gauss_jordan_solutions(ker, images)
+    out = {}
+    for t, tau in enumerate(taus):
         p = perm_hom(tau)
         m0 = [{rep_pos[j]: c for j, c in cell.boundaries.reduce(
             compose(HomElem(w, n, {i: 1}), p).coords).items()} for i in reps]
-        m1 = [ker.solve(project_delta1(compose(include_delta1(z), p)).coords)
-              for z in cell.kernel]
-        out[tau] = (m0, m1)
+        out[tau] = (m0, m1s[t * len(ker):(t + 1) * len(ker)])
     return out
 
 
-def test_generator_matrices_match_composition_and_tracked_solve():
+def test_generator_matrices_match_composition_and_gauss_jordan_solve():
     count = 0
     for w in range(1, 7):
         for n in range(3):

@@ -47,6 +47,14 @@ def test_partitions_and_tableaux():
                            for c in range(len(t[r + 1])))
 
 
+def test_dim_is_the_number_of_standard_tableaux():
+    # the hook length formula against the tableaux themselves
+    shapes = [shape for n in range(10) for shape in _partitions(n)]
+    assert len(shapes) == 1 + 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22 + 30
+    for shape in shapes:
+        assert dim(shape) == len(standard_tableaux(shape)), shape
+
+
 def test_reduced_words():
     for n in range(6):
         for sigma in _perms(n):
