@@ -14,9 +14,13 @@ Hom(m-1, n), y = (a, y'): (g boxplus 1) o y is the left composite g o y'
 (`_left_composite`) glued back, one for all m positions of a; x o F is the
 right term of F at the lone input b of x (`_right_term`), x' o F' with F's
 fiber over b glued back, F cut once per (b, F) for every x'.
-The right action of tau in S_m is cut too: y o tau is y' o tau' with a glued back
-at a' = tau^{-1}(a), tau' = tau: [m] - {a'} -> [m] - {a} relabelled in order; for
-adjacent tau, tau' is adjacent or 1, so one image in Hom(m-1, n) serves many a.
+The right action of tau in S_m is cut too, and read one cut block at a time: the
+block of a, all y = (a, y'), goes to y' o tau' with a glued back at a' = tau^{-1}(a),
+tau' = tau: [m] - {a'} -> [m] - {a} relabelled in order.  So the block is the act_in
+matrix of tau' on Hom(m-1, n) with its indices moved by the glue map at a'
+(`delta1_act_in_columns`), and blocks with the same tau' share its rows.  For
+adjacent tau = (k, k+1), tau' is 1 for a = k, k+1, whose blocks are relabellings,
+and one of at most two adjacent transpositions for every other a.
 
 mu(n) in Hom(n+1, n) is the sum of the n basis morphisms that restrict
 to the identity on the first n inputs and bracket the extra input onto
@@ -356,20 +360,53 @@ def delta1_act_right(z, f):
     return Delta1Elem(f.m, z.n, _act_right(z, f))
 
 
-def delta1_act_in_column(m, n, s, tau):
-    """delta1_act_in of the basis element s of delta1(m, n), tau a checked tuple:
-    y' o tau' in Hom(m-1, n) with the lone input glued back at tau^{-1}(a)."""
-    (a,), _, y = _cut(delta1_basis(m, n)[1][s], n + 1)
-    up = _delta1_indices(m, n, tau.index(a) + 1)
-    image = _act_in_basis(y, tuple(t - (t > a) for t in tau if t != a))
-    return {up[j]: c for j, c in image.items()}
+@functools.cache
+def _delta1_blocks(m, n):
+    """The cut block (a, i) of each delta1(m, n) index s = (a, y'_i), y'_i the basis
+    element i of Hom(m-1, n): the inverse of `_delta1_indices`; read-only."""
+    out = [None] * delta1_dim(m, n)
+    for a in range(1, m + 1):
+        for i, s in enumerate(_delta1_indices(m, n, a)):
+            out[s] = (a, i)
+    return out
+
+
+def delta1_act_in_columns(m, n, tau, support):
+    """The right action of tau on delta1(m, n), one cut block at a time (module
+    docstring): {s: coordinates of s o tau} for the indices s in support, as fresh
+    dicts.  tau must permute 1..m (`catlie.as_perm`).  Per lone input a met in
+    support, tau' and the glue map at a' = tau^{-1}(a) are worked out once; the
+    block's columns are the act_in rows `_act_in_basis(y', tau')` with their indices
+    moved by the glue map, each read once per (y', tau') and shared by the blocks
+    with the same tau'.  A block with tau' = 1 is a relabelling and reads no act_in."""
+    tau, blocks, acts, out = as_perm(tau, m), {}, {}, {}
+    if not support:             # builds no table for a zero module
+        return out
+    where, ys = _delta1_blocks(m, n), hom_basis(m - 1, n)
+    for s in support:
+        a, i = where[s]
+        blocks.setdefault(a, []).append((s, i))
+    for a, members in blocks.items():
+        up = _delta1_indices(m, n, tau.index(a) + 1)
+        sigma = tuple(t - (t > a) for t in tau if t != a)     # tau'
+        if sigma == tuple(range(1, m)):
+            out.update((s, {up[i]: 1}) for s, i in members)
+            continue
+        rows = acts.setdefault(sigma, {})
+        for s, i in members:
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = _act_in_basis(ys[i], sigma)
+            out[s] = {up[j]: c for j, c in row.items()}
+    return out
 
 
 def delta1_act_in(z, tau):
-    """Right action of S_m on delta1(m, n): act_in on the lift, through the cut."""
+    """Right action of S_m on delta1(m, n): the sum of the columns of its support,
+    read block by block by `delta1_act_in_columns`."""
     _check_type(z, Delta1Elem)
-    m, n, tau = z.m, z.n, as_perm(tau, z.m)
-    return Delta1Elem(m, n, combine(z.coords, lambda s: delta1_act_in_column(m, n, s, tau)))
+    columns = delta1_act_in_columns(z.m, z.n, tau, z.coords)
+    return Delta1Elem(z.m, z.n, combine(z.coords, columns.__getitem__))
 
 
 @functools.cache

@@ -39,7 +39,7 @@ from math import factorial, lcm, prod
 from . import dgcat, freelie
 from .catlie import HomElem, act_in, hom_dim
 from .exactla import Echelon, axpy, combine
-from .mudelta import delta1_act_in_column
+from .mudelta import delta1_act_in_columns
 from .symrep import _partitions
 
 
@@ -264,8 +264,10 @@ class SwModule:
 def h_modules(w, n):
     """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
 
-    H1 acts through the delta1 cut: per tau, one `mudelta.delta1_act_in_column` per
-    index in the union of the kernel supports, every v_r pushed through in one int loop.
+    H1 acts through the delta1 cut: per tau, the columns of every index in the union
+    of the kernel supports, read block by block by `mudelta.delta1_act_in_columns`
+    (one act_in matrix of Hom(w-1, n) per tau' != 1, none for the relabelling blocks),
+    every v_r pushed through them in one int loop.
     Its rows are read off the kernel basis: `exactla.kernel` gives each v_r
     a free column f_r = max(v_r), zero on every other v_s, so c_r =
     z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r],
@@ -287,9 +289,10 @@ def h_modules(w, n):
 
     kernel = [z.coords for z in cell.kernel]
     free = {max(v): r for r, v in enumerate(kernel)}
+    support = set().union(*kernel)
 
     def act1(tau):
-        rows, cols = [], {s: delta1_act_in_column(w, n, s, tau) for s in set().union(*kernel)}
+        rows, cols = [], delta1_act_in_columns(w, n, tau, support)
         for z in kernel:
             image = {}
             for s, c in z.items():

@@ -10,7 +10,7 @@ from lieprop.cli import suite_mudelta
 from lieprop.exactla import Echelon
 from lieprop.mudelta import (Delta1Elem, adjoint_append, check_centrality,
                              check_dg_square, check_lie_action,
-                             delta1_act_in, delta1_act_left,
+                             delta1_act_in, delta1_act_in_columns, delta1_act_left,
                              delta1_act_right, delta1_basis, delta1_dim,
                              include_delta1, iota, mu, mu_tilde, mu_tilde_1,
                              pi, project_delta1)
@@ -226,6 +226,38 @@ def test_delta1_act_in_checks_tau():
     with pytest.raises(ValueError, match="not a permutation"):
         delta1_act_in(z, (1, 2, 2, 4))
     assert delta1_act_in(z, [2, 1, 4, 3]) == delta1_act_in(z, (2, 1, 4, 3))
+
+
+def test_block_columns_match_the_action_of_perm_hom():
+    # every delta1(w, n) column with w <= 6, n <= 3, read block by block, against the
+    # definition delta1_act_right(z, perm_hom(tau)), under the w - 1 adjacent
+    # transpositions and the w-cycle (2, ..., w, 1), which is not its own inverse
+    count = 0
+    for w in range(1, 7):
+        taus = [tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, w + 1)) for k in range(1, w)]
+        taus.append(tuple(range(2, w + 1)) + (1,))
+        for n in range(min(w, 4)):
+            dim = delta1_dim(w, n)
+            for tau in taus:
+                columns = delta1_act_in_columns(w, n, tau, range(dim))
+                assert sorted(columns) == list(range(dim))
+                for s, column in columns.items():
+                    want = delta1_act_right(Delta1Elem(w, n, {s: 1}), perm_hom(tau))
+                    assert column == want.coords, (w, n, s, tau)
+                    count += 1
+    assert count == 13880
+
+
+def test_block_columns_check_tau():
+    # the as_perm errors, as delta1_act_in gives them, before any index is read
+    for tau, message in (((1, 1, 3), "not a permutation of 1..3"),
+                         ((3, 2, 1, 4), "permutation size differs from source arity"),
+                         ((2, 1), "permutation size differs from source arity")):
+        with pytest.raises(ValueError, match=message):
+            delta1_act_in_columns(3, 1, tau, [0])
+        with pytest.raises(ValueError, match=message):
+            delta1_act_in(Delta1Elem(3, 1, {0: 1}), tau)
+    assert delta1_act_in_columns(3, 1, [2, 1, 3], [0]) == delta1_act_in_columns(3, 1, (2, 1, 3), [0])
 
 
 def test_h1_generators_act_on_one_input_less(monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lieprop import dgcat, freelie, schur_oracle
+from lieprop import catlie, dgcat, freelie, mudelta, schur_oracle
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
 from lieprop.mudelta import delta1_basis, include_delta1, project_delta1
@@ -363,19 +363,53 @@ def test_generator_matrices_match_composition_and_gauss_jordan_solve():
     assert count == 114
 
 
+def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
+    # act1 takes its columns block by block: no act_in for tau' = 1, each row
+    # (y', tau') read at most once per tau, and at most two tau' != 1 for an adjacent
+    # tau; the support is all of delta1 here, so every y' is read for every tau'
+    act, calls = catlie._act_in_basis, []
+
+    def counting(bm, sigma):
+        calls.append((bm, sigma))
+        return act(bm, sigma)
+
+    monkeypatch.setattr(mudelta, "_act_in_basis", counting)
+    total = 0
+    for w in range(2, 7):
+        adjacent = [tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, w + 1))
+                    for k in range(1, w)]
+        for n in range(3):
+            m1 = h_modules.__wrapped__(w, n)[1]
+            full = set().union(*(z.coords for z in dgcat.homology_cell(w, n).kernel))
+            for tau in adjacent + [tuple(range(2, w + 1)) + (1,)]:
+                calls.clear()
+                m1.act(tau)
+                sigmas = {sigma for _, sigma in calls}
+                assert len(set(calls)) == len(calls), (w, n, tau)
+                assert tuple(range(1, w)) not in sigmas, (w, n, tau)
+                assert len(sigmas) <= (2 if tau in adjacent else 1), (w, n, tau)
+                if len(full) == mudelta.delta1_dim(w, n):
+                    assert len(calls) == len(sigmas) * hom_dim(w - 1, n), (w, n, tau)
+                total += len(calls)
+    # (2w - 3) tau' != 1 over the w - 1 adjacent tau and the w-cycle, for w >= 3,
+    # each read on all of Hom(w - 1, 1) and Hom(w - 1, 2)
+    assert total == 3 * (1 + 2) + 5 * (2 + 6) + 7 * (6 + 22) + 9 * (24 + 100)
+
+
 def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
-    # a sign error in the action on delta1, on the basis elements whose lone
-    # input is 1: the image leaves the kernel span (a sign flip of every
-    # column would not, since it is minus the action)
-    column = schur_oracle.delta1_act_in_column
+    # a sign error in the block reading of the action on delta1, on the block of
+    # lone input 1: the image leaves the kernel span (a sign flip of every column
+    # would not, since it is minus the action)
+    columns = schur_oracle.delta1_act_in_columns
 
-    def wrong_sign(m, n, s, tau):
-        image = column(m, n, s, tau)
-        if delta1_basis(m, n)[1][s].f[0] == n + 1:
-            return {j: -c for j, c in image.items()}
-        return image
+    def wrong_sign(m, n, tau, support):
+        out = columns(m, n, tau, support)
+        for s in out:
+            if delta1_basis(m, n)[1][s].f[0] == n + 1:
+                out[s] = {j: -c for j, c in out[s].items()}
+        return out
 
-    monkeypatch.setattr(schur_oracle, "delta1_act_in_column", wrong_sign)
+    monkeypatch.setattr(schur_oracle, "delta1_act_in_columns", wrong_sign)
     m1 = h_modules.__wrapped__(4, 2)[1]
     assert m1.dim
     with pytest.raises(AssertionError, match="not S_w-stable"):
