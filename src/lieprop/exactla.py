@@ -321,7 +321,9 @@ def kernel(columns):
     ``{f: L} + {p: -(L / R_p[p]) R_p[f]}`` with L the lcm of the pivot
     entries R_p[p] of the rows that meet f, and then made primitive.  It
     lies on f and the independent columns before f, which fixes it up to
-    scale.
+    scale.  Every entry of a row R_p off its pivot is on a free column, so
+    one pass over the rows lists, for each free column, the rows that meet
+    it, in increasing p.
     """
     rows = {}
     for j, col in enumerate(columns):
@@ -332,11 +334,15 @@ def kernel(columns):
         ech.add(rows[i])
     for _, row in sorted(ech.rows, key=lambda t: t[0], reverse=True):
         reduced.add(row)
-    pivots = list(reversed(reduced.rows))
+    meeting = {}
+    for p, red in reversed(reduced.rows):
+        for f in red:
+            if f != p:
+                meeting.setdefault(f, []).append((p, red))
     out = []
     for f in range(len(columns)):
         if f not in reduced.pivot_cols:
-            meets = [(p, red) for p, red in pivots if f in red]
+            meets = meeting.get(f, ())
             den = lcm(*(red[p] for p, red in meets))
             vec = {p: -(den // red[p]) * red[f] for p, red in meets}
             vec[f] = den

@@ -7,11 +7,11 @@ the adjoint-action complex
 
 computing Lie algebra homology of the free Lie algebra on V with
 coefficients in the n-fold adjoint representation.  This module builds
-that complex directly over V = Q^d, weight by weight, with a
-Lyndon-word basis of each weight component, and compares the resulting
-kernel/cokernel dimensions with the prediction obtained from the
-homology cells of the DG category through the Schur correspondence,
-whose right-hand side `schur_dim` reads off the S_w-character of a cell:
+that complex directly over V = Q^d, with Lyndon-word bases, and compares
+the resulting kernel/cokernel dimensions with the prediction obtained
+from the homology cells of the DG category through the Schur
+correspondence, whose right-hand side `schur_dim` reads off the
+S_w-character of a cell:
 
     weight-w part of H_eps  =  H_eps(w, n) (x)_{S_w} (Q^d)^{(x) w}.
 
@@ -19,6 +19,18 @@ The grading convention is total weight (a V tensor factor counts 1), so
 the degree-one term in weight w carries Lie-part weight w - 1; this is
 the convention under which the weight-w piece corresponds to the
 homology cell at source arity w.
+
+The complex is GL_d-equivariant, so it splits by content: the summand
+in which letter i occurs alpha_i times is H_eps(w, n) (x)_{S_w} M^alpha,
+with M^alpha the permutation module of S_w on the words of content alpha
+(Macdonald, Symmetric Functions, I.7).  Renaming the letters carries it
+onto the summand of the partition lam = sort(alpha).  So the direct side
+is one exact rank per partition lam |- w, over the letters 1..l(lam)
+(`weight_summand`), cached and shared by every d >= l(lam), and the
+weight-w dimensions are their sums, each summand counted N(lam, d)
+times (`monomial_count`).  `cross_check` compares the sums with
+`schur_dim` and every summand with `permutation_dim`, the inner product
+of the cell's character with the permutation character pi_lam.
 
 A bracket is put into Lyndon coordinates in the tensor algebra, by a
 triangular peel: the standard bracketing of a Lyndon word u expands to
@@ -59,7 +71,11 @@ def _mobius(n):
 
 
 def necklace_dim(d, w):
-    """Dimension of the weight-w part of the free Lie algebra on d letters."""
+    """Dimension of the weight-w part of the free Lie algebra on d letters,
+    the number of `lyndon_words(d, w)` (Witt's necklace formula); 0 for d = 0.
+    d < 0 or w < 1 raises ValueError."""
+    if d < 0:
+        raise ValueError("need d >= 0, got %r" % (d,))
     if w < 1:
         raise ValueError("need w >= 1, got %r" % (w,))
     total = 0
@@ -98,51 +114,77 @@ def lyndon_bracketing(word):
     raise AssertionError("unreachable: every word of length >= 2 has a Lyndon suffix")
 
 
-@functools.cache
-def weight_basis(d, w):
-    """(trees, lead) for the weight-w component of the free Lie algebra.
+def _words(content):
+    """The words in which letter i occurs content[i - 1] times, in lexicographic order."""
+    if not any(content):
+        return [()]
+    out = []
+    for letter, c in enumerate(content, 1):
+        if c:
+            out += [(letter,) + tail for tail in _words(_shift(content, letter, -1))]
+    return out
 
-    trees are the standard bracketings of the Lyndon words of length w,
-    in lexicographic order.  lead maps each Lyndon word u, the leading
-    word of its tree, to (b, expansion): the tree's position b in trees
-    and its tensor expansion {word: int}.  The bracketing of u expands
-    to u, with coefficient 1, plus larger words (Lothaire, Combinatorics
-    on Words, ch. 5; Reutenauer, Free Lie Algebras, ch. 5); this is
-    asserted, and the distinct leading words make the expansions
-    independent.  Cached and shared, so both are read-only.
+
+def _shift(content, letter, step):
+    """content with the multiplicity of `letter` moved by step."""
+    return content[:letter - 1] + (content[letter - 1] + step,) + content[letter:]
+
+
+@functools.cache
+def content_basis(content):
+    """(trees, lead) for the Lyndon words of one content: the words over
+    1..len(content) in which letter i occurs content[i - 1] times, a tuple
+    of ints >= 0 that are not all 0 (else ValueError).
+
+    trees are the standard bracketings of those Lyndon words, in
+    lexicographic order.  lead maps each Lyndon word u, the leading word
+    of its tree, to (b, expansion): the tree's position b in trees and
+    its tensor expansion {word: int}.  The bracketing of u expands to u,
+    with coefficient 1, plus larger words of the same content (Lothaire,
+    Combinatorics on Words, ch. 5; Reutenauer, Free Lie Algebras, ch. 5);
+    this is asserted, and the distinct leading words make the expansions
+    independent.  A Lyndon word begins with its least letter, so only
+    the words that do are tested.  Cached and shared, so both are
+    read-only.
     """
+    if not any(content) or min(content) < 0:
+        raise ValueError("need a content of ints >= 0, not all 0, got %r" % (content,))
+    first = next(i for i, c in enumerate(content) if c) + 1
     trees, lead = [], {}
-    for b, word in enumerate(lyndon_words(d, w)):
+    for tail in _words(_shift(content, first, -1)):
+        word = (first,) + tail
+        if not is_lyndon(word):
+            continue
         tree = lyndon_bracketing(word)
         expansion = freelie.expand(tree)
         if min(expansion) != word or expansion[word] != 1:
             raise AssertionError("the bracketing of %r does not lead with it" % (word,))
+        lead[word] = (len(trees), expansion)
         trees.append(tree)
-        lead[word] = (b, expansion)
     return tuple(trees), lead
 
 
 @functools.cache
-def _bracket_coords(d, w, tree, letter):
-    """Int coordinates {b: c} of [tree, letter] in the weight-(w+1) Lyndon basis.
+def _bracket_table(content, letter):
+    """Int coordinates {b: c} of [T_b, letter] in the Lyndon basis of the
+    content with one more `letter`, for every tree T_b of
+    content_basis(content), as a tuple over b.
 
-    tree must be one of weight_basis(d, w) (else ValueError).  [T, a] is
-    expanded as T.a - a.T from T's cached expansion, with no
+    [T, a] is expanded as T.a - a.T from T's cached expansion, with no
     `freelie.expand`, and its coordinates are peeled off by `_peel`.
     """
-    trees, lead = weight_basis(d, w)
-    b, expansion = lead.get(freelie.leaves(tree), (None, None))
-    if b is None or trees[b] != tree:
-        raise ValueError("not a Lyndon basis tree of weight %d over %d letters: %r"
-                         % (w, d, tree))
-    rest = {word + (letter,): c for word, c in expansion.items()}
-    axpy(rest, {(letter,) + word: c for word, c in expansion.items()}, -1)
-    return _peel(rest, weight_basis(d, w + 1)[1])
+    lead = content_basis(_shift(content, letter, 1))[1]
+    out = []
+    for _, expansion in content_basis(content)[1].values():
+        rest = {word + (letter,): c for word, c in expansion.items()}
+        axpy(rest, {(letter,) + word: c for word, c in expansion.items()}, -1)
+        out.append(_peel(rest, lead))
+    return tuple(out)
 
 
 def _peel(rest, lead):
     """Lyndon coordinates {b: c} of the word vector `rest` (an int dict the
-    caller owns; it is consumed), with `lead` from weight_basis.
+    caller owns; it is consumed), with `lead` from content_basis.
 
     The least word left must be Lyndon; its coefficient is its
     coordinate, and subtracting that multiple of its tree's expansion
@@ -161,52 +203,107 @@ def _peel(rest, lead):
     return coords
 
 
-def compositions(total, parts):
-    """Ordered compositions of `total` into `parts` strictly positive parts."""
+@functools.cache
+def content_splits(content, parts):
+    """Ordered tuples of `parts` contents, none of them all 0, that sum to
+    `content` (a tuple of ints), as a tuple; parts < 0 raises ValueError."""
     if parts < 0:
         raise ValueError("need parts >= 0, got %r" % (parts,))
     if parts == 0:
-        return [()] if total == 0 else []
+        return () if any(content) else ((),)
+    if parts == 1:
+        return ((content,),) if any(content) and min(content) >= 0 else ()
     out = []
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    for first in itertools.product(*(range(c + 1) for c in content)):
+        if any(first):
+            rest = tuple(c - f for c, f in zip(content, first))
+            out += [(first,) + tail for tail in content_splits(rest, parts - 1)]
+    return tuple(out)
+
+
+def compositions(total, parts):
+    """Ordered compositions of `total` into `parts` strictly positive parts."""
+    return [tuple(u for (u,) in split) for split in content_splits((total,), parts)]
+
+
+def _ranges(split):
+    return [range(len(content_basis(beta)[0])) for beta in split]
+
+
+@functools.cache
+def weight_summand(n, lam):
+    """(dim C0, dim C1, rank) of the weight-lam summand of the
+    adjoint-action complex over the letters 1..len(lam): the part in which
+    letter i occurs lam[i - 1] times, with rank that of its differential.
+
+    C0 has a basis of n-tuples of Lyndon trees whose contents (none of
+    them all 0) sum to lam; C1 of such tuples summing to lam minus one
+    letter a, with a.  The differential brackets a onto each slot in
+    turn (`_bracket_table`), so only the contents below lam are ever
+    built.  One exact `Echelon` rank per (n, lam), cached and shared by
+    every d >= len(lam).
+    """
+    c0_index = {}
+    for split in content_splits(lam, n):
+        for idxs in itertools.product(*_ranges(split)):
+            c0_index[split, idxs] = len(c0_index)
+
+    ech = Echelon()
+    c1_dim = 0
+    for letter in range(1, len(lam) + 1):
+        for split in content_splits(_shift(lam, letter, -1), n):
+            slots = [(s, split[:s] + (_shift(beta, letter, 1),) + split[s + 1:],
+                      _bracket_table(beta, letter)) for s, beta in enumerate(split)]
+            for idxs in itertools.product(*_ranges(split)):
+                c1_dim += 1
+                col = {}
+                for s, target, table in slots:
+                    for b, c in table[idxs[s]].items():
+                        col[c0_index[target, idxs[:s] + (b,) + idxs[s + 1:]]] = c
+                ech.add(col)
+    return len(c0_index), c1_dim, ech.rank
+
+
+def monomial_count(lam, d):
+    """N(lam, d): the contents alpha in N^d that sort to the partition lam,
+    d! / prod of the factorials of the multiplicities of lam padded with
+    zeros to length d; 0 when lam has more than d parts."""
+    if len(lam) > d:
+        return 0
+    padded = tuple(lam) + (0,) * (d - len(lam))
+    return factorial(d) // prod(factorial(padded.count(k)) for k in set(padded))
 
 
 def weighted_complex_homology(d, n, w):
     """(dim H0, dim H1) of the weight-w part of the adjoint-action complex.
 
-    Degree 0 is the weight-w part of Lie(V)^{(x) n}; degree 1 is the
-    weight-(w-1) part tensored with V.  The differential brackets the V
-    factor onto each tensor slot in turn.
+    Degree 0 is the weight-w part of Lie(V)^{(x) n}, V = Q^d; degree 1 is
+    the weight-(w-1) part tensored with V.  The differential brackets the
+    V factor onto each tensor slot in turn.  The pair is the sum over the
+    partitions lam |- w with at most d parts of N(lam, d) (dim C0_lam - r,
+    dim C1_lam - r), (dim C0_lam, dim C1_lam, r) = `weight_summand(n, lam)`;
+    the summed dimensions are asserted to equal the counts from
+    `necklace_dim`.
     """
     if d < 1 or w < 1:
         raise ValueError("need d >= 1 and w >= 1")
-    dims = {u: necklace_dim(d, u) for u in range(1, w + 1)}
 
-    c0_index = {}
-    for comp in compositions(w, n):
-        for idxs in itertools.product(*(range(dims[u]) for u in comp)):
-            c0_index[(comp, idxs)] = len(c0_index)
+    def necklace_count(total):
+        return sum(prod(necklace_dim(d, u) for u in comp) for comp in compositions(total, n))
 
-    rank_ech = Echelon()
-    c1_dim = 0
-    for comp in compositions(w - 1, n):
-        for idxs in itertools.product(*(range(dims[u]) for u in comp)):
-            for letter in range(1, d + 1):
-                c1_dim += 1
-                col = {}
-                for slot in range(n):
-                    u = comp[slot]
-                    tree = weight_basis(d, u)[0][idxs[slot]]
-                    target_comp = comp[:slot] + (u + 1,) + comp[slot + 1:]
-                    coords = _bracket_coords(d, u, tree, letter)
-                    axpy(col, {c0_index[(target_comp, idxs[:slot] + (b,) + idxs[slot + 1:])]: c
-                               for b, c in coords.items()})
-                rank_ech.add(col)
-    rank = rank_ech.rank
-    return len(c0_index) - rank, c1_dim - rank
+    want = (necklace_count(w), d * necklace_count(w - 1))
+    h0 = h1 = dim0 = dim1 = 0
+    for lam in _partitions(w):
+        count = monomial_count(lam, d)
+        if count:
+            c0, c1, rank = weight_summand(n, lam)
+            h0 += count * (c0 - rank)
+            h1 += count * (c1 - rank)
+            dim0 += count * c0
+            dim1 += count * c1
+    if (dim0, dim1) != want:
+        raise AssertionError("weight summands of dimensions %s, necklace counts %s" % ((dim0, dim1), want))
+    return h0, h1
 
 
 class SwModule:
@@ -314,6 +411,25 @@ def h_modules(w, n):
             SwModule(w, len(cell.kernel), act1))
 
 
+@functools.cache
+def _class_size(rho):
+    """w! / z_rho: the permutations of cycle type rho |- w."""
+    z = prod(k ** rho.count(k) * factorial(rho.count(k)) for k in set(rho))
+    return factorial(sum(rho)) // z
+
+
+def _character_product(module, value):
+    """<chi_M, f> = sum over rho |- w of chi_M(rho) f(rho) / z_rho for an int
+    class function f(rho), taken in ints as sum chi f |class| / w!; it must
+    be a non-negative integer."""
+    total = sum(chi * value(rho) * _class_size(rho) for rho, chi in module.character.items())
+    dim, rest = divmod(total, factorial(module.w))
+    if rest or dim < 0:
+        raise AssertionError("character inner product %s is not a dimension"
+                             % Fraction(total, factorial(module.w)))
+    return dim
+
+
 def schur_dim(module, d):
     """dim(M (x)_{S_w} (Q^d)^{(x) w}): the inner product of chi_M with the
     permutation character of (Q^d)^{(x) w}, where a permutation of cycle
@@ -322,23 +438,56 @@ def schur_dim(module, d):
         schur_dim(M, d) = sum over rho |- w of chi_M(rho) d^{l(rho)} / z_rho
 
     (Macdonald, Symmetric Functions and Hall Polynomials, I.7; Fulton and
-    Harris, Representation Theory, 4.3, Schur-Weyl duality), taken in
-    Fractions; it must be a non-negative integer.  d < 0 raises ValueError.
+    Harris, Representation Theory, 4.3, Schur-Weyl duality), summed in
+    ints; it must be a non-negative integer.  d < 0 raises ValueError.
     """
     if d < 0:
         raise ValueError("need d >= 0, got %r" % (d,))
-    total = Fraction(0)
-    for rho, chi in module.character.items():
-        z = prod(k ** rho.count(k) * factorial(rho.count(k)) for k in set(rho))
-        total += Fraction(chi * d ** len(rho), z)
-    if total.denominator != 1 or total < 0:
-        raise AssertionError("character inner product %s is not a dimension" % total)
-    return int(total)
+    return _character_product(module, lambda rho: d ** len(rho))
+
+
+@functools.cache
+def _fixed_words(content, rho):
+    """pi(rho): the words of the given content fixed by a permutation of
+    cycle type rho, that is, the ways to give each cycle one letter so that
+    letter i fills content[i - 1] places."""
+    if not rho:
+        return 0 if any(content) else 1
+    k, rest = rho[0], rho[1:]
+    return sum(_fixed_words(_shift(content, i, -k), rest)
+               for i, c in enumerate(content, 1) if c >= k)
+
+
+def permutation_dim(module, lam):
+    """dim(M (x)_{S_w} M^lam) = <chi_M, pi_lam>: the weight-lam summand of
+    schur_dim, with M^lam the permutation module of S_w on the words of
+    content lam (a tuple of ints >= 0 summing to w, else ValueError) and
+    pi_lam(rho) the words it fixes (Macdonald I.7).  Summed over the
+    contents of weight w in d letters, it gives schur_dim(M, d), so
+
+        schur_dim(M, d) = sum over lam |- w of N(lam, d) permutation_dim(M, lam).
+    """
+    lam = tuple(lam)
+    if sum(lam) != module.w or min(lam, default=0) < 0:
+        raise ValueError("need a content of weight %d, got %r" % (module.w, lam))
+    return _character_product(module, functools.partial(_fixed_words, lam))
 
 
 def cross_check(d, n, w):
-    """Both computation paths agree on (dim H0, dim H1) at (d, n, w)."""
+    """Both computation paths agree at (d, n, w), in total and per weight.
+
+    The direct (dim H0, dim H1) of `weighted_complex_homology` equals
+    (schur_dim(H0(w, n), d), schur_dim(H1(w, n), d)), and for every
+    partition lam |- w with at most d parts the pair of its summand,
+    `weight_summand(n, lam)`, equals the permutation_dim pair.
+    """
     direct = weighted_complex_homology(d, n, w)
     m0, m1 = h_modules(w, n)
-    predicted = (schur_dim(m0, d), schur_dim(m1, d))
-    return direct == predicted
+    if direct != (schur_dim(m0, d), schur_dim(m1, d)):
+        return False
+    for lam in _partitions(w):
+        if len(lam) <= d:
+            c0, c1, rank = weight_summand(n, lam)
+            if (c0 - rank, c1 - rank) != (permutation_dim(m0, lam), permutation_dim(m1, lam)):
+                return False
+    return True

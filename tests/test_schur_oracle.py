@@ -1,4 +1,6 @@
+import functools
 import itertools
+from math import factorial, prod
 
 import pytest
 
@@ -6,10 +8,12 @@ from lieprop import catlie, dgcat, freelie, mudelta, schur_oracle
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
 from lieprop.mudelta import delta1_basis, include_delta1, project_delta1
-from lieprop.schur_oracle import (SwModule, _bracket_coords, _peel, compositions,
-                                  cross_check, h_modules, is_lyndon, lyndon_bracketing,
-                                  lyndon_words, necklace_dim, schur_dim,
-                                  weight_basis, weighted_complex_homology)
+from lieprop.schur_oracle import (SwModule, _bracket_table, _peel, compositions,
+                                  content_basis, content_splits, cross_check, h_modules,
+                                  is_lyndon, lyndon_bracketing, lyndon_words,
+                                  monomial_count, necklace_dim, permutation_dim, schur_dim,
+                                  weight_summand, weighted_complex_homology)
+from lieprop.symrep import _partitions
 from test_exactla import _gauss_jordan_kernel, _gauss_jordan_solutions
 
 
@@ -31,6 +35,15 @@ def test_lyndon_words_over_no_letters():
         assert lyndon_words(0, w) == [] and necklace_dim(0, w) == 0
 
 
+def test_necklace_dim_rejects_negative_d():
+    # the necklace formula alone gives necklace_dim(-2, 3) == -2 and
+    # necklace_dim(-1, 2) == 1 for an empty word set
+    for d, w in ((-2, 3), (-1, 2), (-1, 1)):
+        assert lyndon_words(d, w) == []
+        with pytest.raises(ValueError, match="need d >= 0"):
+            necklace_dim(d, w)
+
+
 def test_lyndon_words_match_necklace_counts():
     for d in (1, 2, 3):
         for w in range(1, 7):
@@ -47,27 +60,51 @@ def test_lyndon_bracketing_structure():
     assert lyndon_bracketing((1, 2, 2)) == ((1, 2), 2)
 
 
+def _contents(d, w):
+    """Every content of weight w over the letters 1..d."""
+    return [c for c in itertools.product(range(w + 1), repeat=d) if sum(c) == w]
+
+
 def test_weight_basis_expansions_independent():
     # distinct leading words, each with coefficient 1 and below every other
-    # word of its expansion: the expansions are triangular, so independent
+    # word of its expansion, all of one content: the expansions are
+    # triangular, so independent; over the contents of one weight they are
+    # the Lyndon words of that weight, and as many as necklace_dim counts
     for d in (2, 3):
         for w in range(1, 5):
-            trees, lead = weight_basis(d, w)
-            assert len(trees) == necklace_dim(d, w) == len(lead)
-            assert list(lead) == lyndon_words(d, w)
-            for word, (b, expansion) in lead.items():
-                assert trees[b] == lyndon_bracketing(word)
-                assert min(expansion) == word and expansion[word] == 1
+            words = []
+            for content in _contents(d, w):
+                trees, lead = content_basis(content)
+                assert len(trees) == len(lead)
+                assert list(lead) == sorted(lead)
+                for word, (b, expansion) in lead.items():
+                    assert trees[b] == lyndon_bracketing(word)
+                    assert min(expansion) == word and expansion[word] == 1
+                    assert all(tuple(u.count(i) for i in range(1, d + 1)) == content
+                               for u in expansion)
+                words += lead
+            assert sorted(words) == lyndon_words(d, w)
+            assert len(words) == necklace_dim(d, w)
+
+
+def test_content_basis_rejects_contents_of_weight_zero():
+    for content in ((), (0,), (0, 0), (1, -1), (-1, 2)):
+        with pytest.raises(ValueError, match="need a content"):
+            content_basis(content)
 
 
 def test_lyndon_bracketing_leads_with_its_word():
     count = 0
     for d in (1, 2, 3):
         for w in range(1, 8):
-            for word, (b, expansion) in weight_basis(d, w)[1].items():
-                assert expansion == freelie.expand(lyndon_bracketing(word))
-                assert min(expansion) == word and expansion[word] == 1, word
-                count += 1
+            words = []
+            for content in _contents(d, w):
+                for word, (b, expansion) in content_basis(content)[1].items():
+                    assert expansion == freelie.expand(lyndon_bracketing(word))
+                    assert min(expansion) == word and expansion[word] == 1, word
+                    words.append(word)
+                    count += 1
+            assert sorted(words) == lyndon_words(d, w)
     assert count == 550
 
 
@@ -75,35 +112,37 @@ def test_peel_matches_gauss_jordan_solve():
     count = 0
     for d in (1, 2, 3):
         for w in range(1, 7):
-            # reference: the weight-(w + 1) Lyndon trees, expanded, as the basis of
-            # one dense Gauss-Jordan solve of every bracket [T, a] with T of weight w
-            basis = [freelie.expand(lyndon_bracketing(word)) for word in lyndon_words(d, w + 1)]
-            assert _gauss_jordan_kernel(basis) == []
-            cases = [(tree, letter) for tree in weight_basis(d, w)[0]
-                     for letter in range(1, d + 1)]
-            wants = _gauss_jordan_solutions(basis, [freelie.expand(case) for case in cases])
-            for (tree, letter), want in zip(cases, wants):
-                got = _bracket_coords(d, w, tree, letter)
-                assert got == want, (d, w, tree, letter)
-                assert all(type(c) is int for c in got.values())
-                count += 1
+            for content in _contents(d, w):
+                trees = content_basis(content)[0]
+                for letter in range(1, d + 1):
+                    # reference: the Lyndon trees of the content with one more letter,
+                    # expanded, as the basis of one dense Gauss-Jordan solve of every
+                    # bracket [T, letter] with T of the content
+                    above = content[:letter - 1] + (content[letter - 1] + 1,) + content[letter:]
+                    basis = [freelie.expand(tree) for tree in content_basis(above)[0]]
+                    assert _gauss_jordan_kernel(basis) == []
+                    wants = _gauss_jordan_solutions(
+                        basis, [freelie.expand((tree, letter)) for tree in trees])
+                    got = _bracket_table(content, letter)
+                    assert len(got) == len(trees)
+                    for b, want in enumerate(wants):
+                        assert got[b] == want, (content, letter, trees[b])
+                        assert all(type(c) is int for c in got[b].values())
+                        count += 1
     assert count == 635
 
 
 def test_peel_raises_outside_the_lie_span():
-    lead2 = weight_basis(2, 2)[1]
+    lead11 = content_basis((1, 1))[1]
     with pytest.raises(AssertionError, match="escaped the Lyndon span"):
-        _peel({(1, 1): 1}, lead2)
+        _peel({(2, 1): 1}, lead11)
     # the symmetric tensor 12 + 21: peeling [1, 2] leaves 2 * 21
     with pytest.raises(AssertionError, match="escaped the Lyndon span"):
-        _peel({(1, 2): 1, (2, 1): 1}, lead2)
-    assert _peel({(1, 2): 3, (2, 1): -3}, lead2) == {0: 3}
-    # trees that are not basis trees of their weight: 21 is not Lyndon, and
-    # 112 is, but its basis tree is [1, [1, 2]]
-    assert (1, (1, 2)) in weight_basis(2, 3)[0]
-    for w, tree in ((2, (2, 1)), (3, ((1, 1), 2))):
-        with pytest.raises(ValueError, match="not a Lyndon basis tree"):
-            _bracket_coords(2, w, tree, 1)
+        _peel({(1, 2): 1, (2, 1): 1}, lead11)
+    assert _peel({(1, 2): 3, (2, 1): -3}, lead11) == {0: 3}
+    # a word of another content has no lead: 11 is not Lyndon
+    with pytest.raises(AssertionError, match="escaped the Lyndon span"):
+        _peel({(1, 1): 1}, lead11)
 
 
 def test_compositions():
@@ -111,6 +150,25 @@ def test_compositions():
     assert compositions(0, 0) == [()]
     assert compositions(2, 0) == []
     assert compositions(2, 3) == []
+    assert compositions(-1, 1) == [] and compositions(0, 1) == []
+    for total in range(7):
+        for parts in range(5):
+            got = compositions(total, parts)
+            assert got == sorted(c for c in itertools.product(range(1, total + 1), repeat=parts)
+                                 if sum(c) == total)
+
+
+def test_content_splits():
+    assert content_splits((1, 1), 2) == (((0, 1), (1, 0)), ((1, 0), (0, 1)))
+    assert content_splits((0, 0), 0) == ((),) and content_splits((1, 0), 0) == ()
+    assert content_splits((2, 1), 1) == (((2, 1),),) and content_splits((0, 0), 1) == ()
+    for content in ((2, 1), (1, 1, 1), (3, 2), (2, 2, 1)):
+        for parts in range(5):
+            want = [s for s in itertools.product(
+                        itertools.product(*(range(c + 1) for c in content)), repeat=parts)
+                    if all(any(beta) for beta in s)
+                    and tuple(map(sum, zip(*s))) == content]
+            assert sorted(content_splits(content, parts)) == sorted(want), (content, parts)
 
 
 def test_negative_parts_raise_value_error():
@@ -139,6 +197,113 @@ def test_weighted_homology_rank_one_cases():
 def test_weighted_homology_212():
     # explicit matrices: V (x) V -> Lie_2, kernel 3 (sym square), image 1
     assert weighted_complex_homology(2, 1, 2) == (0, 3)
+
+
+@functools.cache
+def _weight_basis(d, w):
+    """Reference: (trees, lead) over every Lyndon word of weight w in d letters
+    as one basis, with no split by content."""
+    trees, lead = [], {}
+    for b, word in enumerate(lyndon_words(d, w)):
+        trees.append(lyndon_bracketing(word))
+        lead[word] = (b, freelie.expand(trees[-1]))
+    return trees, lead
+
+
+@functools.cache
+def _weight_bracket(d, w, b, letter):
+    """Reference: coordinates of [T_b, letter] in the weight-(w + 1) Lyndon basis."""
+    expansion = freelie.expand(_weight_basis(d, w)[0][b])
+    rest = {word + (letter,): c for word, c in expansion.items()}
+    axpy(rest, {(letter,) + word: c for word, c in expansion.items()}, -1)
+    return _peel(rest, _weight_basis(d, w + 1)[1])
+
+
+def _full_weighted_complex_homology(d, n, w):
+    """Reference: the whole weight-w complex over d letters, one rank per
+    (d, n, w), with Lyndon bases and brackets for all d^w words."""
+    dims = {u: necklace_dim(d, u) for u in range(1, w + 1)}
+    c0_index = {}
+    for comp in compositions(w, n):
+        for idxs in itertools.product(*(range(dims[u]) for u in comp)):
+            c0_index[(comp, idxs)] = len(c0_index)
+    ech = Echelon()
+    c1_dim = 0
+    for comp in compositions(w - 1, n):
+        for idxs in itertools.product(*(range(dims[u]) for u in comp)):
+            for letter in range(1, d + 1):
+                c1_dim += 1
+                col = {}
+                for slot in range(n):
+                    u = comp[slot]
+                    target_comp = comp[:slot] + (u + 1,) + comp[slot + 1:]
+                    coords = _weight_bracket(d, u, idxs[slot], letter)
+                    axpy(col, {c0_index[(target_comp, idxs[:slot] + (b,) + idxs[slot + 1:])]: c
+                               for b, c in coords.items()})
+                ech.add(col)
+    return len(c0_index) - ech.rank, c1_dim - ech.rank
+
+
+def test_weight_summands_match_the_full_enumeration():
+    count = 0
+    for d in range(1, 5):
+        for n in range(5):
+            for w in range(1, 7):
+                got = weighted_complex_homology(d, n, w)
+                assert got == _full_weighted_complex_homology(d, n, w), (d, n, w)
+                count += 1
+    assert count == 120
+
+
+def test_weight_summands_match_permutation_characters():
+    count = 0
+    for w in range(1, 7):
+        for n in range(4):
+            m0, m1 = h_modules(w, n)
+            for lam in _partitions(w):
+                c0, c1, rank = weight_summand(n, lam)
+                assert (c0 - rank, c1 - rank) == (permutation_dim(m0, lam),
+                                                  permutation_dim(m1, lam)), (w, n, lam)
+                count += 1
+    assert count == 116
+
+
+def test_monomial_count():
+    assert monomial_count((2, 1), 3) == 6
+    assert monomial_count((1, 1), 3) == 3 and monomial_count((2,), 3) == 3
+    assert monomial_count((1, 1, 1), 2) == 0 and monomial_count((1,), 0) == 0
+    for d in range(5):
+        for w in range(1, 7):
+            # every word of weight w has one content, and a content of shape lam
+            # has w! / prod lam_i! words
+            assert sum(monomial_count(lam, d) * factorial(w) // prod(map(factorial, lam))
+                       for lam in _partitions(w)) == d ** w
+
+
+def test_schur_dim_is_the_sum_of_permutation_dims():
+    modules = [_regular_module(w) for w in range(1, 6)]
+    modules += [SwModule(w, 1, _act_sgn) for w in range(1, 7)]
+    modules += [m for w in range(1, 7) for n in range(w + 1) for m in h_modules(w, n)]
+    for module in modules:
+        for d in range(5):
+            assert schur_dim(module, d) == sum(monomial_count(lam, d) * permutation_dim(module, lam)
+                                               for lam in _partitions(module.w)), (module.w, d)
+    assert len(modules) == 5 + 6 + 2 * 27
+
+
+def test_permutation_dim_regular_and_sign_modules():
+    for w in range(1, 6):
+        reg, sgn = _regular_module(w), SwModule(w, 1, _act_sgn)
+        for lam in _partitions(w):
+            # the regular module gives every word of content lam; the sign module one
+            # line for a word with distinct letters and none otherwise
+            assert permutation_dim(reg, lam) == factorial(w) // prod(map(factorial, lam))
+            assert permutation_dim(sgn, lam) == (1 if max(lam) == 1 else 0)
+            # a content with its letters renamed, or with unused letters, is the same
+            assert permutation_dim(reg, (0,) + lam[::-1]) == permutation_dim(reg, lam)
+    for lam in ((2, 2), (4,), (1, -1, 3), ()):
+        with pytest.raises(ValueError, match="need a content of weight 3"):
+            permutation_dim(_regular_module(3), lam)
 
 
 def test_schur_dim_trivial_module():
