@@ -115,6 +115,38 @@ def orbit_offsets(m, n):
     return out
 
 
+def _orbit_position(m, n, f):
+    """(sigma, offset, weights) for the value list f of Hom(m, n): every basis
+    element (f, trees) is sigma . rep, rep the representative number
+    offset + sum_p trees[p] * weights[p] of `orbit_offsets`.  One
+    `first_occurrence` on a probe whose trees are the output positions gives
+    sigma, the representative's value list and where each tree goes."""
+    sigma, probe = first_occurrence(BasisMorphism(m, n, f, tuple(range(n))), 0, n)
+    offset, strides = orbit_offsets(m, n)[probe.f]
+    # the tree of output p+1 is at output k+1 of the rep, k = probe.trees.index(p)
+    return sigma, offset, [strides[probe.trees.index(p)] for p in range(n)]
+
+
+@functools.cache
+def orbit_fold(m, n):
+    """(fold, reps) for the S_n-orbits of Hom(m, n) under post-composition:
+    reps lists the representatives as basis morphisms, numbered in basis
+    order as in `orbit_offsets`, and fold[i] = (sigma, k) says that basis
+    element i is sigma . reps[k].  Per value list, `_orbit_position` gives
+    sigma and the numbers k, whose sums over the tree tuples are built one
+    output at a time, in basis order."""
+    fold = []
+    for f in surjections(m, n):
+        sigma, offset, weights = _orbit_position(m, n, f)
+        numbers = [offset]
+        for v, weight in enumerate(weights, 1):
+            numbers = [k + t * weight for k in numbers for t in range(freelie.lie_dim(f.count(v)))]
+        fold += [(sigma, k) for k in numbers]
+    reps = tuple(BasisMorphism(m, n, f, trees)
+                 for f in orbit_offsets(m, n) for trees in tree_tuples(f, n))
+    return tuple(fold), reps
+
+
 @functools.cache
 def hom_index(m, n):
     return {bm: i for i, bm in enumerate(hom_basis(m, n))}

@@ -133,12 +133,11 @@ def suite_mudelta(max_m, seed, trials):
         cases += 1
         if not mudelta.check_lie_action(n):
             return False, cases
-    # retraction and compatibility of pi, cell by cell
+    # retraction, compatibility and the chain-map condition of pi, cell by cell
     for m in range(0, max_m + 1):
         for n in range(0, m):
             cases += 1
-            rep = cecomplex.ce_to_dgcat(m, n)
-            if not (rep["retraction"] and rep["mu_compat"]):
+            if not cecomplex.ce_to_dgcat(m, n)["ok"]:
                 return False, cases
     # bimodule axioms on random triples
     for _ in range(trials):

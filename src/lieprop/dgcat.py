@@ -20,12 +20,13 @@ built only when something reads it, then cached per cell.
   M is built on the representatives alone (`_block_matrix`), so the
   dimensions build no basis table, index or column cache.  The blocks
   also give the multiplicity of each irreducible V_lambda in H0 and in H1.
+  `schur_oracle.h_modules` builds its S_w-modules on the same blocks.
 * The boundary data defining H0 is one echelon of all the
   columns of mu_tilde_1 on the full bases: H0 classes are handled as
   canonical reduced representatives against it, so equality of classes
-  is equality of representatives.
+  is equality of representatives (`h0_reduce`).
 * The kernel basis spanning H1 is built by `exactla.kernel` on the same
-  columns.
+  columns (`check_h1_mu_trivial`).
 """
 
 import functools
@@ -33,8 +34,8 @@ from math import factorial
 from operator import mul
 
 from . import symrep
-from .catlie import (BasisMorphism, HomElem, _check_arities, compose, compose_basis,
-                     first_occurrence, hom_basis, hom_dim, identity, orbit_offsets, tree_tuples)
+from .catlie import (HomElem, _check_arities, _orbit_position, compose, compose_basis, hom_basis,
+                     hom_dim, identity, tree_tuples)
 from .exactla import Echelon, combine, kernel
 from .mudelta import (Delta1Elem, _act_right, _delta1_indices, _delta1_value_lists,
                       _left_composite, _mu_tilde_1_terms, check_dg_square, delta1_act_left,
@@ -210,24 +211,18 @@ def _block_matrix(m, n):
     (`mudelta._delta1_value_lists`) outside and their tree tuples inside.
     Per (f, j), `mudelta._mu_tilde_1_terms` gives the value list f_j of the
     terms on output j and their table of `freelie.bracket_leaf_table`, and
-    `catlie.first_occurrence`, run once per f_j on a probe whose trees are
-    the output positions, gives tau, the offset of the representative's
-    value list and where each tree goes, so a stride per output.  For a
-    tree tuple ts the terms on output j then have index base_j + p *
-    stride_j, base_j from the trees other than ts[j], for (p, c) in
-    table[ts[j]].  The action is free, so the terms of a row are distinct
-    pairs (i, tau).
+    `catlie._orbit_position`, run once per f_j, gives tau, the offset of the
+    representative's value list and a stride per output.  For a tree tuple
+    ts the terms on output j then have index base_j + p * stride_j, base_j
+    from the trees other than ts[j], for (p, c) in table[ts[j]].  The action
+    is free, so the terms of a row are distinct pairs (i, tau).
     """
-    offsets, orbit, matrix = orbit_offsets(m, n), {}, []
-    positions = tuple(range(n))
+    orbit, matrix = {}, []
     for f, g, a in _delta1_value_lists(m, n):
         outputs = []
         for j, (fj, table) in enumerate(_mu_tilde_1_terms(f, a, n)):
             if fj not in orbit:
-                tau, probe = first_occurrence(BasisMorphism(m, n, fj, positions), 0, n)
-                offset, strides = offsets[probe.f]
-                # the tree of output p+1 is at output k+1 of the rep, k = probe.trees.index(p)
-                orbit[fj] = tau, offset, [strides[probe.trees.index(p)] for p in range(n)]
+                orbit[fj] = _orbit_position(m, n, fj)
             outputs.append((j, table) + orbit[fj])
         for ts in tree_tuples(g, n):
             row = {}

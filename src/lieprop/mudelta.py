@@ -80,8 +80,8 @@ import functools
 
 from . import freelie
 from .catlie import (BasisMorphism, HomElem, _act_in_basis, _check_arities, as_perm,
-                     basis_trees, boxplus, compose, compose_basis, emit, hom_basis,
-                     hom_dim, hom_index, identity, orbit_offsets, perm_hom)
+                     basis_trees, boxplus, compose, compose_basis, emit, hom_basis, hom_dim,
+                     hom_index, identity, orbit_fold, orbit_offsets, perm_hom, tree_tuples)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf_table
 
@@ -203,6 +203,28 @@ def _delta1_value_lists(m, n):
         return []
     return sorted((g[:a - 1] + (n + 1,) + g[a - 1:], g, a)
                   for g in orbit_offsets(m - 1, n) for a in range(1, m + 1))
+
+
+@functools.cache
+def delta1_orbit_fold(m, n):
+    """(fold, reps) for the S_n-orbits of delta1(m, n): reps lists the delta1
+    indices of the representatives in the order of `_delta1_value_lists`, the
+    order of the rows of `dgcat._block_matrix`, and fold[s] = (sigma, j) says
+    that basis element s is sigma . (representative j).  Through the cut,
+    s = (a, y') is sigma . (a, rep k) for y' = sigma . rep k in Hom(m-1, n), read
+    off `catlie.orbit_fold(m - 1, n)`."""
+    offsets, ident = orbit_offsets(m - 1, n), tuple(range(1, n + 1))
+    where = {}                  # where[a, k]: the number of the representative (a, rep k)
+    for f, g, a in _delta1_value_lists(m, n):
+        for k, _ in enumerate(tree_tuples(g, n), offsets[g][0]):
+            where[a, k] = len(where)
+    hom_fold = orbit_fold(m - 1, n)[0]
+    fold = []
+    for a, i in _delta1_blocks(m, n):
+        sigma, k = hom_fold[i]
+        fold.append((sigma, where[a, k]))
+    # both list the representatives by value list, then trees: in the same order
+    return tuple(fold), tuple(s for s, (sigma, _) in enumerate(fold) if sigma == ident)
 
 
 def _mu_tilde_1_terms(f, a, n):

@@ -39,6 +39,12 @@ Lie element is Lyndon, and subtracting its coefficient times its
 bracketing's expansion leaves only larger words.  The coordinates are
 ints, with no elimination.
 
+The DG side, `h_modules`, reads the S_w-modules H0(w, n) and H1(w, n)
+off the homology cells.  A cell is an S_w x S_n-bimodule and S_n acts
+freely on both bases, so each cell is built on the Wedderburn blocks of
+S_n, one small quotient and kernel per partition lambda of n, and its
+character is the sum of the block characters times d_lambda.
+
 The two computation paths share no code beyond exact linear algebra,
 which is the point.
 """
@@ -48,10 +54,10 @@ import itertools
 from fractions import Fraction
 from math import factorial, lcm, prod
 
-from . import dgcat, freelie
-from .catlie import HomElem, act_in, hom_dim
-from .exactla import Echelon, axpy, combine
-from .mudelta import delta1_act_in_columns
+from . import dgcat, freelie, symrep
+from .catlie import _act_in_basis, hom_basis, orbit_fold
+from .exactla import Echelon, axpy, combine, kernel
+from .mudelta import delta1_act_in_columns, delta1_orbit_fold
 from .symrep import _partitions
 
 
@@ -306,6 +312,11 @@ def weighted_complex_homology(d, n, w):
     return h0, h1
 
 
+def _adjacent(w):
+    """The adjacent transpositions s_1, ..., s_{w-1} of 1..w, in order."""
+    return [(*range(1, i), i + 1, i, *range(i + 2, w + 1)) for i in range(1, w)]
+
+
 class SwModule:
     """A right S_w-module given by its dimension and action matrices.
 
@@ -335,8 +346,7 @@ class SwModule:
 
     @functools.cached_property
     def character(self):
-        mats = {i: self.act((*range(1, i), i + 1, i, *range(i + 2, self.w + 1)))
-                for i in range(1, self.w)}
+        mats = {i: self.act(tau) for i, tau in enumerate(_adjacent(self.w), 1)}
         den = lcm(*(v.denominator for mat in mats.values() for row in mat for v in row.values()))
         gens = {i: [{j: int(v * den) for j, v in row.items()} for row in mat]
                 for i, mat in mats.items()}
@@ -357,58 +367,164 @@ class SwModule:
         return {rho: int(c) for rho, c in chi.items()}
 
 
+class BlockSum(SwModule):
+    """The SwModule sum over lambda of d_lambda copies of blocks[lambda], a
+    SwModule: `act` is block diagonal, and the character is
+    sum_lambda d_lambda chi_{blocks[lambda]}, read off the blocks."""
+
+    def __init__(self, w, blocks):
+        self.blocks = blocks
+        super().__init__(w, sum(symrep.dim(shape) * m.dim for shape, m in blocks.items()),
+                         self._diagonal)
+
+    def _diagonal(self, tau):
+        rows = []
+        for shape, module in self.blocks.items():
+            mat = module.act(tau)
+            for _ in range(symrep.dim(shape)):
+                offset = len(rows)
+                rows += [{offset + j: v for j, v in row.items()} for row in mat]
+        return rows
+
+    @functools.cached_property
+    def character(self):
+        for tau in _adjacent(self.w):   # the blocks of one tau share its rows over Z[S_n]
+            for module in self.blocks.values():
+                module.act(tau)
+        chi = dict.fromkeys(_partitions(self.w), 0)
+        for shape, module in self.blocks.items():
+            for rho, value in module.character.items():
+                chi[rho] += symrep.dim(shape) * value
+        return chi
+
+
+def _over(x, den):
+    """x / den, an int when that is exact."""
+    if den == 1:
+        return x
+    q = Fraction(x, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 @functools.cache
 def h_modules(w, n):
-    """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in.
+    """The homology cells H0(w, n), H1(w, n) as right S_w-modules via act_in,
+    each a `BlockSum` over the partitions lambda of n with a nonzero block.
 
-    H1 acts through the delta1 cut: per tau, the columns of every index in the union
-    of the kernel supports, read block by block by `mudelta.delta1_act_in_columns`
-    (one act_in matrix of Hom(w-1, n) per tau' != 1, none for the relabelling blocks),
-    every v_r pushed through them in one int loop.
-    Its rows are read off the kernel basis: `exactla.kernel` gives each v_r
-    a free column f_r = max(v_r), zero on every other v_s, so c_r =
-    z[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r],
-    by subtracting each (L c_r) v_r from L z in the same inline loop that formed z.
-    An entry c_r is an int when it is integral.  Cached, so the action matrices and the character each module caches
-    are built once per (w, n) and shared by every d of `cross_check`.
+    S_n acts freely on both bases and commutes with S_w and mu_tilde_1, so
+    each cell splits on the Wedderburn blocks of S_n (Serre, Linear
+    Representations of Finite Groups, 2.6).  With M the Z[S_n] matrix of
+    `dgcat._block_matrix` and B = rho_lambda(M) (`symrep.block_row`),
+    H0_lambda is Q^(c d_lambda) modulo the row echelon of B, c the number of
+    Hom representatives, on the non-pivot columns, and H1_lambda is the left
+    kernel of B (`exactla.kernel`).  tau acts on the representatives by rows
+    over Z[S_n], kept for the blocks of the last tau: act_in on Hom(w, n) and
+    `mudelta.delta1_act_in_columns` on delta1, folded onto the representatives
+    (`catlie.orbit_fold`, `mudelta.delta1_orbit_fold`); a block reads rho_lambda
+    of them.  H0_lambda reduces its images against the echelon.  H1_lambda
+    pushes each kernel vector v_r through them in ints and reads its row off
+    the kernel basis: `exactla.kernel` gives each v_r a free column
+    f_r = max(v_r), zero on every other v_s, so c_r = z[f_r] / v_r[f_r],
+    checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r], by
+    subtracting each (L c_r) v_r from L z in the same loop that formed z.
+    For n <= 1 the one block is M on the whole bases: no fold, no rho_lambda.
+    Cached, so the matrices and characters are built once per (w, n) and
+    shared by every d of `cross_check`.
     """
-    cell = dgcat.homology_cell(w, n)
+    matrix = dgcat._block_matrix(w, n)
+    trivial = n <= 1
+    if trivial:
+        matrix = [{i: c for i, entry in row.items() for c in entry.values()} for row in matrix]
+        reps, d1_reps, hom_fold, d1_fold = hom_basis(w, n), range(len(matrix)), None, None
+    else:
+        hom_fold, reps = orbit_fold(w, n)
+        d1_fold, d1_reps = delta1_orbit_fold(w, n)
 
-    reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]
-    rep_pos = {i: r for r, i in enumerate(reps)}
+    def fold(coords, table):
+        if trivial:
+            return coords
+        out = {}
+        for i, c in coords.items():
+            sigma, k = table[i]
+            out.setdefault(k, {})[sigma] = c
+        return out
 
-    def act0(tau):
-        rows = []
-        for i in reps:
-            v = cell.boundaries.reduce(act_in(HomElem(w, n, {i: 1}), tau).coords)
-            rows.append({rep_pos[j]: c for j, c in v.items()})
-        return rows
+    def block(rows, shape):
+        """(L, {key: the d_lambda rows of L rho_lambda(rows[key])})"""
+        if trivial:
+            return 1, {key: (row,) for key, row in rows.items()}
+        sigmas = {s for row in rows.values() for entry in row.values() for s in entry}
+        scale, entries = symrep.block_entries(shape, sigmas)
+        d = symrep.dim(shape)
+        return scale, {key: symrep.block_row(row, d, entries) for key, row in rows.items()}
 
-    kernel = [z.coords for z in cell.kernel]
-    free = {max(v): r for r, v in enumerate(kernel)}
-    support = set().union(*kernel)
+    shapes, quotients, kernels = _partitions(n), {}, {}
+    for shape in shapes:
+        size = len(reps) * symrep.dim(shape)
+        rows = [vec for vecs in block(dict(enumerate(matrix)), shape)[1].values() for vec in vecs]
+        ech = Echelon()
+        for vec in rows:
+            if ech.rank == size:
+                break
+            ech.add(vec)
+        quotients[shape] = ech, [k for k in range(size) if k not in ech.pivot_cols]
+        kernels[shape] = kernel(rows)
+    need = {k // symrep.dim(shape) for shape, (_, basis) in quotients.items() for k in basis}
+    support = {s // symrep.dim(shape) for shape, ker in kernels.items() for z in ker for s in z}
 
-    def act1(tau):
-        rows, cols = [], delta1_act_in_columns(w, n, tau, support)
-        for z in kernel:
-            image = {}
-            for s, c in z.items():
-                for j, x in cols[s].items():
-                    image[j] = image.get(j, 0) + c * x
-            coords = {free[j]: (x, kernel[free[j]][j]) for j, x in image.items() if x and j in free}
-            den = lcm(*(v for _, v in coords.values()))
-            residue = image if den == 1 else {j: den * x for j, x in image.items()}
-            for r, (x, v) in coords.items():
-                c = den // v * x
-                for j, y in kernel[r].items():
-                    residue[j] = residue.get(j, 0) - c * y
-            if any(residue.values()):
-                raise AssertionError("kernel is not S_w-stable; broken equivariance")
-            rows.append({r: Fraction(x, v) if x % v else x // v for r, (x, v) in coords.items()})
-        return rows
+    @functools.lru_cache(maxsize=1)
+    def hom_rows(tau):
+        return {i: fold(_act_in_basis(reps[i], tau), hom_fold) for i in need}
 
-    return (SwModule(w, len(reps), act0),
-            SwModule(w, len(cell.kernel), act1))
+    @functools.lru_cache(maxsize=1)
+    def delta1_rows(tau):
+        cols = delta1_act_in_columns(w, n, tau, [d1_reps[j] for j in support])
+        return {j: fold(cols[d1_reps[j]], d1_fold) for j in support}
+
+    def h0(shape):
+        d, (ech, basis) = symrep.dim(shape), quotients[shape]
+        position = {k: r for r, k in enumerate(basis)}
+        mine = {k // d for k in basis}
+
+        def act0(tau):
+            rows = hom_rows(tau)
+            scale, rows = block({i: rows[i] for i in mine}, shape)
+            return [{position[j]: _over(x, scale) for j, x in ech.reduce(rows[k // d][k % d]).items()}
+                    for k in basis]
+
+        return SwModule(w, len(basis), act0)
+
+    def h1(shape):
+        d, ker = symrep.dim(shape), kernels[shape]
+        free = {max(v): r for r, v in enumerate(ker)}
+        mine = {s // d for z in ker for s in z}
+
+        def act1(tau):
+            rows = delta1_rows(tau)
+            scale, rows = block({j: rows[j] for j in mine}, shape)
+            rows = {j * d + a: vec for j, vecs in rows.items() for a, vec in enumerate(vecs)}
+            out = []
+            for z in ker:
+                image = {}
+                for s, c in z.items():
+                    for j, x in rows[s].items():
+                        image[j] = image.get(j, 0) + c * x
+                coords = {free[j]: (x, ker[free[j]][j]) for j, x in image.items() if x and j in free}
+                den = lcm(*(v for _, v in coords.values()))
+                residue = image if den == 1 else {j: den * x for j, x in image.items()}
+                for r, (x, v) in coords.items():
+                    c = den // v * x
+                    for j, y in ker[r].items():
+                        residue[j] = residue.get(j, 0) - c * y
+                if any(residue.values()):
+                    raise AssertionError("kernel is not S_w-stable; broken equivariance")
+                out.append({r: _over(x, scale * v) for r, (x, v) in coords.items()})
+            return out
+
+        return SwModule(w, len(ker), act1)
+
+    return (BlockSum(w, {shape: h0(shape) for shape in shapes if quotients[shape][1]}),
+            BlockSum(w, {shape: h1(shape) for shape in shapes if kernels[shape]}))
 
 
 @functools.cache

@@ -20,8 +20,11 @@ matrix of sigma on V_lambda: column T holds the coordinates of sigma v_T,
 and rho(sigma o tau) = rho(sigma) rho(tau) for the composition
 (sigma o tau)(i) = sigma(tau(i)).  A permutation is the tuple
 (sigma(1), ..., sigma(n)).  The arithmetic is in ints: a matrix is an
-int matrix over one common denominator.  `block_ranks` ranks a matrix
-over Z[S_n] block by block, one block rho_lambda per partition lambda.
+int matrix over one common denominator.  `block_row` reads a row of a
+matrix over Z[S_n] on the block rho_lambda of one partition lambda, and
+`block_ranks` ranks such a matrix block by block; the homology modules of
+`schur_oracle` build their kernels, quotients and S_w actions on the same
+blocks (Serre, *Linear Representations of Finite Groups*, 2.6).
 """
 
 import functools
@@ -169,31 +172,50 @@ def rho_cleared(shape, sigmas):
             for s, (den, rows) in mats.items()}
 
 
+def block_entries(shape, sigmas):
+    """(L, {sigma: ((a, b, x), ...)}): the nonzero entries x, at row a and
+    column b, of the int matrices L * rho(shape, sigma) of `rho_cleared`,
+    L their common scale."""
+    scale = lcm(*(rho(shape, s)[0] for s in sigmas))
+    return scale, {s: tuple((a, b, x) for a, r in enumerate(rows) for b, x in enumerate(r) if x)
+                   for s, rows in rho_cleared(shape, sigmas).items()}
+
+
+def block_row(row, d, entries):
+    """The d rows (j, a) of L * rho_lambda(M) for one row j of a matrix M over
+    Z[S_n], given as {i: {sigma: coefficient}}: row (j, a) has
+    sum_sigma c_sigma L rho_lambda(sigma)[a][b] in column i * d + b, c_sigma the
+    coefficient of sigma in M_ji, with d = d_lambda and (L, entries) from
+    `block_entries`.  Each row is a sparse int dict; an entry that cancelled
+    stays as a 0.  The one reading of a Z[S_n] row on a block, for
+    `block_ranks` and for the homology modules of `schur_oracle`."""
+    block = [{} for _ in range(d)]
+    for i, entry in row.items():
+        for s, c in entry.items():
+            for a, b, x in entries[s]:
+                vec, k = block[a], i * d + b
+                vec[k] = vec.get(k, 0) + c * x
+    return block
+
+
 def block_ranks(matrix, n):
     """{lambda: rank rho_lambda(M)} over the partitions lambda of n, for M a
     matrix over Z[S_n] given by its rows {i: {sigma: coefficient}}: the block
     rho_lambda(M) has sum_sigma c_sigma rho_lambda(sigma)[a][b] in row (j, a)
     and column (i, b), c_sigma the coefficient of sigma in M_ji.  By Wedderburn,
     x -> xM on Q[S_n]^r has rank sum_lambda d_lambda * rank rho_lambda(M).
-    Each block is one echelon of the nonzero entries of `rho_cleared`,
-    stopped at full column rank: d_lambda times the number of indices i in M.
+    Each block is one echelon of the rows of `block_row`, stopped at full
+    column rank: d_lambda times the number of indices i in M.
     """
     sigmas = {s for row in matrix for entry in row.values() for s in entry}
     cols = len({i for row in matrix for i in row})
     ranks = {}
     for shape in _partitions(n):
         d = dim(shape)
-        entries = {s: [(a, b, x) for a, r in enumerate(rows) for b, x in enumerate(r) if x]
-                   for s, rows in rho_cleared(shape, sigmas).items()}
+        entries = block_entries(shape, sigmas)[1]
         ech = Echelon()
         for row in matrix:
-            block = [{} for _ in range(d)]
-            for i, entry in row.items():
-                for s, c in entry.items():
-                    for a, b, x in entries[s]:
-                        vec, k = block[a], i * d + b
-                        vec[k] = vec.get(k, 0) + c * x
-            for vec in block:       # `add` drops the entries that cancelled
+            for vec in block_row(row, d, entries):   # `add` drops the entries that cancelled
                 ech.add(vec)
             if ech.rank == d * cols:
                 break

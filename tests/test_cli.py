@@ -195,6 +195,25 @@ def test_verify_exit_1_on_failure(capsys, monkeypatch):
     assert payload["suites"] == [{"name": "qsn", "pass": False, "cases": 3}]
 
 
+def test_verify_mudelta_fails_on_the_chain_map_condition(capsys, monkeypatch):
+    # pi o d2 = 0 is the third condition of ce_to_dgcat; the suite reads all three
+    real = cecomplex.ce_to_dgcat
+
+    def broken(m, n):
+        rep = dict(real(m, n), pi_d2_zero=False)
+        rep["ok"] = rep["retraction"] and rep["mu_compat"] and rep["pi_d2_zero"]
+        return rep
+
+    code, out = run_cli(capsys, "verify", "--suite", "mudelta", "--max-m", "3",
+                        "--format", "json")
+    assert code == 0
+    monkeypatch.setattr(cecomplex, "ce_to_dgcat", broken)
+    code, out = run_cli(capsys, "verify", "--suite", "mudelta", "--max-m", "3",
+                        "--format", "json")
+    assert code == 1
+    assert json.loads(out)["suites"][0]["pass"] is False
+
+
 def test_worker_fanout_matches_serial(capsys, monkeypatch):
     _, serial = run_cli(capsys, "homology", "--max-m", "3", "--format", "csv")
     monkeypatch.setenv("LIEPROP_WORKERS", "2")

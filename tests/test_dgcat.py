@@ -12,7 +12,7 @@ from lieprop.catlie import (BasisMorphism, HomElem, act_out, compose, first_occu
 from lieprop.dgcat import (DGHom, check_h1_mu_trivial, check_leibniz,
                            dg_compose, dg_identity, differential, h0_compose,
                            h0_reduce, homology_cell, syzygy_euler_check)
-from lieprop import catlie, cecomplex, cli, dgcat, freelie, schur_oracle, symrep
+from lieprop import catlie, cecomplex, cli, dgcat, freelie, mudelta, schur_oracle, symrep
 from lieprop.exactla import Echelon, axpy, in_span
 from lieprop.mudelta import (Delta1Elem, _delta1_value_lists, delta1_act_left, delta1_basis,
                              delta1_dim, iota, mu, mu_tilde_1, mu_tilde_1_column)
@@ -247,25 +247,29 @@ def test_homology_computes_no_boundaries(capsys, monkeypatch):
     argv = ["homology", "--max-m", "6", "--format", "json"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
-    h0, h1 = schur_oracle.h_modules(4, 2)
-    dims = (h0.dim, h1.dim)
 
-    def no_boundaries(m, n):
-        raise AssertionError("boundaries of cell (%d, %d) built" % (m, n))
+    def forbidden(name):
+        def build(*args):
+            raise AssertionError("%s%s built" % (name, args))
+        return build
 
-    monkeypatch.setattr(dgcat, "_cell_boundaries", no_boundaries)
+    monkeypatch.setattr(dgcat, "_cell_boundaries", forbidden("_cell_boundaries"))
     homology_cell.cache_clear()
     dgcat._block_ranks.cache_clear()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
-    # h_modules still reads the boundaries, and gets the same dimensions from them
+    # h_modules reads the S_n blocks of _block_matrix: no full-cell echelon, kernel
+    # or mu_tilde_1 column, and the dimensions of the cell
+    monkeypatch.setattr(dgcat, "_cell_kernel", forbidden("_cell_kernel"))
+    for mod in (dgcat, mudelta):
+        monkeypatch.setattr(mod, "mu_tilde_1_column", forbidden("mu_tilde_1_column"))
     schur_oracle.h_modules.cache_clear()
-    with pytest.raises(AssertionError, match="boundaries of cell"):
-        schur_oracle.h_modules(4, 2)
-    monkeypatch.undo()
-    h0, h1 = schur_oracle.h_modules(4, 2)
-    cell = homology_cell(4, 2)
-    assert (h0.dim, h1.dim) == dims == (cell.h0_dim, cell.h1_dim)
+    for m, n in [(4, 1), (4, 2), (5, 3), (6, 2)]:
+        h0, h1 = schur_oracle.h_modules(m, n)
+        assert h0.character and h1.character
+        cell = homology_cell(m, n)
+        assert (h0.dim, h1.dim) == (cell.h0_dim, cell.h1_dim), (m, n)
+    schur_oracle.h_modules.cache_clear()
 
 
 def test_block_rank_equals_full_echelon():
@@ -379,6 +383,27 @@ def test_orbit_representatives_are_the_basis_elements_first_occurrence_fixes():
             assert reps == fixed, (m, n)
             delta1_reps += len(fixed)
     assert delta1_reps == 873
+
+
+def test_orbit_folds_match_first_occurrence_element_by_element():
+    # catlie.orbit_fold and mudelta.delta1_orbit_fold, built per value list and
+    # through the cut, against first_occurrence on every basis element
+    elements = 0
+    for m in range(1, 7):
+        for n in range(m + 1):
+            fold, reps = catlie.orbit_fold(m, n)
+            assert [first_occurrence(bm, 0, n)[1] for bm in reps] == list(reps)
+            assert [(sigma, reps[k]) for sigma, k in fold] == \
+                [first_occurrence(bm, 0, n) for bm in hom_basis(m, n)], (m, n)
+            elements += len(reps)
+            fold, reps = mudelta.delta1_orbit_fold(m, n)
+            basis = delta1_basis(m, n)[1]
+            assert len(reps) == len(dgcat._block_matrix(m, n))
+            assert [(sigma, basis[reps[j]]) for sigma, j in fold] == \
+                [first_occurrence(y, 0, n) for y in basis], (m, n)
+            elements += len(basis)
+    # sum over m of m! Hom representatives, and every delta1 basis element
+    assert elements == 873 + 4672
 
 
 def test_block_rows_on_representatives_equal_the_full_basis_reading():

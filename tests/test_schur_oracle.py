@@ -1,13 +1,16 @@
 import functools
 import itertools
+import json
+from fractions import Fraction
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 
-from lieprop import catlie, dgcat, freelie, mudelta, schur_oracle
+from lieprop import catlie, freelie, mudelta, schur_oracle, symrep
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
 from lieprop.exactla import Echelon, axpy
-from lieprop.mudelta import delta1_basis, include_delta1, project_delta1
+from lieprop.mudelta import delta1_basis, include_delta1, mu, project_delta1
 from lieprop.schur_oracle import (SwModule, _bracket_table, _peel, compositions,
                                   content_basis, content_splits, cross_check, h_modules,
                                   is_lyndon, lyndon_bracketing, lyndon_words,
@@ -491,47 +494,142 @@ def test_cross_check_oracle_grid():
                 assert cross_check(d, n, w), (d, n, w)
 
 
-def _reference_generators(w, n):
-    """{tau: (H0 matrix, H1 matrix)} over the adjacent transpositions and, for
-    w >= 3, the w-cycle (2, 3, ..., w, 1), which is not its own inverse, by
-    composition with perm_hom(tau) and one dense Gauss-Jordan solve of all the
-    images against the kernel basis."""
-    cell = dgcat.homology_cell(w, n)
-    reps = [i for i in range(hom_dim(w, n)) if i not in cell.boundaries.pivot_cols]
-    rep_pos = {i: r for r, i in enumerate(reps)}
-    ker = [z.coords for z in cell.kernel]
-    assert _gauss_jordan_kernel(ker) == []
-    taus = [tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
-            for pos in range(1, w)]
-    taus += [tuple(range(2, w + 1)) + (1,)] if w >= 3 else []
-    images = [project_delta1(compose(include_delta1(z), perm_hom(tau))).coords
-              for tau in taus for z in cell.kernel]
-    m1s = _gauss_jordan_solutions(ker, images)
+def _reference_blocks(w, n, taus):
+    """{(shape, tau): (H0 matrix, H1 matrix)} on the S_n blocks of cell (w, n), in
+    block coordinates, for every partition shape of n, with no orbit fold,
+    closed form or block reader of the package.
+
+    The representatives are the basis elements whose outputs 1..n first occur
+    in order; sigma . rep is read off the composite with perm_hom(sigma) (sigma + 1
+    on delta1), which gives the Z[S_n] coordinates of any element, and row a of
+    rho_lambda of those coordinates is summed from the Fraction matrices of
+    `symrep.rho`.  The block B = rho_lambda(M) has the rows of mu(n) o r_j for the
+    delta1 representatives r_j.  H0 images of the non-pivot columns, composed
+    with perm_hom(tau), are reduced against an echelon of B; H1 images of the
+    dense Gauss-Jordan kernel of the rows of B are solved against it."""
+    ident = tuple(range(1, n + 1))
+    perms = list(itertools.permutations(ident))
+    hom_reps = [bm for bm in catlie.hom_basis(w, n) if tuple(dict.fromkeys(bm.f)) == ident]
+    d1_reps = [s for s, y in enumerate(delta1_basis(w, n)[1])
+               if tuple(v for v in dict.fromkeys(y.f) if v <= n) == ident]
+    hom_at, d1_at = {}, {}
+    for k, bm in enumerate(hom_reps):
+        for sigma in perms:
+            ((i, c),) = compose(perm_hom(sigma), HomElem.from_basis(bm)).coords.items()
+            assert c == 1
+            hom_at[i] = sigma, k
+    for j, s in enumerate(d1_reps):
+        z = include_delta1(mudelta.Delta1Elem(w, n, {s: 1}))
+        for sigma in perms:
+            ((t, c),) = project_delta1(compose(perm_hom(sigma + (n + 1,)), z)).coords.items()
+            assert c == 1
+            d1_at[t] = sigma, j
+    assert sorted(hom_at) == list(range(hom_dim(w, n)))
+    assert sorted(d1_at) == list(range(mudelta.delta1_dim(w, n)))
+
+    def block(coords, at, shape):
+        d = symrep.dim(shape)
+        rows = [{} for _ in range(d)]
+        for i, c in coords.items():
+            sigma, k = at[i]
+            den, mat = symrep.rho(shape, sigma)
+            for a, b in itertools.product(range(d), repeat=2):
+                if mat[a][b]:
+                    rows[a][k * d + b] = rows[a].get(k * d + b, 0) + Fraction(c * mat[a][b], den)
+        return [{k: v for k, v in row.items() if v} for row in rows]
+
+    hom_images = {(i, tau): compose(HomElem.from_basis(bm), perm_hom(tau)).coords
+                  for i, bm in enumerate(hom_reps) for tau in taus}
+    d1_images = {(j, tau): project_delta1(compose(include_delta1(mudelta.Delta1Elem(w, n, {s: 1})),
+                                                  perm_hom(tau))).coords
+                 for j, s in enumerate(d1_reps) for tau in taus}
     out = {}
-    for t, tau in enumerate(taus):
-        p = perm_hom(tau)
-        m0 = [{rep_pos[j]: c for j, c in cell.boundaries.reduce(
-            compose(HomElem(w, n, {i: 1}), p).coords).items()} for i in reps]
-        out[tau] = (m0, m1s[t * len(ker):(t + 1) * len(ker)])
+    for shape in _partitions(n):
+        d = symrep.dim(shape)
+        bound = [row for s in d1_reps
+                 for row in block(compose(mu(n), include_delta1(mudelta.Delta1Elem(w, n, {s: 1}))).coords,
+                                  hom_at, shape)]
+        ech = Echelon()
+        for row in bound:
+            ech.add(row)
+        basis = [k for k in range(len(hom_reps) * d) if k not in ech.pivot_cols]
+        position = {k: r for r, k in enumerate(basis)}
+        ker = _gauss_jordan_kernel(bound)
+        for tau in taus:
+            m0 = [{position[j]: c for j, c in ech.reduce(
+                block(hom_images[k // d, tau], hom_at, shape)[k % d]).items()} for k in basis]
+            images = []
+            for z in ker:
+                image = {}
+                for s, c in z.items():
+                    axpy(image, block(d1_images[s // d, tau], d1_at, shape)[s % d], c)
+                images.append(image)
+            out[shape, tau] = m0, _gauss_jordan_solutions(ker, images)
     return out
 
 
 def test_generator_matrices_match_composition_and_gauss_jordan_solve():
+    # every S_n block of H0 and H1 under the adjacent transpositions and, for w >= 3,
+    # the w-cycle (2, 3, ..., w, 1), which is not its own inverse; the cells with
+    # n = 3 and 4 have blocks of dimension d_lambda = 2 and 3
     count = 0
-    for w in range(1, 7):
-        for n in range(3):
-            m0, m1 = h_modules(w, n)
-            for tau, (want0, want1) in _reference_generators(w, n).items():
-                assert m0.act(tau) == want0, (w, n, tau)
-                assert m1.act(tau) == want1, (w, n, tau)
-                count += 2
-    assert count == 114
+    cells = [(w, n) for w in range(1, 7) for n in range(3)]
+    cells += [(w, n) for n in (3, 4) for w in range(n, 6)]
+    for w, n in cells:
+        taus = [tuple(range(1, pos)) + (pos + 1, pos) + tuple(range(pos + 2, w + 1))
+                for pos in range(1, w)]
+        taus += [tuple(range(2, w + 1)) + (1,)] if w >= 3 else []
+        m0, m1 = h_modules(w, n)
+        want = _reference_blocks(w, n, taus)
+        # a module lists its nonzero blocks only
+        assert all(block.dim for m in (m0, m1) for block in m.blocks.values())
+        for tau in taus:
+            for shape in _partitions(n):
+                want0, want1 = want[shape, tau]
+                got0, got1 = (m.blocks[shape].act(tau) if shape in m.blocks else []
+                              for m in (m0, m1))
+                assert got0 == want0 and got1 == want1, (w, n, shape, tau)
+            count += 2
+    assert count == 114 + 42
+
+
+def test_block_sums_act_block_diagonally():
+    # the whole module is the sum of d_lambda copies of each block, in both its
+    # matrices and its character
+    for w, n in [(4, 3), (5, 2), (5, 4)]:
+        for module in h_modules(w, n):
+            tau = (2, 3, 1) + tuple(range(4, w + 1))
+            mat, offset = module.act(tau), 0
+            assert len(mat) == module.dim == sum(symrep.dim(shape) * block.dim
+                                                 for shape, block in module.blocks.items())
+            for shape, block in module.blocks.items():
+                want = block.act(tau)
+                for _ in range(symrep.dim(shape)):
+                    for r, row in enumerate(want):
+                        assert mat[offset + r] == {offset + j: v for j, v in row.items()}
+                    offset += block.dim
+            assert module.character == {
+                rho: sum(symrep.dim(shape) * block.character[rho]
+                         for shape, block in module.blocks.items()) for rho in _partitions(w)}
+
+
+def test_characters_equal_the_pinned_table():
+    # chi_H0 and chi_H1 of every cell with 1 <= w <= 6, 0 <= n <= w, pinned from the
+    # full-cell eliminations that preceded the S_n blocks
+    with open(Path(__file__).with_name("characters_w6.json")) as fh:
+        cells = json.load(fh)
+    assert [(c["w"], c["n"]) for c in cells] == [(w, n) for w in range(1, 7) for n in range(w + 1)]
+    for cell in cells:
+        for module, key in zip(h_modules(cell["w"], cell["n"]), ("h0", "h1")):
+            assert module.character == {tuple(rho): chi for rho, chi in cell[key]}, \
+                (cell["w"], cell["n"], key)
 
 
 def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
-    # act1 takes its columns block by block: no act_in for tau' = 1, each row
-    # (y', tau') read at most once per tau, and at most two tau' != 1 for an adjacent
-    # tau; the support is all of delta1 here, so every y' is read for every tau'
+    # act1 takes the columns of the delta1 representatives block by block: no act_in
+    # for tau' = 1, each row (y', tau') read at most once per tau for all the S_n
+    # blocks, at most two tau' != 1 for an adjacent tau, and every y' an S_n-orbit
+    # representative of Hom(w - 1, n), its outputs first occurring in order
     act, calls = catlie._act_in_basis, []
 
     def counting(bm, sigma):
@@ -545,7 +643,7 @@ def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
                     for k in range(1, w)]
         for n in range(3):
             m1 = h_modules.__wrapped__(w, n)[1]
-            full = set().union(*(z.coords for z in dgcat.homology_cell(w, n).kernel))
+            reps = hom_dim(w - 1, n) // factorial(n)
             for tau in adjacent + [tuple(range(2, w + 1)) + (1,)]:
                 calls.clear()
                 m1.act(tau)
@@ -553,12 +651,13 @@ def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
                 assert len(set(calls)) == len(calls), (w, n, tau)
                 assert tuple(range(1, w)) not in sigmas, (w, n, tau)
                 assert len(sigmas) <= (2 if tau in adjacent else 1), (w, n, tau)
-                if len(full) == mudelta.delta1_dim(w, n):
-                    assert len(calls) == len(sigmas) * hom_dim(w - 1, n), (w, n, tau)
+                assert all(tuple(dict.fromkeys(bm.f)) == tuple(range(1, n + 1))
+                           for bm, _ in calls), (w, n, tau)
+                assert len(calls) <= len(sigmas) * reps, (w, n, tau)
                 total += len(calls)
     # (2w - 3) tau' != 1 over the w - 1 adjacent tau and the w-cycle, for w >= 3,
-    # each read on all of Hom(w - 1, 1) and Hom(w - 1, 2)
-    assert total == 3 * (1 + 2) + 5 * (2 + 6) + 7 * (6 + 22) + 9 * (24 + 100)
+    # each read on every representative of Hom(w - 1, 1) and Hom(w - 1, 2)
+    assert total == 3 * (1 + 1) + 5 * (2 + 3) + 7 * (6 + 11) + 9 * (24 + 50)
 
 
 def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
@@ -575,10 +674,34 @@ def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
         return out
 
     monkeypatch.setattr(schur_oracle, "delta1_act_in_columns", wrong_sign)
-    m1 = h_modules.__wrapped__(4, 2)[1]
-    assert m1.dim
+    # the columns are read on the delta1 representatives only, once for all the
+    # S_n blocks; at n = 3 the (2, 1) block has d_lambda = 2
+    for w, n, shape in [(4, 2, (2,)), (4, 2, (1, 1)), (6, 3, (2, 1))]:
+        block = h_modules.__wrapped__(w, n)[1].blocks[shape]
+        assert block.dim
+        with pytest.raises(AssertionError, match="not S_w-stable"):
+            block.act((2, 1) + tuple(range(3, w + 1)))
+
+
+def test_a_wrong_rho_entry_in_the_action_is_caught(monkeypatch):
+    # one wrong entry of rho_(2,1)(s_1), read only by the S_w action, after the
+    # blocks are built: the H1 image of the (2, 1) block leaves the kernel span, and
+    # the H0 character is not integral
+    m0, m1 = h_modules.__wrapped__(6, 3)
+    assert m0.blocks[2, 1].dim and m1.blocks[2, 1].dim
+    real = symrep.rho
+
+    def wrong(shape, sigma):
+        den, rows = real(shape, sigma)
+        if (shape, sigma) == ((2, 1), (2, 1, 3)):
+            rows = ((rows[0][0] + den,) + rows[0][1:],) + rows[1:]
+        return den, rows
+
+    monkeypatch.setattr(symrep, "rho", wrong)
     with pytest.raises(AssertionError, match="not S_w-stable"):
-        m1.act((2, 1, 3, 4))
+        m1.character
+    with pytest.raises(AssertionError, match="must be integers"):
+        m0.character
 
 
 def test_act_rejects_non_permutations_and_accepts_lists():
