@@ -42,8 +42,9 @@ ints, with no elimination.
 The DG side, `h_modules`, reads the S_w-modules H0(w, n) and H1(w, n)
 off the homology cells.  A cell is an S_w x S_n-bimodule and S_n acts
 freely on both bases, so each cell is built on the Wedderburn blocks of
-S_n, one small quotient and kernel per partition lambda of n, and its
-character is the sum of the block characters times d_lambda.
+S_n, one small quotient and kernel per partition lambda of n, both read
+off one elimination pass over the block, and its character is the sum
+of the block characters times d_lambda.
 
 The two computation paths share no code beyond exact linear algebra,
 which is the point.
@@ -56,7 +57,7 @@ from math import factorial, lcm, prod
 
 from . import dgcat, freelie, symrep
 from .catlie import _act_in_basis, hom_basis, orbit_fold
-from .exactla import Echelon, axpy, combine, kernel
+from .exactla import Echelon, axpy, combine, echelon_and_kernel
 from .mudelta import delta1_act_in_columns, delta1_orbit_fold
 from .symrep import _partitions
 
@@ -327,12 +328,15 @@ class SwModule:
     cycle type rho |- w to the int chi_M(rho), the trace of the word with
     consecutive cycles ((3, 2, 1) is s1 s2 s4), pushing each row e_r once
     through all words in ints: a word extends its prefix, again a class
-    word (s1 ... s5 of (6) extends (5, 1), ..., (2, 1^4)).
+    word (s1 ... s5 of (6) extends (5, 1), ..., (2, 1^4)).  `basis` lists
+    what the module is built on, if anything: the quotient columns or the
+    kernel vectors of a block of `h_modules`.
     """
 
-    def __init__(self, w, dim, act_fn):
+    def __init__(self, w, dim, act_fn, basis=()):
         self.w = w
         self.dim = dim
+        self.basis = basis
         self._act_fn = act_fn
         self._cache = {}
 
@@ -417,20 +421,26 @@ def h_modules(w, n):
     `dgcat._block_matrix` and B = rho_lambda(M) (`symrep.block_row`),
     H0_lambda is Q^(c d_lambda) modulo the row echelon of B, c the number of
     Hom representatives, on the non-pivot columns, and H1_lambda is the left
-    kernel of B (`exactla.kernel`).  tau acts on the representatives by rows
+    kernel of B.  Both come from one elimination pass over the rows of B,
+    `exactla.echelon_and_kernel`: its echelon is the one `Echelon.add` builds
+    and its kernel vectors are those of `exactla.kernel`.  Each block module
+    keeps them as its `basis`: the non-pivot columns for H0_lambda, the
+    kernel vectors for H1_lambda.  tau acts on the representatives by rows
     over Z[S_n], kept for the blocks of the last tau: act_in on Hom(w, n) and
     `mudelta.delta1_act_in_columns` on delta1, folded onto the representatives
     (`catlie.orbit_fold`, `mudelta.delta1_orbit_fold`); a block reads rho_lambda
     of them.  H0_lambda reduces its images against the echelon.  H1_lambda
     pushes each kernel vector v_r through them in ints and reads its row off
-    the kernel basis: `exactla.kernel` gives each v_r a free column
-    f_r = max(v_r), zero on every other v_s, so c_r = z[f_r] / v_r[f_r],
-    checked as L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r], by
-    subtracting each (L c_r) v_r from L z in the same loop that formed z.
+    the kernel basis: each v_r has a free column f_r = max(v_r), zero on
+    every other v_s, so c_r = z[f_r] / v_r[f_r], checked as
+    L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r], by subtracting each
+    (L c_r) v_r from L z in the same loop that formed z.
     For n <= 1 the one block is M on the whole bases: no fold, no rho_lambda.
     Cached, so the matrices and characters are built once per (w, n) and
-    shared by every d of `cross_check`.
+    shared by every d of `cross_check`.  Negative arities raise ValueError.
     """
+    if w < 0 or n < 0:
+        raise ValueError("h_modules needs w, n >= 0, got (%d, %d)" % (w, n))
     matrix = dgcat._block_matrix(w, n)
     trivial = n <= 1
     if trivial:
@@ -462,13 +472,8 @@ def h_modules(w, n):
     for shape in shapes:
         size = len(reps) * symrep.dim(shape)
         rows = [vec for vecs in block(dict(enumerate(matrix)), shape)[1].values() for vec in vecs]
-        ech = Echelon()
-        for vec in rows:
-            if ech.rank == size:
-                break
-            ech.add(vec)
+        ech, kernels[shape] = echelon_and_kernel(rows)
         quotients[shape] = ech, [k for k in range(size) if k not in ech.pivot_cols]
-        kernels[shape] = kernel(rows)
     need = {k // symrep.dim(shape) for shape, (_, basis) in quotients.items() for k in basis}
     support = {s // symrep.dim(shape) for shape, ker in kernels.items() for z in ker for s in z}
 
@@ -492,7 +497,7 @@ def h_modules(w, n):
             return [{position[j]: _over(x, scale) for j, x in ech.reduce(rows[k // d][k % d]).items()}
                     for k in basis]
 
-        return SwModule(w, len(basis), act0)
+        return SwModule(w, len(basis), act0, basis)
 
     def h1(shape):
         d, ker = symrep.dim(shape), kernels[shape]
@@ -521,7 +526,7 @@ def h_modules(w, n):
                 out.append({r: _over(x, scale * v) for r, (x, v) in coords.items()})
             return out
 
-        return SwModule(w, len(ker), act1)
+        return SwModule(w, len(ker), act1, ker)
 
     return (BlockSum(w, {shape: h0(shape) for shape in shapes if quotients[shape][1]}),
             BlockSum(w, {shape: h1(shape) for shape in shapes if kernels[shape]}))

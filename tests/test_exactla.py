@@ -506,6 +506,43 @@ def test_kernel_matches_dense_gauss_jordan(kind):
         assert all(type(v) is int for vec in got for v in vec.values())
 
 
+@pytest.mark.parametrize("kind", ["int", "frac"])
+def test_echelon_and_kernel_matches_kernel_and_echelon_add(kind):
+    # one pass gives the kernel of `kernel` and of dense Gauss-Jordan, and the rows,
+    # pivot columns and reductions of `Echelon.add` over the same vectors, on sparse
+    # vectors with zero and repeated vectors among them, wide or in a low-rank subspace
+    rng = random.Random({"int": 45, "frac": 46}[kind])
+
+    def sparse_vec(width):
+        vec = {}
+        for j in rng.sample(range(width), rng.randint(0, min(5, width))):
+            v = rng.randint(-4, 4)
+            vec[j] = Fraction(v, rng.randint(1, 5)) if kind == "frac" else v
+        return vec
+
+    ech, ker = exactla.echelon_and_kernel([])
+    assert (ech.rows, ech.pivot_cols, ker) == ([], {}, [])
+    for trial in range(80):
+        width = rng.randint(1, 12)
+        if trial % 2:
+            vectors = _stream(rng, kind, rng.randint(1, 12), width)
+        else:
+            vectors = [sparse_vec(width) for _ in range(rng.randint(1, 12))]
+        for _ in range(rng.randint(0, 3)):
+            extra = rng.choice([{}, [0] * width, copy.copy(rng.choice(vectors))])
+            vectors.insert(rng.randint(0, len(vectors)), extra)
+        ech, ker = exactla.echelon_and_kernel(vectors)
+        assert ker == kernel(vectors) == _gauss_jordan_kernel(vectors)
+        assert all(type(v) is int for vec in ker for v in vec.values())
+        ref = Echelon()
+        for vec in vectors:
+            ref.add(vec)
+        assert ech.pivot_cols == ref.pivot_cols and ech.rows == ref.rows
+        for _ in range(5):
+            probe = sparse_vec(width + 2)
+            assert ech.reduce(probe) == ref.reduce(probe)
+
+
 def test_add_and_reduce_agree_on_ints_integral_fractions_and_mixed():
     rng = random.Random(43)
     for _ in range(40):
@@ -546,9 +583,10 @@ def test_inputs_are_neither_mutated_nor_returned():
         reps = [ech.reduce(vec) for vec in inputs]
         prims = [primitive(vec) for vec in inputs]
         ker = kernel(inputs)
+        one_pass, one_pass_ker = exactla.echelon_and_kernel(inputs)
         assert inputs == saved
         given = {id(vec) for vec in inputs}
-        kept = [row for _, row in ech.rows] + reps + prims + ker
+        kept = [row for _, row in ech.rows + one_pass.rows] + reps + prims + ker + one_pass_ker
         assert not any(id(out) in given for out in kept)
         rows = copy.deepcopy(ech.rows)
         for vec in inputs:

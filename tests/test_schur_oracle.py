@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -623,6 +624,34 @@ def test_characters_equal_the_pinned_table():
         for module, key in zip(h_modules(cell["w"], cell["n"]), ("h0", "h1")):
             assert module.character == {tuple(rho): chi for rho, chi in cell[key]}, \
                 (cell["w"], cell["n"], key)
+
+
+# sha256 of the blocks of every cell (w, n) with 1 <= w <= 6, 0 <= n <= w, in that
+# order, each partition lambda of n in `_partitions` order: the non-pivot columns of
+# the H0 quotient and the H1 kernel vectors, as sorted (index, coefficient) lists,
+# both empty for a zero block; pinned from the separate row echelon and
+# `exactla.kernel` of each block that preceded the one-pass elimination
+BLOCK_DIGEST_W6 = "08ad41c59d0364645c90a58baeffcb2fdd820fa78dc3001ef7604ebd7c063320"
+
+
+def test_block_bases_digest_w6():
+    digest = hashlib.sha256()
+    for w in range(1, 7):
+        for n in range(w + 1):
+            m0, m1 = h_modules(w, n)
+            for shape in _partitions(n):
+                columns = list(m0.blocks[shape].basis) if shape in m0.blocks else []
+                kernel = m1.blocks[shape].basis if shape in m1.blocks else []
+                kernel = [sorted(z.items()) for z in kernel]
+                digest.update(repr((w, n, shape, columns, kernel)).encode())
+    assert digest.hexdigest() == BLOCK_DIGEST_W6
+
+
+def test_h_modules_rejects_negative_arities():
+    for w, n in [(-1, 0), (2, -1), (-3, -2)]:
+        with pytest.raises(ValueError, match="h_modules needs w, n >= 0"):
+            h_modules(w, n)
+    assert [m.dim for m in h_modules(0, 0)] == [1, 0]
 
 
 def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
