@@ -12,6 +12,13 @@ the value list (f(1), ..., f(m)), then tree indices in product
 lexicographic order.  Composition grafts trees and renormalizes through
 `freelie`, so every element stays in canonical coordinates and equality
 is coordinate equality; `act_in` does neither (its docstring).
+
+Symmetric groups act on the outputs by post-composition: S_n on all of
+them in the homology cells, S_t on the last t in the Chevalley-Eilenberg
+terms.  `first_occurrence` is the one orbit rule, and `orbit_fold(m, n,
+lo)` the one fold of a whole basis onto its representatives, for both.
+`orbit_offsets` and `_orbit_position` number the S_n representatives with
+no basis table, for `dgcat._block_matrix`.
 """
 
 import functools
@@ -128,23 +135,30 @@ def _orbit_position(m, n, f):
 
 
 @functools.cache
-def orbit_fold(m, n):
-    """(fold, reps) for the S_n-orbits of Hom(m, n) under post-composition:
-    reps lists the representatives as basis morphisms, numbered in basis
-    order as in `orbit_offsets`, and fold[i] = (sigma, k) says that basis
-    element i is sigma . reps[k].  Per value list, `_orbit_position` gives
-    sigma and the numbers k, whose sums over the tree tuples are built one
-    output at a time, in basis order."""
-    fold = []
-    for f in surjections(m, n):
-        sigma, offset, weights = _orbit_position(m, n, f)
-        numbers = [offset]
-        for v, weight in enumerate(weights, 1):
-            numbers = [k + t * weight for k in numbers for t in range(freelie.lie_dim(f.count(v)))]
-        fold += [(sigma, k) for k in numbers]
-    reps = tuple(BasisMorphism(m, n, f, trees)
-                 for f in orbit_offsets(m, n) for trees in tree_tuples(f, n))
-    return tuple(fold), reps
+def orbit_fold(m, n, lo=0):
+    """(fold, reps) for the orbits of Hom(m, n) under post-composition with the
+    permutations of the outputs lo+1..n: reps lists the representatives as
+    basis morphisms, in basis order, and fold[i] = (order, k) says that basis
+    element i is order . reps[k] (`first_occurrence`).  The one fold for S_n
+    (lo = 0, whose reps are those of `orbit_offsets`, in its order) and for
+    the S_t of `cecomplex` on the last t outputs (lo = n - t).  The rule runs
+    once per value list, on a probe whose trees are the output positions: an
+    element on the probe's value list is its own representative, and any
+    other reads the number of its representative, listed before it, through
+    `hom_index`."""
+    index, positions = hom_index(m, n), tuple(range(n))
+    fold, reps, f = [], [], None
+    for bm in hom_basis(m, n):
+        if bm.f != f:           # hom_basis lists each value list's elements together
+            f = bm.f
+            order, probe = first_occurrence(BasisMorphism(m, n, f, positions), lo, n)
+        if probe.f == f:
+            fold.append((order, len(reps)))
+            reps.append(bm)
+        else:                   # the tree at output k of the rep is bm's at probe.trees[k]
+            rep = BasisMorphism(m, n, probe.f, tuple(map(bm.trees.__getitem__, probe.trees)))
+            fold.append((order, fold[index[rep]][1]))
+    return tuple(fold), tuple(reps)
 
 
 @functools.cache

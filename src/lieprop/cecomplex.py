@@ -7,9 +7,10 @@ the image of the antisymmetrizer
 
 an exact idempotent over Q.  S_t permutes hom_basis(m, n+t) freely, so
 the term has one basis element per orbit, the signed orbit sum of its
-representative (`_orbits`).  `fold` sums signed coordinates onto
-representatives, `expand` spreads them back, e_t = expand o fold / t!,
-and the differential is e_{t-1} o D with D the homogeneous CE formula
+representative (`_orbits`, read off `catlie.orbit_fold`).  `fold` sums
+signed coordinates onto representatives, `expand` spreads them back,
+e_t = expand o fold / t!, and the differential is e_{t-1} o D with D the
+homogeneous CE formula
 
     D(Z (x) x_1 ^ ... ^ x_t) =
         sum_i (-1)^{i-1} (Z . x_i) (x) (... x_i-hat ...)
@@ -32,8 +33,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose_basis, emit,
-                     first_occurrence, hom_basis, hom_dim, hom_index)
+from .catlie import (HomElem, _check_arities, basis_trees, compose_basis, emit, hom_basis, hom_dim,
+                     hom_index, orbit_fold)
 from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, adjoint_append, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, mu_tilde_1_column, pi)
@@ -45,33 +46,21 @@ def _orbits(m, n, t):
 
     Returns (where, members): index j is sigma(r) for the representative
     r of orbit k, where[j] = (k, sgn sigma), and members[k] lists the
-    (j, sgn sigma) of orbit k, r first.  r has the last t outputs first
-    occurring in f in increasing order and sigma is their order of first
-    occurrence in j (`catlie.first_occurrence`, run once per value list f),
-    so r is the smallest index of its orbit.  For t <= 1 both are None:
-    every index is its own orbit.
+    (j, sgn sigma) of orbit k, r first.  The orbits are those of
+    `catlie.orbit_fold(m, n + t, n)`, whose sigma is the order of first
+    occurrence of the last t outputs in j, and r, the element on which it
+    is increasing, is the smallest index of its orbit.  For t <= 1 both are
+    None: every index is its own orbit.
     """
     if t <= 1:
         return None, None
-    basis, index, positions = hom_basis(m, n + t), hom_index(m, n + t), tuple(range(n + t))
-    where, members, signs, f = [], [], {}, None
-    for j, bm in enumerate(basis):
-        if bm.f != f:
-            # hom_basis lists each f's elements together, so the rule runs once per f, on
-            # a probe whose trees are the output positions: probe.trees says where each goes
-            f = bm.f
-            order, probe = first_occurrence(BasisMorphism(m, n + t, f, positions), n, n + t)
-            if order not in signs:
-                signs[order] = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
-            sign = signs[order]
-        if probe.f == f:        # its own representative
-            k = len(members)
-            members.append([])
-        else:
-            rep = BasisMorphism(m, n + t, probe.f, tuple(map(bm.trees.__getitem__, probe.trees)))
-            k = where[index[rep]][0]
-        where.append((k, sign))
-        members[k].append((j, sign))
+    fold, reps = orbit_fold(m, n + t, n)
+    where, members, signs = [], [[] for _ in reps], {}
+    for j, (order, k) in enumerate(fold):
+        if order not in signs:
+            signs[order] = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+        where.append((k, signs[order]))
+        members[k].append((j, signs[order]))
     return tuple(where), tuple(map(tuple, members))
 
 
@@ -152,8 +141,7 @@ def _diff_basis(bm, n, t):
 
 def _reps(m, n, t):
     """The representatives of the S_t-orbits of hom_basis(m, n+t), in orbit order."""
-    basis, members = hom_basis(m, n + t), _orbits(m, n, t)[1]
-    return basis if members is None else [basis[orbit[0][0]] for orbit in members]
+    return hom_basis(m, n + t) if t <= 1 else orbit_fold(m, n + t, n)[1]
 
 
 @functools.cache

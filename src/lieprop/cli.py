@@ -6,9 +6,14 @@ Exit codes: 0 all checks pass, 1 verification failure, 2 usage error
 The environment variable LIEPROP_WORKERS caps the number of worker
 processes used to fan homology cells out in parallel (default 1); a
 value that is not an integer >= 1 is a usage error.
+
+Each verification suite is a generator of one truth value per case, and
+one counter, `_counted`, turns it into (passed, cases): the cases up to
+and including the first that fails.
 """
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -85,15 +90,27 @@ def _random_basis_elem(rng, m, n):
     return HomElem(m, n, {rng.randrange(d): 1}) if d else None
 
 
+def _counted(suite):
+    """The suite as (passed, cases): it yields one truth value per case, and
+    the cases are counted up to and including the first false one."""
+    @functools.wraps(suite)
+    def run(max_m, seed, trials):
+        passed, cases = True, 0
+        for passed in map(bool, suite(max_m, seed, trials)):
+            cases += 1
+            if not passed:
+                break
+        return passed, cases
+    return run
+
+
+@_counted
 def suite_catlie(max_m, seed, trials):
     rng = random.Random(seed)
-    cases = 0
     # dimension law: the closed form against the enumerated basis
     for m in range(0, min(max_m, 7) + 1):
         for n in range(0, m + 1):
-            cases += 1
-            if hom_dim(m, n) != len(hom_basis(m, n)):
-                return False, cases
+            yield hom_dim(m, n) == len(hom_basis(m, n))
     # associativity / unit laws on random basis triples h o (g o f)
     for _ in range(trials):
         l = rng.randint(1, max_m)
@@ -103,11 +120,8 @@ def suite_catlie(max_m, seed, trials):
         h = _random_basis_elem(rng, n, p)
         g = _random_basis_elem(rng, m, n)
         f = _random_basis_elem(rng, l, m)
-        cases += 1
-        if compose(h, compose(g, f)) != compose(compose(h, g), f):
-            return False, cases
-        if compose(identity(p), h) != h or compose(h, identity(n)) != h:
-            return False, cases
+        yield (compose(h, compose(g, f)) == compose(compose(h, g), f)
+               and compose(identity(p), h) == h and compose(h, identity(n)) == h)
     # interchange law for the monoidal sum on random basis pairs
     for _ in range(trials // 2):
         m, n = rng.randint(1, 3), rng.randint(1, 3)
@@ -115,30 +129,21 @@ def suite_catlie(max_m, seed, trials):
         b = _random_basis_elem(rng, n, rng.randint(1, n))
         a2 = _random_basis_elem(rng, a.n, rng.randint(1, a.n))
         b2 = _random_basis_elem(rng, b.n, rng.randint(1, b.n))
-        cases += 1
-        if compose(boxplus(a2, b2), boxplus(a, b)) != boxplus(compose(a2, a), compose(b2, b)):
-            return False, cases
-    return True, cases
+        yield compose(boxplus(a2, b2), boxplus(a, b)) == boxplus(compose(a2, a), compose(b2, b))
 
 
+@_counted
 def suite_mudelta(max_m, seed, trials):
     rng = random.Random(seed + 1)
-    cases = 0
     for n in range(0, max_m + 1):
         for t in range(0, n + 1):
-            cases += 1
-            if not mudelta.check_centrality(n, t):
-                return False, cases
+            yield mudelta.check_centrality(n, t)
     for n in range(0, min(max_m, 4) + 1):
-        cases += 1
-        if not mudelta.check_lie_action(n):
-            return False, cases
+        yield mudelta.check_lie_action(n)
     # retraction, compatibility and the chain-map condition of pi, cell by cell
     for m in range(0, max_m + 1):
         for n in range(0, m):
-            cases += 1
-            if not cecomplex.ce_to_dgcat(m, n)["ok"]:
-                return False, cases
+            yield cecomplex.ce_to_dgcat(m, n)["ok"]
     # bimodule axioms on random triples
     for _ in range(trials):
         m = rng.randint(2, max(2, max_m))
@@ -151,27 +156,16 @@ def suite_mudelta(max_m, seed, trials):
         f = _random_basis_elem(rng, rng.randint(m, m + 1), m)
         if not (g and f):
             continue
-        cases += 1
-        # unit laws
-        if mudelta.delta1_act_left(identity(n), z) != z:
-            return False, cases
-        if mudelta.delta1_act_right(z, identity(m)) != z:
-            return False, cases
-        # middle compatibility
-        lhs = mudelta.delta1_act_left(g, mudelta.delta1_act_right(z, f))
-        rhs = mudelta.delta1_act_right(mudelta.delta1_act_left(g, z), f)
-        if lhs != rhs:
-            return False, cases
-        # mu_tilde_1 is a bimodule morphism
-        if mudelta.mu_tilde_1(mudelta.delta1_act_left(g, z)) != compose(g, mudelta.mu_tilde_1(z)):
-            return False, cases
-        if mudelta.mu_tilde_1(mudelta.delta1_act_right(z, f)) != compose(mudelta.mu_tilde_1(z), f):
-            return False, cases
+        # unit laws, middle compatibility, and mu_tilde_1 is a bimodule morphism
+        left, right, mt1 = mudelta.delta1_act_left, mudelta.delta1_act_right, mudelta.mu_tilde_1
+        yield (left(identity(n), z) == z and right(z, identity(m)) == z
+               and left(g, right(z, f)) == right(left(g, z), f)
+               and mt1(left(g, z)) == compose(g, mt1(z))
+               and mt1(right(z, f)) == compose(mt1(z), f))
     # iota generation (left orbit + right symmetric action spans delta1)
     from .exactla import Echelon
     for m in range(1, max_m + 1):
         for n in range(0, m):
-            cases += 1
             ech = Echelon()
             target = delta1_dim(m, n)
             for g_bm in hom_basis(m - 1, n):
@@ -184,69 +178,46 @@ def suite_mudelta(max_m, seed, trials):
                         break
                 if ech.rank == target:
                     break
-            if ech.rank != target:
-                return False, cases
-    return True, cases
+            yield ech.rank == target
 
 
+@_counted
 def suite_dg(max_m, seed, trials):
-    cases = 0
     for m in range(0, max_m + 1):
         for n in range(0, m + 1):
             for p in range(0, n + 1):
-                cases += 1
-                if not mudelta.check_dg_square(m, n, p):
-                    return False, cases
+                yield mudelta.check_dg_square(m, n, p)
     for m in range(0, max_m + 1):
         for n in range(0, m + 1):
-            cases += 1
-            if not dgcat.check_h1_mu_trivial(m, n):
-                return False, cases
-            if not dgcat.syzygy_euler_check(m, n):
-                return False, cases
-    return True, cases
+            yield dgcat.check_h1_mu_trivial(m, n) and dgcat.syzygy_euler_check(m, n)
 
 
+@_counted
 def suite_ce(max_m, seed, trials):
-    cases = 0
     for m in range(0, max_m + 1):
         for n in range(0, m + 1):
             for t in range(2, m - n + 1):
                 k = cecomplex.d_squared_witness(m, n, t)  # one case per representative
-                if k is not None:
-                    return False, cases + k + 1
-                cases += cecomplex.ce_dim(m, n, t)
-            cases += 1
+                yield from (j != k for j in range(cecomplex.ce_dim(m, n, t)))
             dims = dict(cecomplex.ce_homology_dims(m, n))
             cell = dgcat.homology_cell(m, n)
-            if dims.get(0, 0) != cell.h0_dim or dims.get(1, 0) != cell.h1_dim:
-                return False, cases
-            if any(v for t, v in dims.items() if t >= 2):
-                return False, cases
-    return True, cases
+            yield (dims.get(0, 0) == cell.h0_dim and dims.get(1, 0) == cell.h1_dim
+                   and not any(v for t, v in dims.items() if t >= 2))
 
 
+@_counted
 def suite_qsn(max_m, seed, trials):
-    cases = 0
     for n in range(0, max_m + 1):
-        cases += 1
-        if not cecomplex.check_H_ce_QSn(n):
-            return False, cases
-        if not cecomplex.naturality_check(n):
-            return False, cases
-    return True, cases
+        yield cecomplex.check_H_ce_QSn(n) and cecomplex.naturality_check(n)
 
 
+@_counted
 def suite_oracle(max_m, seed, trials):
-    cases = 0
     wmax = min(max_m, 4)
     for d in (1, 2, 3):
         for n in range(0, min(3, wmax) + 1):
             for w in range(1, wmax + 1):
-                cases += 1
-                if not schur_oracle.cross_check(d, n, w):
-                    return False, cases
-    return True, cases
+                yield schur_oracle.cross_check(d, n, w)
 
 
 SUITE_FNS = {

@@ -396,8 +396,9 @@ def _delta1_blocks(m, n):
 def delta1_act_in_columns(m, n, tau, support):
     """The right action of tau on delta1(m, n), one cut block at a time (module
     docstring): {s: coordinates of s o tau} for the indices s in support, as fresh
-    dicts.  tau must permute 1..m (`catlie.as_perm`).  Per lone input a met in
-    support, tau' and the glue map at a' = tau^{-1}(a) are worked out once; the
+    dicts.  tau must permute 1..m (`catlie.as_perm`) and support must lie in
+    range(delta1_dim(m, n)), else ValueError.  Per lone input a met in support,
+    tau' and the glue map at a' = tau^{-1}(a) are worked out once; the
     block's columns are the act_in rows `_act_in_basis(y', tau')` with their indices
     moved by the glue map, each read once per (y', tau') and shared by the blocks
     with the same tau'.  A block with tau' = 1 is a relabelling and reads no act_in."""
@@ -406,6 +407,8 @@ def delta1_act_in_columns(m, n, tau, support):
         return out
     where, ys = _delta1_blocks(m, n), hom_basis(m - 1, n)
     for s in support:
+        if not 0 <= s < len(where):
+            raise ValueError("delta1(%d, %d) has no index %r" % (m, n, s))
         a, i = where[s]
         blocks.setdefault(a, []).append((s, i))
     for a, members in blocks.items():

@@ -428,8 +428,10 @@ def h_modules(w, n):
     kernel vectors for H1_lambda.  tau acts on the representatives by rows
     over Z[S_n], kept for the blocks of the last tau: act_in on Hom(w, n) and
     `mudelta.delta1_act_in_columns` on delta1, folded onto the representatives
-    (`catlie.orbit_fold`, `mudelta.delta1_orbit_fold`); a block reads rho_lambda
-    of them.  H0_lambda reduces its images against the echelon.  H1_lambda
+    (`catlie.orbit_fold` at lo = 0, `mudelta.delta1_orbit_fold` through the
+    cut), whose Hom representatives are the columns of M, numbered as in
+    `catlie.orbit_offsets`; a block reads rho_lambda of them.  H0_lambda
+    reduces its images against the echelon.  H1_lambda
     pushes each kernel vector v_r through them in ints and reads its row off
     the kernel basis: each v_r has a free column f_r = max(v_r), zero on
     every other v_s, so c_r = z[f_r] / v_r[f_r], checked as
@@ -589,7 +591,7 @@ def permutation_dim(module, lam):
         schur_dim(M, d) = sum over lam |- w of N(lam, d) permutation_dim(M, lam).
     """
     lam = tuple(lam)
-    if sum(lam) != module.w or min(lam, default=0) < 0:
+    if sum(lam) != module.w or not all(isinstance(x, int) and x >= 0 for x in lam):
         raise ValueError("need a content of weight %d, got %r" % (module.w, lam))
     return _character_product(module, functools.partial(_fixed_words, lam))
 

@@ -46,13 +46,22 @@ def _partitions(w, largest=None):
     return out
 
 
+def _check_shape(shape):
+    """ValueError unless shape is a partition: non-increasing positive ints."""
+    if (not all(isinstance(part, int) and part > 0 for part in shape)
+            or any(a < b for a, b in zip(shape, shape[1:]))):
+        raise ValueError("not a partition: %r" % (shape,))
+
+
 @functools.cache
 def standard_tableaux(shape):
     """The standard Young tableaux of a partition, each a tuple of rows.
 
     The tableaux of shape lambda with n boxes are those of the shapes
-    lambda minus one corner, with n put into that corner.
+    lambda minus one corner, with n put into that corner.  ValueError
+    unless shape is a partition.
     """
+    _check_shape(shape)
     n = sum(shape)
     if n == 0:
         return ((),)
@@ -73,7 +82,9 @@ def standard_tableaux(shape):
 def dim(shape):
     """d_lambda, the dimension of V_lambda: the number of standard tableaux,
     n! over the product of the hook lengths (Frame, Robinson and Thrall,
-    Canad. J. Math. 1954), with no tableau built."""
+    Canad. J. Math. 1954), with no tableau built.  ValueError unless shape
+    is a partition."""
+    _check_shape(shape)
     heights = [sum(1 for part in shape if part > c) for c in range(shape[0] if shape else 0)]
     hooks = 1
     for r, part in enumerate(shape):
@@ -139,13 +150,13 @@ def rho(shape, sigma):
 
     Built as the product of the generator matrices along
     `reduced_word(sigma)`, and cached per (shape, sigma), so only the
-    permutations asked for are ever built.  ValueError unless sigma
-    permutes 1..n, n the size of the shape.
+    permutations asked for are ever built.  ValueError unless shape is a
+    partition and sigma permutes 1..n, n the size of the shape.
     """
+    d = dim(shape)
     if sorted(sigma) != list(range(1, sum(shape) + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (sum(shape), sigma))
     gens = _generators(shape)
-    d = dim(shape)
     den = 1
     rows = [[int(a == b) for b in range(d)] for a in range(d)]
     for i in reversed(reduced_word(sigma)):

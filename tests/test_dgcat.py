@@ -386,16 +386,26 @@ def test_orbit_representatives_are_the_basis_elements_first_occurrence_fixes():
 
 
 def test_orbit_folds_match_first_occurrence_element_by_element():
-    # catlie.orbit_fold and mudelta.delta1_orbit_fold, built per value list and
-    # through the cut, against first_occurrence on every basis element
-    elements = 0
+    # catlie.orbit_fold, for S_n and for the S_t on the last t outputs, and
+    # mudelta.delta1_orbit_fold, built through the cut, against first_occurrence
+    # on every basis element
+    elements = s_t_elements = 0
     for m in range(1, 7):
         for n in range(m + 1):
             fold, reps = catlie.orbit_fold(m, n)
             assert [first_occurrence(bm, 0, n)[1] for bm in reps] == list(reps)
             assert [(sigma, reps[k]) for sigma, k in fold] == \
                 [first_occurrence(bm, 0, n) for bm in hom_basis(m, n)], (m, n)
+            # h_modules folds S_w rows onto _block_matrix columns, numbered by orbit_offsets
+            assert list(reps) == [BasisMorphism(m, n, f, trees) for f in orbit_offsets(m, n)
+                                  for trees in tree_tuples(f, n)], (m, n)
             elements += len(reps)
+            for t in range(1, m - n + 1):
+                fold, reps = catlie.orbit_fold(m, n + t, n)
+                assert [first_occurrence(bm, n, n + t)[1] for bm in reps] == list(reps)
+                assert [(order, reps[k]) for order, k in fold] == \
+                    [first_occurrence(bm, n, n + t) for bm in hom_basis(m, n + t)], (m, n, t)
+                s_t_elements += len(fold)
             fold, reps = mudelta.delta1_orbit_fold(m, n)
             basis = delta1_basis(m, n)[1]
             assert len(reps) == len(dgcat._block_matrix(m, n))
@@ -404,6 +414,8 @@ def test_orbit_folds_match_first_occurrence_element_by_element():
             elements += len(basis)
     # sum over m of m! Hom representatives, and every delta1 basis element
     assert elements == 873 + 4672
+    # every basis element of Hom(m, k), once per n = k - t < k
+    assert s_t_elements == 29452
 
 
 def test_block_rows_on_representatives_equal_the_full_basis_reading():

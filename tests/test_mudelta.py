@@ -260,6 +260,15 @@ def test_block_columns_check_tau():
     assert delta1_act_in_columns(3, 1, [2, 1, 3], [0]) == delta1_act_in_columns(3, 1, (2, 1, 3), [0])
 
 
+def test_block_columns_reject_indices_outside_delta1():
+    # delta1(3, 1) has dimension 3: -1 is not read as its last index
+    assert delta1_dim(3, 1) == 3
+    for support in ([-1], [3], [99], [0, -1]):
+        with pytest.raises(ValueError, match="no index"):
+            delta1_act_in_columns(3, 1, (2, 1, 3), support)
+    assert sorted(delta1_act_in_columns(3, 1, (2, 1, 3), [0, 2])) == [0, 2]
+
+
 def test_h1_generators_act_on_one_input_less(monkeypatch):
     # through the cut, the S_5 action on delta1(5, 2) is read off Hom(4, 2) alone
     act, seen = catlie._act_in_basis, set()

@@ -305,9 +305,12 @@ def test_permutation_dim_regular_and_sign_modules():
             assert permutation_dim(sgn, lam) == (1 if max(lam) == 1 else 0)
             # a content with its letters renamed, or with unused letters, is the same
             assert permutation_dim(reg, (0,) + lam[::-1]) == permutation_dim(reg, lam)
-    for lam in ((2, 2), (4,), (1, -1, 3), ()):
+    # (1.5, 1.5) sums to w = 3 but is no content
+    for lam in ((2, 2), (4,), (1, -1, 3), (), (1.5, 1.5), (1.0, 2.0)):
         with pytest.raises(ValueError, match="need a content of weight 3"):
             permutation_dim(_regular_module(3), lam)
+    with pytest.raises(ValueError, match="need a content of weight 3"):
+        permutation_dim(h_modules(3, 1)[1], (1.5, 1.5))
 
 
 def test_schur_dim_trivial_module():

@@ -131,6 +131,17 @@ def test_rho_rejects_non_permutations():
     assert rho((2, 1), (1, 2, 3)) == (1, ((1, 0), (0, 1)))
 
 
+def test_non_partition_shapes_are_rejected():
+    # one check for dim and standard_tableaux; rho reads dim first
+    for shape in ((1, 2), (2, 0), (0,), (2, -1), (1.5, 1.5)):
+        for call in (lambda: dim(shape), lambda: standard_tableaux(shape),
+                     lambda: rho(shape, tuple(range(1, int(sum(shape)) + 1)))):
+            with pytest.raises(ValueError, match="not a partition"):
+                call()
+    assert dim((2, 1)) == len(standard_tableaux((2, 1))) == 2
+    assert dim(()) == len(standard_tableaux(())) == 1
+
+
 def _regular_rank(matrix, n):
     """Rank of x -> xM on Q[S_n]^r from the explicit matrix: row (j, sigma)
     holds the coordinates of sigma M_j, sigma M_j having the entry
