@@ -90,16 +90,13 @@ def stirling_cycle(m, n):
 
 def tree_tuples(f, n):
     """The tree indices of the basis morphisms on the value list f, in basis order."""
-    return itertools.product(*[range(freelie.lie_dim(len(fib))) for fib in fibers(f, n)])
+    return itertools.product(*[range(freelie.lie_dim(f.count(v))) for v in range(1, n + 1)])
 
 
 @functools.cache
 def hom_basis(m, n):
-    out = []
-    for f in surjections(m, n):
-        for trees in tree_tuples(f, n):
-            out.append(BasisMorphism(m, n, f, trees))
-    return tuple(out)
+    make = BasisMorphism._make
+    return tuple(make((m, n, f, trees)) for f in surjections(m, n) for trees in tree_tuples(f, n))
 
 
 @functools.cache

@@ -49,12 +49,13 @@ def _orbits(m, n, t):
     (j, sgn sigma) of orbit k, r first.  The orbits are those of
     `catlie.orbit_fold(m, n + t, n)`, whose sigma is the order of first
     occurrence of the last t outputs in j, and r, the element on which it
-    is increasing, is the smallest index of its orbit.  For t <= 1 both are
-    None: every index is its own orbit.
+    is increasing, is the smallest index of its orbit.  The fold is read
+    uncached, so that only these two are kept.  For t <= 1 both are None:
+    every index is its own orbit.
     """
     if t <= 1:
         return None, None
-    fold, reps = orbit_fold(m, n + t, n)
+    fold, reps = orbit_fold.__wrapped__(m, n + t, n)
     where, members, signs = [], [[] for _ in reps], {}
     for j, (order, k) in enumerate(fold):
         if order not in signs:
@@ -140,8 +141,9 @@ def _diff_basis(bm, n, t):
 
 
 def _reps(m, n, t):
-    """The representatives of the S_t-orbits of hom_basis(m, n+t), in orbit order."""
-    return hom_basis(m, n + t) if t <= 1 else orbit_fold(m, n + t, n)[1]
+    """The representatives of the S_t-orbits of hom_basis(m, n+t): their first members."""
+    basis = hom_basis(m, n + t)
+    return basis if t <= 1 else [basis[orbit[0][0]] for orbit in _orbits(m, n, t)[1]]
 
 
 @functools.cache

@@ -9,22 +9,25 @@ once, modulo antisymmetry and the Jacobi identity; its dimension is
 one monomial per ordering (s2, ..., sk) of S \\ {a1}, listed in
 lexicographic order of that tuple.
 
-Normalization embeds everything in the tensor algebra: each bracket
-[x, y] expands to xy - yx, so a tree with k leaves becomes an exact
-integer combination of words of length k.  The expansion of the basis
-monomial indexed by (s2, ..., sk) contains exactly one word starting
-with a1 -- the word a1 s2 ... sk, with coefficient 1 -- so coordinates
-can be read off the a1-initial words directly.  The candidate solution
-is then certified by re-expanding and subtracting; a nonzero residue
-would mean the input escaped the span of the basis, which cannot happen
-for well-formed trees and is treated as an internal error.
+Normalization is the comb rule, with no tensor word formed.  A comb
+comb(u) = [[...[u_1, u_2], ...], u_r] is, in the tensor algebra, the
+sum over I of {2..r} of (-1)^|I| (u_I reversed) u_1 u_{I^c}
+([X, s] = Xs - sX).  The right action of the tensor algebra on Lie(S),
+x_1...x_s: L -> [...[L, x_1], ..., x_s], sends a Lie element P to
+[-, P] (Reutenauer, *Free Lie Algebras*, ch. 1), so [comb(w), comb(u)]
+is the same signed sum of the combs comb(w (u_I reversed) u_1 u_{I^c}).
+`normalize_tree` writes a tree as signed comb words bracket by bracket,
+the side with fewer leaves on the right ([X, Y] = -[Y, X]), and reads
+each word by `comb_coords`.  `expand`, the tensor expansion, serves only
+the direct side of `schur_oracle` and the tests' reference for the rule.
 
-Combs skip normalization: `bracket_leaf` writes [T, a] for a comb T as
-signed comb words, and `comb_coords`, its one caller, reads the comb of
-any word of distinct labels in the basis.  That is the one closed form
-of the comb rule: `catlie.act_in` relabels comb words and reads them
-through it, and `bracket_leaf_table` holds [T, a] once per order pattern
-for `mudelta` and `dgcat`, read off comb words with no tree built.
+`bracket_leaf` writes [T, a] for the comb T of a word: one comb if a is
+above its head, else the rule for -[a, T].  `comb_coords`, its one
+caller, reads the comb of any word of distinct labels in the basis.
+That is the one closed form of the comb rule: `catlie.act_in` relabels
+comb words and reads them through it, and `bracket_leaf_table` holds
+[T, a] once per order pattern for `mudelta` and `dgcat`, read off comb
+words with no tree built.
 
 Trees are plain nested structures: a leaf is its label (any orderable,
 hashable value; ints in practice) and a bracket is a pair
@@ -101,22 +104,28 @@ def _perm_index(labels):
     return {perm: i for i, perm in enumerate(itertools.permutations(labels[1:]))}
 
 
+@functools.cache
+def _comb_expansion(r):
+    """comb(u) for any word u of length r in the tensor algebra, as (sign,
+    positions) pairs: the words (u_I reversed) u_1 u_{I^c} for I in {2..r},
+    with sign (-1)^|I|, as positions into u.  Cached, so read-only."""
+    out = []
+    for mask in range(1 << (r - 1)):
+        inside = tuple(p for p in range(1, r) if mask >> (p - 1) & 1)
+        outside = tuple(p for p in range(1, r) if not mask >> (p - 1) & 1)
+        out.append((-1 if len(inside) % 2 else 1, inside[::-1] + (0,) + outside))
+    return tuple(out)
+
+
 def bracket_leaf(word, a):
     """[T, a] for the comb T of word = (h, s_2, ..., s_k), as (coefficient,
     comb word) pairs: word + (a,) if h = min(word) < a.  If a is below
-    every label, only -aT of Ta - aT starts with a, and T is the sum over
-    I of {2..k} of (-1)^|I| (s_I reversed) h s_{I^c} ([X, s] = Xs - sX),
-    whatever h: [T, a] = -sum_I (-1)^|I| comb(a, s_I reversed, h, s_{I^c}).
+    every label, [T, a] = -[a, T] is the comb rule with one term
+    -(-1)^|I| comb(a, s_I reversed, h, s_{I^c}) per I of {2..k}, whatever h.
     """
-    h, rest = word[0], word[1:]
-    if a > h:
+    if a > word[0]:
         return ((1, word + (a,)),)
-    out = []
-    for mask in range(1 << len(rest)):
-        inside = tuple(s for i, s in enumerate(rest) if mask >> i & 1)
-        outside = tuple(s for i, s in enumerate(rest) if not mask >> i & 1)
-        out.append((1 if len(inside) % 2 else -1, (a,) + inside[::-1] + (h,) + outside))
-    return out
+    return [(-s, (a,) + tuple(map(word.__getitem__, pos))) for s, pos in _comb_expansion(len(word))]
 
 
 @functools.cache
@@ -142,16 +151,6 @@ def bracket_leaf_table(k, r):
     followed by r.  Cached, so read-only."""
     return tuple(comb_coords(tuple(x + (x >= r) for x in (1,) + tail) + (r,))
                  for tail in itertools.permutations(range(2, k + 1)))
-
-
-def basis_expansions(labels):
-    """Expansions of the basis trees, cached per label set."""
-    return _basis_expansions(tuple(labels))
-
-
-@functools.cache
-def _basis_expansions(labels):
-    return tuple(expand(t) for t in _lie_basis(labels))
 
 
 class LieElem(SparseElem):
@@ -181,29 +180,30 @@ def _check_multilinear(tree, labels):
         raise ValueError("tree is not multilinear over %r" % (labels,))
 
 
+def _comb_words(tree):
+    """A multilinear tree as signed comb words {word: coefficient}, bracket
+    by bracket through the comb rule (module docstring)."""
+    if not isinstance(tree, tuple):
+        return {(tree,): 1}
+    left, right, sign = tree[0], tree[1], 1
+    if len(leaves(right)) > len(leaves(left)):
+        left, right, sign = right, left, -1
+    left, right = _comb_words(left), _comb_words(right)
+    out = {}
+    for u, cu in right.items():
+        for s, pos in _comb_expansion(len(u)):
+            tail, c = tuple(map(u.__getitem__, pos)), sign * s * cu
+            for w, cw in left.items():
+                out[w + tail] = out.get(w + tail, 0) + c * cw
+    return {w: c for w, c in out.items() if c}
+
+
 @functools.cache
 def normalize_tree(tree):
-    """Coordinates of a single multilinear tree (read-only cached dict)."""
-    labels = tuple(sorted(leaves(tree)))
-    _check_multilinear(tree, labels)
-    return _solve([(1, tree)], labels)
-
-
-def _solve(terms, labels):
-    """Read coordinates off the a1-initial words, then certify by re-expansion."""
-    words = {}
-    for c, tree in terms:
-        axpy(words, expand(tree), c)
-    head = labels[0]
-    index = _perm_index(labels)
-    coords = {}
-    for w, c in words.items():
-        if w[0] == head:
-            coords[index[w[1:]]] = c
-    expansions = _basis_expansions(labels)
-    if axpy(dict(words), combine(coords, expansions.__getitem__), -1):
-        raise AssertionError("expansion escaped the basis span; broken input tree")
-    return coords
+    """Coordinates of a single multilinear tree (read-only cached dict): its
+    comb words, each read by `comb_coords`."""
+    _check_multilinear(tree, tuple(sorted(leaves(tree))))
+    return combine(_comb_words(tree), lambda word: dict(comb_coords(word)))
 
 
 def normalize(tree):

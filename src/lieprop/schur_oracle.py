@@ -47,7 +47,10 @@ off one elimination pass over the block, and its character is the sum
 of the block characters times d_lambda.
 
 The two computation paths share no code beyond exact linear algebra,
-which is the point.
+which is the point.  The tensor expansion `freelie.expand` serves only
+the direct side (and the tests' reference for the comb rule): the DG
+side normalizes its trees by the comb rule of `freelie.normalize_tree`
+and forms no tensor word.
 """
 
 import functools

@@ -14,6 +14,7 @@ from lieprop.mudelta import (Delta1Elem, adjoint_append, check_centrality,
                              delta1_act_right, delta1_basis, delta1_dim,
                              include_delta1, iota, mu, mu_tilde, mu_tilde_1,
                              pi, project_delta1)
+from test_freelie import comb, tensor_coords
 
 
 def test_mu_zero_and_small():
@@ -559,15 +560,10 @@ def test_iota_generates_delta1():
         assert ech.rank == target, (m, n)
 
 
-def _comb(word):
-    t = word[0]
-    for x in word[1:]:
-        t = (t, x)
-    return t
-
-
 def test_bracket_leaf_matches_normalize_tree():
-    # [T, a] for every comb T with <= 6 leaves, a at every position among its labels
+    # [T, a] for every comb T with <= 6 leaves, a at every position among its
+    # labels, against the tensor-expansion reading (`tensor_coords`) and
+    # normalize_tree, which reads [T, a] by the same comb rule
     sizes = {True: 0, False: 0}
     for k in range(1, 7):
         labels = tuple(range(1, k + 2))
@@ -581,7 +577,8 @@ def test_bracket_leaf_matches_normalize_tree():
                 sizes[a < word[0]] += 1
                 got = {positions[w[1:]]: c for c, w in terms}
                 assert len(got) == len(terms)
-                assert got == freelie.normalize_tree((_comb(word), a)), (word, a)
+                tree = (comb(word), a)
+                assert got == tensor_coords(tree) == freelie.normalize_tree(tree), (word, a)
     assert sizes == {True: 154, False: 873}
     # a below every label of a prefix whose head is not its least label, as in
     # catlie.act_in up to m = 6
@@ -595,7 +592,8 @@ def test_bracket_leaf_matches_normalize_tree():
             terms = freelie.bracket_leaf(word, 1)
             got = {positions[w[1:]]: c for c, w in terms}
             assert len(got) == len(terms) == 2 ** (k - 1)
-            assert got == freelie.normalize_tree((_comb(word), 1)), word
+            tree = (comb(word), 1)
+            assert got == tensor_coords(tree) == freelie.normalize_tree(tree), word
             headless += 1
     assert headless == 1 + 4 + 18 + 96
 
