@@ -39,24 +39,18 @@ class BasisMorphism(NamedTuple):
 
 @functools.cache
 def surjections(m, n):
-    """All surjective value lists [m] ->> [n], lexicographically ordered."""
-    out = []
-    f = [0] * m
-
-    def rec(pos, covered):
-        missing = n - bin(covered).count("1")
-        if m - pos < missing:
-            return
-        if pos == m:
-            out.append(tuple(f))
-            return
-        for v in range(1, n + 1):
-            f[pos] = v
-            rec(pos + 1, covered | (1 << (v - 1)))
-
-    if n >= 0:
-        rec(0, 0)
-    return tuple(out)
+    """All surjective value lists [m] ->> [n], lexicographically ordered: the
+    prefixes grow one value at a time, each with the mask of the outputs it
+    covers, and a prefix that can no longer cover all n outputs is dropped;
+    the lists whose mask covers every output are kept (none for m = 0 < n)."""
+    if n < 0:
+        return ()
+    masks = {(): 0}
+    for pos in range(m - 1, -1, -1):    # pos values left to place after this one
+        masks = {f + (v,): cover for f, mask in masks.items() for v in range(1, n + 1)
+                 if n - (cover := mask | 1 << (v - 1)).bit_count() <= pos}
+    full = (1 << n) - 1
+    return tuple(f for f, mask in masks.items() if mask == full)
 
 
 def fibers(f, n):
@@ -95,8 +89,16 @@ def tree_tuples(f, n):
 
 @functools.cache
 def hom_basis(m, n):
-    make = BasisMorphism._make
-    return tuple(make((m, n, f, trees)) for f in surjections(m, n) for trees in tree_tuples(f, n))
+    """The basis morphisms of Hom(m, n) in basis order; the tree tuples are
+    listed once per fiber-size signature and shared by its value lists."""
+    make, tuples = BasisMorphism._make, {}
+    out = []
+    for f in surjections(m, n):
+        sizes = tuple(map(f.count, range(1, n + 1)))
+        if sizes not in tuples:
+            tuples[sizes] = tuple(tree_tuples(f, n))
+        out += [make((m, n, f, trees)) for trees in tuples[sizes]]
+    return tuple(out)
 
 
 @functools.cache
@@ -197,8 +199,9 @@ def basis_trees(bm):
 
 @functools.cache
 def _tree_terms(tree):
-    """(leaves, sorted coordinate items) of one output tree; cached."""
-    return freelie.leaves(tree), tuple(sorted(freelie.normalize_tree(tree).items()))
+    """(leaves, sorted coordinate items) of one output tree; cached here, so
+    it reads the uncached `freelie.normalize_tree` and each tree is held once."""
+    return freelie.leaves(tree), tuple(sorted(freelie.normalize_tree.__wrapped__(tree).items()))
 
 
 def emit(trees, index):

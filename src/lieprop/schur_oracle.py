@@ -329,11 +329,13 @@ class SwModule:
     image of basis vector r), cached per tau.  `character` reads only the
     adjacent transpositions s_i = (i, i+1).  Built once, it maps each
     cycle type rho |- w to the int chi_M(rho), the trace of the word with
-    consecutive cycles ((3, 2, 1) is s1 s2 s4), pushing each row e_r once
-    through all words in ints: a word extends its prefix, again a class
-    word (s1 ... s5 of (6) extends (5, 1), ..., (2, 1^4)).  `basis` lists
-    what the module is built on, if anything: the quotient columns or the
-    kernel vectors of a block of `h_modules`.
+    consecutive cycles ((3, 2, 1) is s1 s2 s4), in ints.  Each row e_r is
+    pushed through the words, a word from its prefix, again a class word
+    (s1 ... s5 of (6) extends (5, 1), ..., (2, 1^4)); a word that is no
+    other word's prefix is not pushed, and only its diagonal entry
+    sum_j pushed[prefix][j] G[j][r] is read.  `basis` lists what the
+    module is built on, if anything: the quotient columns or the kernel
+    vectors of a block of `h_modules`.
     """
 
     def __init__(self, w, dim, act_fn, basis=()):
@@ -361,13 +363,18 @@ class SwModule:
         for rho in _partitions(self.w):
             starts = itertools.accumulate(rho, initial=1)
             words[tuple(i for a, size in zip(starts, rho) for i in range(a, a + size - 1))] = rho
-        traces = dict.fromkeys(words, 0)
+        order = sorted(words)           # every prefix before its extensions
+        inner = {word[:-1] for word in order}
+        traces = {word: 0 if word else self.dim for word in words}
         for r in range(self.dim):
             pushed = {(): {r: 1}}
-            for word in sorted(words):  # every prefix before its extensions
-                if word:
-                    pushed[word] = combine(pushed[word[:-1]], gens[word[-1]].__getitem__)
-                traces[word] += pushed[word].get(r, 0)
+            for word in order[1:]:
+                prefix, gen = pushed[word[:-1]], gens[word[-1]]
+                if word in inner:
+                    pushed[word] = vec = combine(prefix, gen.__getitem__)
+                    traces[word] += vec.get(r, 0)
+                else:                   # a leaf: only the diagonal entry
+                    traces[word] += sum(x * gen[j].get(r, 0) for j, x in prefix.items())
         chi = {words[word]: Fraction(t, den ** len(word)) for word, t in traces.items()}
         if any(c.denominator != 1 for c in chi.values()):
             raise AssertionError("character values must be integers: %s" % chi)
@@ -420,36 +427,32 @@ def h_modules(w, n):
 
     S_n acts freely on both bases and commutes with S_w and mu_tilde_1, so
     each cell splits on the Wedderburn blocks of S_n (Serre, Linear
-    Representations of Finite Groups, 2.6).  With M the Z[S_n] matrix of
-    `dgcat._block_matrix` and B = rho_lambda(M) (`symrep.block_row`),
-    H0_lambda is Q^(c d_lambda) modulo the row echelon of B, c the number of
-    Hom representatives, on the non-pivot columns, and H1_lambda is the left
-    kernel of B.  Both come from one elimination pass over the rows of B,
-    `exactla.echelon_and_kernel`: its echelon is the one `Echelon.add` builds
-    and its kernel vectors are those of `exactla.kernel`.  Each block module
-    keeps them as its `basis`: the non-pivot columns for H0_lambda, the
-    kernel vectors for H1_lambda.  tau acts on the representatives by rows
-    over Z[S_n], kept for the blocks of the last tau: act_in on Hom(w, n) and
-    `mudelta.delta1_act_in_columns` on delta1, folded onto the representatives
-    (`catlie.orbit_fold` at lo = 0, `mudelta.delta1_orbit_fold` through the
-    cut), whose Hom representatives are the columns of M, numbered as in
-    `catlie.orbit_offsets`; a block reads rho_lambda of them.  H0_lambda
-    reduces its images against the echelon.  H1_lambda
-    pushes each kernel vector v_r through them in ints and reads its row off
-    the kernel basis: each v_r has a free column f_r = max(v_r), zero on
-    every other v_s, so c_r = z[f_r] / v_r[f_r], checked as
-    L z == sum (L c_r) v_r in ints, L = lcm v_r[f_r], by subtracting each
-    (L c_r) v_r from L z in the same loop that formed z.
-    For n <= 1 the one block is M on the whole bases: no fold, no rho_lambda.
+    Representations of Finite Groups, 2.6).  Let M be the Z[S_n] matrix of
+    `dgcat._block_matrix` and B = rho_lambda(M) (`symrep.block_rows`: one
+    `linear_row` per row of M when d_lambda = 1, lambda = (n) or (1^n)).
+    H0_lambda is Q^(c d_lambda), c the number of Hom representatives, modulo
+    the row echelon of B, and H1_lambda is the left kernel of B, both from
+    one elimination pass over B, `exactla.echelon_and_kernel`; each block
+    module keeps the non-pivot columns or the kernel vectors as its `basis`.
+    tau acts on the representatives by rows over Z[S_n], kept for the blocks
+    of the last tau: act_in on Hom(w, n) and `mudelta.delta1_act_in_columns`
+    on delta1, folded onto the representatives (`catlie.orbit_fold` at
+    lo = 0, `mudelta.delta1_orbit_fold`); a block reads them as it reads M.
+    H0_lambda reduces its images against the echelon.  H1_lambda pushes each
+    kernel vector v_r, times L = lcm of the v_r[f_r], through them in one int
+    loop: the free column f_r = max(v_r) is zero on every other v_s, so
+    L c_r = (L z)[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r by
+    subtracting each term from L z.  For n <= 1 the one block is M read on
+    the one element of S_n, once, and the rows of tau need no fold or reading.
     Cached, so the matrices and characters are built once per (w, n) and
     shared by every d of `cross_check`.  Negative arities raise ValueError.
     """
     if w < 0 or n < 0:
         raise ValueError("h_modules needs w, n >= 0, got (%d, %d)" % (w, n))
-    matrix = dgcat._block_matrix(w, n)
+    matrix, shapes = dgcat._block_matrix(w, n), _partitions(n)
     trivial = n <= 1
-    if trivial:
-        matrix = [{i: c for i, entry in row.items() for c in entry.values()} for row in matrix]
+    if trivial:     # M read once, on the one element of S_n, and its Z[S_n] rows dropped
+        matrix = list(symrep.block_rows(dict(enumerate(matrix)), shapes[0])[1].values())
         reps, d1_reps, hom_fold, d1_fold = hom_basis(w, n), range(len(matrix)), None, None
     else:
         hom_fold, reps = orbit_fold(w, n)
@@ -465,19 +468,13 @@ def h_modules(w, n):
         return out
 
     def block(rows, shape):
-        """(L, {key: the d_lambda rows of L rho_lambda(rows[key])})"""
-        if trivial:
-            return 1, {key: (row,) for key, row in rows.items()}
-        sigmas = {s for row in rows.values() for entry in row.values() for s in entry}
-        scale, entries = symrep.block_entries(shape, sigmas)
-        d = symrep.dim(shape)
-        return scale, {key: symrep.block_row(row, d, entries) for key, row in rows.items()}
+        return (1, rows) if trivial else symrep.block_rows(rows, shape)
 
-    shapes, quotients, kernels = _partitions(n), {}, {}
+    quotients, kernels = {}, {}
     for shape in shapes:
         size = len(reps) * symrep.dim(shape)
-        rows = [vec for vecs in block(dict(enumerate(matrix)), shape)[1].values() for vec in vecs]
-        ech, kernels[shape] = echelon_and_kernel(rows)
+        rows = block(dict(enumerate(matrix)), shape)[1]
+        ech, kernels[shape] = echelon_and_kernel(list(rows.values()))
         quotients[shape] = ech, [k for k in range(size) if k not in ech.pivot_cols]
     need = {k // symrep.dim(shape) for shape, (_, basis) in quotients.items() for k in basis}
     support = {s // symrep.dim(shape) for shape, ker in kernels.items() for z in ker for s in z}
@@ -499,36 +496,35 @@ def h_modules(w, n):
         def act0(tau):
             rows = hom_rows(tau)
             scale, rows = block({i: rows[i] for i in mine}, shape)
-            return [{position[j]: _over(x, scale) for j, x in ech.reduce(rows[k // d][k % d]).items()}
+            return [{position[j]: _over(x, scale) for j, x in ech.reduce(rows[k]).items()}
                     for k in basis]
 
         return SwModule(w, len(basis), act0, basis)
 
     def h1(shape):
         d, ker = symrep.dim(shape), kernels[shape]
-        free = {max(v): r for r, v in enumerate(ker)}
+        free = {max(v): (r, v[max(v)]) for r, v in enumerate(ker)}
+        den = lcm(*(v for _, v in free.values()))
+        scaled = ker if den == 1 else [{s: den * c for s, c in z.items()} for z in ker]
         mine = {s // d for z in ker for s in z}
 
         def act1(tau):
             rows = delta1_rows(tau)
             scale, rows = block({j: rows[j] for j in mine}, shape)
-            rows = {j * d + a: vec for j, vecs in rows.items() for a, vec in enumerate(vecs)}
             out = []
-            for z in ker:
+            for z in scaled:
                 image = {}
+                get = image.get
                 for s, c in z.items():
                     for j, x in rows[s].items():
-                        image[j] = image.get(j, 0) + c * x
-                coords = {free[j]: (x, ker[free[j]][j]) for j, x in image.items() if x and j in free}
-                den = lcm(*(v for _, v in coords.values()))
-                residue = image if den == 1 else {j: den * x for j, x in image.items()}
-                for r, (x, v) in coords.items():
-                    c = den // v * x
+                        image[j] = get(j, 0) + c * x
+                coords = {hit[0]: x // hit[1] for j, x in image.items() if x and (hit := free.get(j))}
+                for r, c in coords.items():
                     for j, y in ker[r].items():
-                        residue[j] = residue.get(j, 0) - c * y
-                if any(residue.values()):
+                        image[j] = get(j, 0) - c * y
+                if any(image.values()):
                     raise AssertionError("kernel is not S_w-stable; broken equivariance")
-                out.append({r: _over(x, scale * v) for r, (x, v) in coords.items()})
+                out.append({r: _over(c, den * scale) for r, c in coords.items()})
             return out
 
         return SwModule(w, len(ker), act1, ker)

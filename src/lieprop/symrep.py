@@ -22,7 +22,11 @@ and rho(sigma o tau) = rho(sigma) rho(tau) for the composition
 (sigma(1), ..., sigma(n)).  The arithmetic is in ints: a matrix is an
 int matrix over one common denominator.  `block_row` reads a row of a
 matrix over Z[S_n] on the block rho_lambda of one partition lambda, and
-`block_ranks` ranks such a matrix block by block; the homology modules of
+`linear_row` reads it on a one-dimensional block, lambda = (n) or (1^n),
+where rho_lambda(sigma) is 1 or the sign of sigma (Fulton and Harris,
+*Representation Theory*, Lecture 4), as one signed sum per column;
+`block_rows` reads several rows with whichever fits.  `block_ranks` ranks
+such a matrix block by block, and the homology modules of
 `schur_oracle` build their kernels, quotients and S_w actions on the same
 blocks (Serre, *Linear Representations of Finite Groups*, 2.6).
 """
@@ -209,24 +213,88 @@ def block_row(row, d, entries):
     return block
 
 
+class _LinearCharacter(dict):
+    """chi_lambda of a one-dimensional lambda |- n, filled on the first read of
+    each permutation: 1 for lambda = (n), sgn sigma = (-1)^(length of
+    `reduced_word(sigma)`) for lambda = (1^n).  ValueError for a key that does
+    not permute 1..n."""
+
+    def __init__(self, n, sign):
+        super().__init__()
+        self.n, self.sign = n, sign
+
+    def __missing__(self, sigma):
+        if sorted(sigma) != list(range(1, self.n + 1)):
+            raise ValueError("not a permutation of 1..%d: %r" % (self.n, sigma))
+        value = self[sigma] = -1 if self.sign and len(reduced_word(sigma)) % 2 else 1
+        return value
+
+
+@functools.cache
+def linear_character(shape):
+    """{sigma: chi_lambda(sigma)} for a one-dimensional partition lambda, (n) or
+    (1^n), as a dict filled on first read (`_LinearCharacter`); it is
+    rho(lambda, sigma), a 1 x 1 matrix over den = 1.  ValueError for any other
+    shape."""
+    if dim(shape) != 1:
+        raise ValueError("not a one-dimensional representation: %r" % (shape,))
+    return _LinearCharacter(sum(shape), len(shape) > 1)
+
+
+def linear_row(row, chi):
+    """The one row of rho_lambda(M) for one row of a matrix M over Z[S_n] and a
+    one-dimensional lambda, chi = `linear_character(lambda)`: column i holds
+    sum_sigma chi_lambda(sigma) c_sigma, c_sigma the coefficient of sigma in
+    M_ji, and L = 1.  It is `block_row(row, 1, entries)[0]`, an entry that
+    cancelled kept as a 0, with no matrix entry built."""
+    out = {}
+    for i, entry in row.items():
+        x = 0
+        for s, c in entry.items():
+            x += chi[s] * c
+        out[i] = x
+    return out
+
+
+def block_rows(rows, shape):
+    """(L, {j d + a: row (j, a) of L rho_lambda(M)}) for the rows {j: M_j} of
+    a matrix M over Z[S_n], d = d_lambda, numbered as their columns i d + b:
+    one `linear_row` per j, with L = 1, when d = 1, else the d rows of
+    `block_row` over `block_entries` of the sigmas that occur."""
+    d = dim(shape)
+    if d == 1:
+        chi = linear_character(shape)
+        return 1, {j: linear_row(row, chi) for j, row in rows.items()}
+    scale, entries = block_entries(shape, {s for row in rows.values() for entry in row.values()
+                                           for s in entry})
+    return scale, {j * d + a: vec for j, row in rows.items()
+                   for a, vec in enumerate(block_row(row, d, entries))}
+
+
 def block_ranks(matrix, n):
     """{lambda: rank rho_lambda(M)} over the partitions lambda of n, for M a
     matrix over Z[S_n] given by its rows {i: {sigma: coefficient}}: the block
     rho_lambda(M) has sum_sigma c_sigma rho_lambda(sigma)[a][b] in row (j, a)
     and column (i, b), c_sigma the coefficient of sigma in M_ji.  By Wedderburn,
     x -> xM on Q[S_n]^r has rank sum_lambda d_lambda * rank rho_lambda(M).
-    Each block is one echelon of the rows of `block_row`, stopped at full
-    column rank: d_lambda times the number of indices i in M.
+    Each block is one echelon of the rows of `block_row`, or of `linear_row`
+    when d_lambda = 1, stopped at full column rank: d_lambda times the number
+    of indices i in M.
     """
     sigmas = {s for row in matrix for entry in row.values() for s in entry}
     cols = len({i for row in matrix for i in row})
     ranks = {}
     for shape in _partitions(n):
         d = dim(shape)
-        entries = block_entries(shape, sigmas)[1]
+        if d == 1:
+            chi = linear_character(shape)
+            rows = ((linear_row(row, chi),) for row in matrix)
+        else:
+            entries = block_entries(shape, sigmas)[1]
+            rows = (block_row(row, d, entries) for row in matrix)
         ech = Echelon()
-        for row in matrix:
-            for vec in block_row(row, d, entries):   # `add` drops the entries that cancelled
+        for vecs in rows:
+            for vec in vecs:    # `add` drops the entries that cancelled
                 ech.add(vec)
             if ech.rank == d * cols:
                 break

@@ -20,6 +20,20 @@ def test_surjection_counts_and_order():
     assert list(s32) == sorted(s32)
 
 
+def test_surjections_and_hom_basis_match_a_reference_enumeration():
+    # every value list in N^m filtered to the onto ones, and its tree tuples
+    # listed per value list, for m <= 7, n <= 8
+    for m in range(8):
+        for n in range(9):
+            want = [f for f in itertools.product(range(1, n + 1), repeat=m) if len(set(f)) == n] \
+                if n <= m else []
+            assert surjections(m, n) == tuple(want), (m, n)
+            assert hom_basis(m, n) == tuple(
+                BasisMorphism(m, n, f, trees) for f in want
+                for trees in itertools.product(*[range(factorial(max(f.count(v) - 1, 0)))
+                                                 for v in range(1, n + 1)])), (m, n)
+
+
 def test_hom_dim_examples():
     assert hom_dim(2, 2) == 2
     assert hom_dim(3, 1) == 2

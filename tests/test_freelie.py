@@ -204,7 +204,10 @@ def test_dg_side_forms_no_tensor_word(monkeypatch):
                     cecomplex.ce_diff(m, n, t, x)
             for t in range(n + 1):
                 assert mudelta.check_dg_square(m, n, t)
-    assert freelie.normalize_tree.cache_info().misses > 100  # 108 trees at m <= 4
+    # 108 trees at m <= 4, each normalized once, through catlie's own cache, and
+    # held nowhere else
+    assert catlie._tree_terms.cache_info().misses > 100
+    assert freelie.normalize_tree.cache_info().currsize == 0
 
 
 def test_normalize_is_linear_on_random_trees():

@@ -3,14 +3,14 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial, lcm, prod
 from pathlib import Path
 
 import pytest
 
 from lieprop import catlie, freelie, mudelta, schur_oracle, symrep
 from lieprop.catlie import HomElem, compose, hom_dim, perm_hom
-from lieprop.exactla import Echelon, axpy
+from lieprop.exactla import Echelon, axpy, combine
 from lieprop.mudelta import delta1_basis, include_delta1, mu, project_delta1
 from lieprop.schur_oracle import (SwModule, _bracket_table, _peel, compositions,
                                   content_basis, content_splits, cross_check, h_modules,
@@ -597,6 +597,39 @@ def test_generator_matrices_match_composition_and_gauss_jordan_solve():
     assert count == 114 + 42
 
 
+def _full_push_character(module):
+    """chi_M by pushing every basis row through every class word, the leaf words
+    included: the reference for the diagonal read of `SwModule.character`."""
+    mats = {i: module.act(tau) for i, tau in enumerate(schur_oracle._adjacent(module.w), 1)}
+    den = lcm(*(Fraction(v).denominator for mat in mats.values() for row in mat for v in row.values()))
+    gens = {i: [{j: int(v * den) for j, v in row.items()} for row in mat] for i, mat in mats.items()}
+    words = {}
+    for rho in _partitions(module.w):
+        starts = itertools.accumulate(rho, initial=1)
+        words[tuple(i for a, size in zip(starts, rho) for i in range(a, a + size - 1))] = rho
+    traces = dict.fromkeys(words, 0)
+    for r in range(module.dim):
+        pushed = {(): {r: 1}}
+        for word in sorted(words):
+            if word:
+                pushed[word] = combine(pushed[word[:-1]], gens[word[-1]].__getitem__)
+            traces[word] += pushed[word].get(r, 0)
+    return {words[word]: Fraction(t, den ** len(word)) for word, t in traces.items()}
+
+
+def test_leaf_words_read_on_the_diagonal_equal_the_full_push():
+    # every block and every BlockSum of every cell with w <= 6, and the regular
+    # module: a class word that is no other word's prefix reads only the diagonal
+    modules = [_regular_module(4)]
+    for w in range(1, 7):
+        for n in range(w + 1):
+            for module in h_modules(w, n):
+                modules += [module, *module.blocks.values()]
+    for module in modules:
+        assert module.character == _full_push_character(module), (module.w, module.dim)
+    assert sum(1 for module in modules if module.dim) > 100
+
+
 def test_block_sums_act_block_diagonally():
     # the whole module is the sum of d_lambda copies of each block, in both its
     # matrices and its character
@@ -734,6 +767,25 @@ def test_a_wrong_rho_entry_in_the_action_is_caught(monkeypatch):
         m1.character
     with pytest.raises(AssertionError, match="must be integers"):
         m0.character
+
+
+def test_a_wrong_sign_in_the_one_dimensional_action_is_caught(monkeypatch):
+    # chi_(1,1)((2, 1)) read as +1 by the S_w action only, after the blocks are
+    # built: the H1 image of the sign block leaves the kernel span
+    real = symrep.linear_character
+
+    def wrong(shape):
+        chi = real(shape)
+        return {(1, 2): chi[1, 2], (2, 1): -chi[2, 1]} if shape == (1, 1) else chi
+
+    for w in (4, 6):
+        m1 = h_modules.__wrapped__(w, 2)[1]
+        assert m1.blocks[1, 1].dim
+        with monkeypatch.context() as patch:
+            patch.setattr(symrep, "linear_character", wrong)
+            with pytest.raises(AssertionError, match="not S_w-stable"):
+                m1.character
+        assert m1.blocks[2,].character == h_modules(w, 2)[1].blocks[2,].character
 
 
 def test_act_rejects_non_permutations_and_accepts_lists():

@@ -5,9 +5,10 @@ from math import factorial
 
 import pytest
 
-from lieprop import symrep
+from lieprop import dgcat, symrep
 from lieprop.exactla import Echelon
-from lieprop.symrep import (_partitions, block_ranks, dim, reduced_word, rho, rho_cleared,
+from lieprop.symrep import (_partitions, block_entries, block_ranks, block_row, dim,
+                            linear_character, linear_row, reduced_word, rho, rho_cleared,
                             standard_tableaux)
 
 
@@ -140,6 +141,59 @@ def test_non_partition_shapes_are_rejected():
                 call()
     assert dim((2, 1)) == len(standard_tableaux((2, 1))) == 2
     assert dim(()) == len(standard_tableaux(())) == 1
+
+
+def test_linear_character_is_rho_on_the_one_dimensional_shapes():
+    for n in range(6):
+        for shape in {(n,) if n else (), (1,) * n}:
+            chi = linear_character(shape)
+            for sigma in _perms(n):
+                assert rho(shape, sigma) == (1, ((chi[sigma],),)), (shape, sigma)
+    assert linear_character((1, 1, 1))[2, 3, 1] == 1 and linear_character((1, 1, 1))[2, 1, 3] == -1
+    for shape in [(2, 1), (3, 1), (2, 2), (2, 0)]:
+        with pytest.raises(ValueError):
+            linear_character(shape)
+    for shape, sigma in [((1, 1), (1, 1)), ((2,), (1, 2, 3)), ((1, 1, 1), (0, 1, 2))]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            linear_character(shape)[sigma]
+
+
+def test_linear_row_is_block_row_on_every_block_matrix_row():
+    # every row of the Z[S_n] matrix of every cell with w <= 6, on each
+    # one-dimensional block: the same dict as block_row
+    rows = 0
+    for w in range(7):
+        for n in range(w + 1):
+            matrix = dgcat._block_matrix(w, n)
+            sigmas = {s for row in matrix for entry in row.values() for s in entry}
+            for shape in _partitions(n):
+                if dim(shape) == 1:
+                    scale, entries = block_entries(shape, sigmas)
+                    chi = linear_character(shape)
+                    assert scale == 1
+                    for row in matrix:
+                        got = linear_row(row, chi)
+                        assert got == block_row(row, 1, entries)[0], (w, n, shape, row)
+                        rows += 1
+    assert rows > 1000
+    # those entries have one sigma each; seeded rows with several, and for n >= 2
+    # one entry that cancels on the block and stays as a 0
+    rng = random.Random(32)
+    for n in range(5):
+        perms = _perms(n)
+        for shape in {(n,) if n else (), (1,) * n}:
+            chi = linear_character(shape)
+            for _ in range(20):
+                row = {i: {p: rng.choice([-2, -1, 1, 2]) for p in rng.sample(perms, min(3, len(perms)))}
+                       for i in range(3)}
+                if n >= 2:
+                    a, b = rng.sample(perms, 2)
+                    c = rng.choice([-1, 1])
+                    row[3] = {a: c * chi[a], b: -c * chi[b]}
+                entries = block_entries(shape, {p for entry in row.values() for p in entry})[1]
+                got = linear_row(row, chi)
+                assert got == block_row(row, 1, entries)[0], (shape, row)
+                assert n < 2 or got[3] == 0
 
 
 def _regular_rank(matrix, n):
