@@ -15,10 +15,9 @@ is coordinate equality; `act_in` does neither (its docstring).
 
 Symmetric groups act on the outputs by post-composition: S_n on all of
 them in the homology cells, S_t on the last t in the Chevalley-Eilenberg
-terms.  `first_occurrence` is the one orbit rule, and `orbit_fold(m, n,
-lo)` the one fold of a whole basis onto its representatives, for both.
-`orbit_offsets` and `_orbit_position` number the S_n representatives with
-no basis table, for `dgcat._block_matrix`.
+terms.  `first_occurrence` is the one orbit rule, for both.
+`orbit_offsets` and `_orbit_position` are the one numbering of the S_n
+representatives, with no basis table, for `dgcat` and `schur_oracle`.
 """
 
 import functools
@@ -122,42 +121,29 @@ def orbit_offsets(m, n):
 
 
 def _orbit_position(m, n, f):
-    """(sigma, offset, weights) for the value list f of Hom(m, n): every basis
+    """(sigma, g, weights) for the value list f of Hom(m, n): every basis
     element (f, trees) is sigma . rep, rep the representative number
-    offset + sum_p trees[p] * weights[p] of `orbit_offsets`.  One
-    `first_occurrence` on a probe whose trees are the output positions gives
-    sigma, the representative's value list and where each tree goes."""
+    offset + sum_p trees[p] * weights[p] of `orbit_offsets`, on its value
+    list g at that offset.  One `first_occurrence` on a probe whose trees are
+    the output positions gives sigma, g and where each tree goes."""
     sigma, probe = first_occurrence(BasisMorphism(m, n, f, tuple(range(n))), 0, n)
-    offset, strides = orbit_offsets(m, n)[probe.f]
+    strides = orbit_offsets(m, n)[probe.f][1]
     # the tree of output p+1 is at output k+1 of the rep, k = probe.trees.index(p)
-    return sigma, offset, [strides[probe.trees.index(p)] for p in range(n)]
+    return sigma, probe.f, [strides[probe.trees.index(p)] for p in range(n)]
 
 
-@functools.cache
-def orbit_fold(m, n, lo=0):
-    """(fold, reps) for the orbits of Hom(m, n) under post-composition with the
-    permutations of the outputs lo+1..n: reps lists the representatives as
-    basis morphisms, in basis order, and fold[i] = (order, k) says that basis
-    element i is order . reps[k] (`first_occurrence`).  The one fold for S_n
-    (lo = 0, whose reps are those of `orbit_offsets`, in its order) and for
-    the S_t of `cecomplex` on the last t outputs (lo = n - t).  The rule runs
-    once per value list, on a probe whose trees are the output positions: an
-    element on the probe's value list is its own representative, and any
-    other reads the number of its representative, listed before it, through
-    `hom_index`."""
-    index, positions = hom_index(m, n), tuple(range(n))
-    fold, reps, f = [], [], None
-    for bm in hom_basis(m, n):
-        if bm.f != f:           # hom_basis lists each value list's elements together
-            f = bm.f
-            order, probe = first_occurrence(BasisMorphism(m, n, f, positions), lo, n)
-        if probe.f == f:
-            fold.append((order, len(reps)))
-            reps.append(bm)
-        else:                   # the tree at output k of the rep is bm's at probe.trees[k]
-            rep = BasisMorphism(m, n, probe.f, tuple(map(bm.trees.__getitem__, probe.trees)))
-            fold.append((order, fold[index[rep]][1]))
-    return tuple(fold), tuple(reps)
+def _orbit_row(m, n, f, terms, starts, orbit):
+    """The terms on the value list f of Hom(m, n), the products of one (tree
+    index, coefficient) pair per output, as a row over Z[S_n]:
+    {starts[g] + sum_p trees[p] * weights[p]: {sigma: c}} for (sigma, g,
+    weights) = `_orbit_position(m, n, f)`, kept in orbit per value list."""
+    if f not in orbit:
+        orbit[f] = _orbit_position(m, n, f)
+    sigma, g, weights = orbit[f]
+    stack = [(starts[g], 1)]
+    for weight, items in zip(weights, terms):
+        stack = [(k + p * weight, c * v) for k, c in stack for p, v in items]
+    return {k: {sigma: c} for k, c in stack}     # distinct trees: distinct reps
 
 
 @functools.cache
@@ -336,8 +322,16 @@ def act_in(f, tau):
 
 
 @functools.cache
-def _act_in_basis(bm, tau):
+def _act_in_terms(bm, tau):
+    """(f o tau, terms) of act_in(bm, tau): per output, the (tree index,
+    coefficient) pairs of its comb word relabelled by tau^{-1}; cached, so
+    read-only."""
     inv = {t: i for i, t in enumerate(tau, start=1)}
-    per_output = [freelie.comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
-                  for tree in basis_trees(bm)]
-    return _product(bm.n, tuple(bm.f[t - 1] for t in tau), per_output, hom_index(bm.m, bm.n))
+    return (tuple(bm.f[t - 1] for t in tau),
+            [freelie.comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
+             for tree in basis_trees(bm)])
+
+
+@functools.cache
+def _act_in_basis(bm, tau):
+    return _product(bm.n, *_act_in_terms(bm, tau), hom_index(bm.m, bm.n))

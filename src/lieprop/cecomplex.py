@@ -7,10 +7,10 @@ the image of the antisymmetrizer
 
 an exact idempotent over Q.  S_t permutes hom_basis(m, n+t) freely, so
 the term has one basis element per orbit, the signed orbit sum of its
-representative (`_orbits`, read off `catlie.orbit_fold`).  `fold` sums
-signed coordinates onto representatives, `expand` spreads them back,
-e_t = expand o fold / t!, and the differential is e_{t-1} o D with D the
-homogeneous CE formula
+representative (`_orbits`, one `catlie.first_occurrence` per value list,
+the rest through `hom_index`).  `fold` sums signed coordinates onto
+representatives, `expand` spreads them back, e_t = expand o fold / t!,
+and the differential is e_{t-1} o D with D the homogeneous CE formula
 
     D(Z (x) x_1 ^ ... ^ x_t) =
         sum_i (-1)^{i-1} (Z . x_i) (x) (... x_i-hat ...)
@@ -33,8 +33,8 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .catlie import (HomElem, _check_arities, basis_trees, compose_basis, emit, hom_basis, hom_dim,
-                     hom_index, orbit_fold)
+from .catlie import (BasisMorphism, HomElem, _check_arities, basis_trees, compose_basis, emit,
+                     first_occurrence, hom_basis, hom_dim, hom_index)
 from .exactla import Echelon, axpy, combine
 from .mudelta import (Delta1Elem, adjoint_append, delta1_dim, include_delta1, mu_tilde,
                       mu_tilde_1, mu_tilde_1_column, pi)
@@ -46,22 +46,30 @@ def _orbits(m, n, t):
 
     Returns (where, members): index j is sigma(r) for the representative
     r of orbit k, where[j] = (k, sgn sigma), and members[k] lists the
-    (j, sgn sigma) of orbit k, r first.  The orbits are those of
-    `catlie.orbit_fold(m, n + t, n)`, whose sigma is the order of first
-    occurrence of the last t outputs in j, and r, the element on which it
-    is increasing, is the smallest index of its orbit.  The fold is read
-    uncached, so that only these two are kept.  For t <= 1 both are None:
-    every index is its own orbit.
+    (j, sgn sigma) of orbit k, r first.  `catlie.first_occurrence` runs once
+    per value list, on a probe whose trees are the output positions: sigma
+    is the order of first occurrence of the last t outputs, and r, the
+    smallest index of its orbit, is on the probe's value list; any other j
+    reads r's orbit through `hom_index`.  For t <= 1 both are None: every
+    index is its own orbit.
     """
     if t <= 1:
         return None, None
-    fold, reps = orbit_fold.__wrapped__(m, n + t, n)
-    where, members, signs = [], [[] for _ in reps], {}
-    for j, (order, k) in enumerate(fold):
-        if order not in signs:
-            signs[order] = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
-        where.append((k, signs[order]))
-        members[k].append((j, signs[order]))
+    index, positions = hom_index(m, n + t), tuple(range(n + t))
+    where, members, f = [], [], None
+    for j, bm in enumerate(hom_basis(m, n + t)):
+        if bm.f != f:           # hom_basis lists each value list's elements together
+            f = bm.f
+            order, probe = first_occurrence(BasisMorphism(m, n + t, f, positions), n, n + t)
+            sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+        if probe.f == f:
+            members.append([])
+            k = len(members) - 1
+        else:                   # the tree at output i of r is bm's at probe.trees[i]
+            r = BasisMorphism(m, n + t, probe.f, tuple(map(bm.trees.__getitem__, probe.trees)))
+            k = where[index[r]][0]
+        where.append((k, sign))
+        members[k].append((j, sign))
     return tuple(where), tuple(map(tuple, members))
 
 

@@ -35,7 +35,7 @@ from operator import mul
 
 from . import symrep
 from .catlie import (HomElem, _check_arities, _orbit_position, compose, compose_basis, hom_basis,
-                     hom_dim, identity, tree_tuples)
+                     hom_dim, identity, orbit_offsets, tree_tuples)
 from .exactla import Echelon, combine, kernel
 from .mudelta import (Delta1Elem, _act_right, _delta1_indices, _delta1_value_lists,
                       _left_composite, _mu_tilde_1_terms, check_dg_square, delta1_act_left,
@@ -211,18 +211,20 @@ def _block_matrix(m, n):
     (`mudelta._delta1_value_lists`) outside and their tree tuples inside.
     Per (f, j), `mudelta._mu_tilde_1_terms` gives the value list f_j of the
     terms on output j and their table of `freelie.bracket_leaf_table`, and
-    `catlie._orbit_position`, run once per f_j, gives tau, the offset of the
-    representative's value list and a stride per output.  For a tree tuple
-    ts the terms on output j then have index base_j + p * stride_j, base_j
-    from the trees other than ts[j], for (p, c) in table[ts[j]].  The action
-    is free, so the terms of a row are distinct pairs (i, tau).
+    `catlie._orbit_position`, run once per f_j, gives tau, the
+    representative's value list (its offset from `orbit_offsets`) and a
+    stride per output.  For a tree tuple ts the terms on output j then have
+    index base_j + p * stride_j, base_j from the trees other than ts[j], for
+    (p, c) in table[ts[j]].  The action is free, so the terms of a row are
+    distinct pairs (i, tau).
     """
-    orbit, matrix = {}, []
+    offsets, orbit, matrix = orbit_offsets(m, n), {}, []
     for f, g, a in _delta1_value_lists(m, n):
         outputs = []
         for j, (fj, table) in enumerate(_mu_tilde_1_terms(f, a, n)):
             if fj not in orbit:
-                orbit[fj] = _orbit_position(m, n, fj)
+                tau, rep, weights = _orbit_position(m, n, fj)
+                orbit[fj] = tau, offsets[rep][0], weights
             outputs.append((j, table) + orbit[fj])
         for ts in tree_tuples(g, n):
             row = {}

@@ -21,6 +21,9 @@ matrix of tau' on Hom(m-1, n) with its indices moved by the glue map at a'
 (`delta1_act_in_columns`), and blocks with the same tau' share its rows.  For
 adjacent tau = (k, k+1), tau' is 1 for a = k, k+1, whose blocks are relabellings,
 and one of at most two adjacent transpositions for every other a.
+On the S_n-orbit representatives (a, y') the cut numbers delta1 with no table
+(`_delta1_starts`), and `_delta1_orbit_rows` reads tau on them over Z[S_n]: the
+terms of y' o tau' go to block a', through `catlie._orbit_position`.
 
 mu(n) in Hom(n+1, n) is the sum of the n basis morphisms that restrict
 to the identity on the first n inputs and bracket the extra input onto
@@ -77,11 +80,12 @@ sides are glued from composites on Hom(k+1, 1), one pair per (fiber size k, tree
 """
 
 import functools
+from math import prod
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, _act_in_basis, _check_arities, as_perm,
-                     basis_trees, boxplus, compose, compose_basis, emit, hom_basis, hom_dim,
-                     hom_index, identity, orbit_fold, orbit_offsets, perm_hom, tree_tuples)
+from .catlie import (BasisMorphism, HomElem, _act_in_basis, _act_in_terms, _check_arities,
+                     _orbit_row, as_perm, basis_trees, boxplus, compose, compose_basis, emit,
+                     hom_basis, hom_dim, hom_index, identity, orbit_offsets, perm_hom)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf_table
 
@@ -206,25 +210,33 @@ def _delta1_value_lists(m, n):
 
 
 @functools.cache
-def delta1_orbit_fold(m, n):
-    """(fold, reps) for the S_n-orbits of delta1(m, n): reps lists the delta1
-    indices of the representatives in the order of `_delta1_value_lists`, the
-    order of the rows of `dgcat._block_matrix`, and fold[s] = (sigma, j) says
-    that basis element s is sigma . (representative j).  Through the cut,
-    s = (a, y') is sigma . (a, rep k) for y' = sigma . rep k in Hom(m-1, n), read
-    off `catlie.orbit_fold(m - 1, n)`."""
-    offsets, ident = orbit_offsets(m - 1, n), tuple(range(1, n + 1))
-    where = {}                  # where[a, k]: the number of the representative (a, rep k)
-    for f, g, a in _delta1_value_lists(m, n):
-        for k, _ in enumerate(tree_tuples(g, n), offsets[g][0]):
-            where[a, k] = len(where)
-    hom_fold = orbit_fold(m - 1, n)[0]
-    fold = []
-    for a, i in _delta1_blocks(m, n):
-        sigma, k = hom_fold[i]
-        fold.append((sigma, where[a, k]))
-    # both list the representatives by value list, then trees: in the same order
-    return tuple(fold), tuple(s for s, (sigma, _) in enumerate(fold) if sigma == ident)
+def _delta1_starts(m, n):
+    """{a: {g: start}}: the delta1(m, n) representative (a, (g, trees)) is
+    number start + sum trees * strides_g (`catlie.orbit_offsets(m - 1, n)`),
+    in the row order of `dgcat._block_matrix` (`_delta1_value_lists`)."""
+    out, start = {a: {} for a in range(1, m + 1)}, 0
+    for _, g, a in _delta1_value_lists(m, n):
+        out[a][g] = start
+        start += prod(freelie.lie_dim(g.count(v)) for v in range(1, n + 1))
+    return out
+
+
+def _delta1_orbit_rows(m, n, tau, reps):
+    """{j: row over Z[S_n] of (a, y') o tau} for reps = {j: (a, y')}, through
+    the cut (module docstring): the terms of y' o tau', read once per
+    (y', tau') and numbered by `catlie._orbit_row` from `_delta1_starts`[a'];
+    a block with tau' = 1 is a relabelling and reads no act_in."""
+    starts, ident = _delta1_starts(m, n), tuple(range(1, m))
+    blocks, acts, orbit, out = {}, {}, {}, {}
+    for j, (a, y) in reps.items():
+        if a not in blocks:     # tau' and the starts of block a'
+            blocks[a] = tuple(t - (t > a) for t in tau if t != a), starts[tau.index(a) + 1]
+        sigma, start = blocks[a]
+        if (y, sigma) not in acts:
+            acts[y, sigma] = ((y.f, [((t, 1),) for t in y.trees]) if sigma == ident
+                              else _act_in_terms(y, sigma))
+        out[j] = _orbit_row(m - 1, n, *acts[y, sigma], start, orbit)
+    return out
 
 
 def _mu_tilde_1_terms(f, a, n):

@@ -59,9 +59,9 @@ from fractions import Fraction
 from math import factorial, lcm, prod
 
 from . import dgcat, freelie, symrep
-from .catlie import _act_in_basis, hom_basis, orbit_fold
+from .catlie import BasisMorphism, _act_in_terms, _orbit_row, orbit_offsets, tree_tuples
 from .exactla import Echelon, axpy, combine, echelon_and_kernel
-from .mudelta import delta1_act_in_columns, delta1_orbit_fold
+from .mudelta import _delta1_orbit_rows, _delta1_value_lists
 from .symrep import _partitions
 
 
@@ -435,45 +435,28 @@ def h_modules(w, n):
     one elimination pass over B, `exactla.echelon_and_kernel`; each block
     module keeps the non-pivot columns or the kernel vectors as its `basis`.
     tau acts on the representatives by rows over Z[S_n], kept for the blocks
-    of the last tau: act_in on Hom(w, n) and `mudelta.delta1_act_in_columns`
-    on delta1, folded onto the representatives (`catlie.orbit_fold` at
-    lo = 0, `mudelta.delta1_orbit_fold`); a block reads them as it reads M.
-    H0_lambda reduces its images against the echelon.  H1_lambda pushes each
-    kernel vector v_r, times L = lcm of the v_r[f_r], through them in one int
-    loop: the free column f_r = max(v_r) is zero on every other v_s, so
-    L c_r = (L z)[f_r] / v_r[f_r], checked as L z == sum (L c_r) v_r by
-    subtracting each term from L z.  For n <= 1 the one block is M read on
-    the one element of S_n, once, and the rows of tau need no fold or reading.
-    Cached, so the matrices and characters are built once per (w, n) and
-    shared by every d of `cross_check`.  Negative arities raise ValueError.
+    of the last tau and numbered as M with no basis table: the
+    `catlie._act_in_terms` of the Hom representatives read by
+    `catlie._orbit_row`, and `mudelta._delta1_orbit_rows`; a block reads them
+    as it reads M, for every n.  H0_lambda reduces its images against the
+    echelon.  H1_lambda pushes each kernel vector v_r, times L = lcm of the
+    v_r[f_r], through them in one int loop: the free column f_r = max(v_r)
+    is zero on every other v_s, so L c_r = (L z)[f_r] / v_r[f_r], checked as
+    L z == sum (L c_r) v_r by subtracting each term from L z.  Cached, so the
+    matrices and characters are built once per (w, n) and shared by every d
+    of `cross_check`.  Negative arities raise ValueError.
     """
     if w < 0 or n < 0:
         raise ValueError("h_modules needs w, n >= 0, got (%d, %d)" % (w, n))
-    matrix, shapes = dgcat._block_matrix(w, n), _partitions(n)
-    trivial = n <= 1
-    if trivial:     # M read once, on the one element of S_n, and its Z[S_n] rows dropped
-        matrix = list(symrep.block_rows(dict(enumerate(matrix)), shapes[0])[1].values())
-        reps, d1_reps, hom_fold, d1_fold = hom_basis(w, n), range(len(matrix)), None, None
-    else:
-        hom_fold, reps = orbit_fold(w, n)
-        d1_fold, d1_reps = delta1_orbit_fold(w, n)
-
-    def fold(coords, table):
-        if trivial:
-            return coords
-        out = {}
-        for i, c in coords.items():
-            sigma, k = table[i]
-            out.setdefault(k, {})[sigma] = c
-        return out
-
-    def block(rows, shape):
-        return (1, rows) if trivial else symrep.block_rows(rows, shape)
-
+    matrix, shapes, offsets = dgcat._block_matrix(w, n), _partitions(n), orbit_offsets(w, n)
+    reps = [BasisMorphism(w, n, f, trees) for f in offsets for trees in tree_tuples(f, n)]
+    starts = {g: offset for g, (offset, _) in offsets.items()}
+    d1_reps = [(a, BasisMorphism(w - 1, n, g, trees))
+               for _, g, a in _delta1_value_lists(w, n) for trees in tree_tuples(g, n)]
     quotients, kernels = {}, {}
     for shape in shapes:
         size = len(reps) * symrep.dim(shape)
-        rows = block(dict(enumerate(matrix)), shape)[1]
+        rows = symrep.block_rows(dict(enumerate(matrix)), shape)[1]
         ech, kernels[shape] = echelon_and_kernel(list(rows.values()))
         quotients[shape] = ech, [k for k in range(size) if k not in ech.pivot_cols]
     need = {k // symrep.dim(shape) for shape, (_, basis) in quotients.items() for k in basis}
@@ -481,12 +464,12 @@ def h_modules(w, n):
 
     @functools.lru_cache(maxsize=1)
     def hom_rows(tau):
-        return {i: fold(_act_in_basis(reps[i], tau), hom_fold) for i in need}
+        orbit = {}
+        return {i: _orbit_row(w, n, *_act_in_terms(reps[i], tau), starts, orbit) for i in need}
 
     @functools.lru_cache(maxsize=1)
     def delta1_rows(tau):
-        cols = delta1_act_in_columns(w, n, tau, [d1_reps[j] for j in support])
-        return {j: fold(cols[d1_reps[j]], d1_fold) for j in support}
+        return _delta1_orbit_rows(w, n, tau, {j: d1_reps[j] for j in support})
 
     def h0(shape):
         d, (ech, basis) = symrep.dim(shape), quotients[shape]
@@ -495,7 +478,7 @@ def h_modules(w, n):
 
         def act0(tau):
             rows = hom_rows(tau)
-            scale, rows = block({i: rows[i] for i in mine}, shape)
+            scale, rows = symrep.block_rows({i: rows[i] for i in mine}, shape)
             return [{position[j]: _over(x, scale) for j, x in ech.reduce(rows[k]).items()}
                     for k in basis]
 
@@ -510,7 +493,7 @@ def h_modules(w, n):
 
         def act1(tau):
             rows = delta1_rows(tau)
-            scale, rows = block({j: rows[j] for j in mine}, shape)
+            scale, rows = symrep.block_rows({j: rows[j] for j in mine}, shape)
             out = []
             for z in scaled:
                 image = {}

@@ -39,15 +39,13 @@ from math import factorial, gcd, lcm
 from .exactla import Echelon
 
 
+@functools.cache
 def _partitions(w, largest=None):
-    """Partitions of w as non-increasing tuples of positive parts."""
+    """Partitions of w as non-increasing tuples of positive parts, in a cached tuple."""
     if w == 0:
-        return [()]
-    out = []
-    for first in range(min(w, largest or w), 0, -1):
-        for rest in _partitions(w - first, first):
-            out.append((first,) + rest)
-    return out
+        return ((),)
+    return tuple((first,) + rest for first in range(min(w, largest or w), 0, -1)
+                 for rest in _partitions(w - first, first))
 
 
 def _check_shape(shape):

@@ -385,33 +385,59 @@ def test_orbit_representatives_are_the_basis_elements_first_occurrence_fixes():
     assert delta1_reps == 873
 
 
+def _check_orbit_numbering(m, n):
+    """(Hom elements, delta1 elements) of Hom(m, n) and delta1(m, n), each checked
+    against first_occurrence: the table-free numbering of its representative,
+    in the order of the columns and of the rows of `dgcat._block_matrix`."""
+    offsets = orbit_offsets(m, n)
+    reps = [BasisMorphism(m, n, f, trees) for f in offsets for trees in tree_tuples(f, n)]
+    for bm in hom_basis(m, n):
+        sigma, g, weights = catlie._orbit_position(m, n, bm.f)
+        number = offsets[g][0] + sum(t * x for t, x in zip(bm.trees, weights))
+        assert (sigma, reps[number]) == first_occurrence(bm, 0, n), bm
+    d1_reps = [BasisMorphism(m, n + 1, f, trees + (0,))
+               for f, g, _ in _delta1_value_lists(m, n) for trees in tree_tuples(g, n)]
+    assert len(d1_reps) == len(dgcat._block_matrix(m, n))
+    basis = delta1_basis(m, n)[1]
+    for y in basis:
+        # y = (a2, y') is (a, y') o tau for the tau that moves a2 to a and keeps the
+        # order of the rest, a relabelling (tau' = 1): it is numbered in block a2
+        (a2,), _, cut = mudelta._cut(y, n + 1)
+        a = a2 % m + 1
+        rest = iter(i for i in range(1, m + 1) if i != a)
+        tau = tuple(a if i == a2 else next(rest) for i in range(1, m + 1))
+        ((number, entry),) = mudelta._delta1_orbit_rows(m, n, tau, {0: (a, cut)})[0].items()
+        ((sigma, c),) = entry.items()
+        assert (sigma, d1_reps[number]) == first_occurrence(y, 0, n) and c == 1, y
+    return hom_dim(m, n), len(basis)
+
+
 def test_orbit_folds_match_first_occurrence_element_by_element():
-    # catlie.orbit_fold, for S_n and for the S_t on the last t outputs, and
-    # mudelta.delta1_orbit_fold, built through the cut, against first_occurrence
-    # on every basis element
+    # the one S_n numbering (catlie._orbit_position on Hom, mudelta._delta1_starts
+    # through the cut on delta1) and the S_t orbits of cecomplex._orbits on the
+    # last t outputs, against first_occurrence on every basis element
     elements = s_t_elements = 0
     for m in range(1, 7):
         for n in range(m + 1):
-            fold, reps = catlie.orbit_fold(m, n)
-            assert [first_occurrence(bm, 0, n)[1] for bm in reps] == list(reps)
-            assert [(sigma, reps[k]) for sigma, k in fold] == \
-                [first_occurrence(bm, 0, n) for bm in hom_basis(m, n)], (m, n)
-            # h_modules folds S_w rows onto _block_matrix columns, numbered by orbit_offsets
-            assert list(reps) == [BasisMorphism(m, n, f, trees) for f in orbit_offsets(m, n)
-                                  for trees in tree_tuples(f, n)], (m, n)
-            elements += len(reps)
+            _, d1_elements = _check_orbit_numbering(m, n)
+            elements += hom_dim(m, n) // factorial(n) + d1_elements
             for t in range(1, m - n + 1):
-                fold, reps = catlie.orbit_fold(m, n + t, n)
-                assert [first_occurrence(bm, n, n + t)[1] for bm in reps] == list(reps)
-                assert [(order, reps[k]) for order, k in fold] == \
-                    [first_occurrence(bm, n, n + t) for bm in hom_basis(m, n + t)], (m, n, t)
-                s_t_elements += len(fold)
-            fold, reps = mudelta.delta1_orbit_fold(m, n)
-            basis = delta1_basis(m, n)[1]
-            assert len(reps) == len(dgcat._block_matrix(m, n))
-            assert [(sigma, basis[reps[j]]) for sigma, j in fold] == \
-                [first_occurrence(y, 0, n) for y in basis], (m, n)
-            elements += len(basis)
+                basis, index = hom_basis(m, n + t), hom_index(m, n + t)
+                where, members = cecomplex._orbits(m, n, t)
+                if t == 1:              # S_1: every element is its own orbit
+                    assert where is members is None
+                    assert all(first_occurrence(bm, n, n + 1)[1] == bm for bm in basis)
+                else:
+                    number, want = {}, []
+                    for bm in basis:
+                        order, rep = first_occurrence(bm, n, n + t)
+                        sign = (-1) ** len(symrep.reduced_word([v - n for v in order]))
+                        want.append((number.setdefault(index[rep], len(number)), sign))
+                    orbits = [[] for _ in number]
+                    for j, (k, sign) in enumerate(want):
+                        orbits[k].append((j, sign))
+                    assert (list(where), list(map(list, members))) == (want, orbits), (m, n, t)
+                s_t_elements += len(basis)
     # sum over m of m! Hom representatives, and every delta1 basis element
     assert elements == 873 + 4672
     # every basis element of Hom(m, k), once per n = k - t < k

@@ -272,15 +272,14 @@ def test_block_columns_reject_indices_outside_delta1():
 
 def test_h1_generators_act_on_one_input_less(monkeypatch):
     # through the cut, the S_5 action on delta1(5, 2) is read off Hom(4, 2) alone
-    act, seen = catlie._act_in_basis, set()
+    act, seen = catlie._act_in_terms, set()
 
     def recording(bm, tau):
         seen.add((bm.m, len(tau)))
         return act(bm, tau)
 
-    act.cache_clear()
-    for mod in (catlie, mudelta):
-        monkeypatch.setattr(mod, "_act_in_basis", recording, raising=False)
+    for mod in (catlie, mudelta, schur_oracle):
+        monkeypatch.setattr(mod, "_act_in_terms", recording)
     m1 = schur_oracle.h_modules.__wrapped__(5, 2)[1]
     assert m1.dim and m1.character
     m1.act((2, 3, 4, 5, 1))

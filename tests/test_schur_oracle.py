@@ -662,6 +662,23 @@ def test_characters_equal_the_pinned_table():
                 (cell["w"], cell["n"], key)
 
 
+def test_h_modules_build_no_full_basis_table():
+    # the S_w action is read on the representatives and numbered with no table: no
+    # hom basis, hom index, delta1 basis, cut block or glue map is built, and the
+    # characters still equal the pinned table
+    with open(Path(__file__).with_name("characters_w6.json")) as fh:
+        cells = json.load(fh)
+    caches = [catlie.hom_basis, catlie.hom_index, delta1_basis, mudelta._delta1_blocks,
+              mudelta._glue]
+    for cache in caches + [h_modules]:
+        cache.cache_clear()
+    for cell in cells:
+        for module, key in zip(h_modules(cell["w"], cell["n"]), ("h0", "h1")):
+            assert module.character == {tuple(rho): chi for rho, chi in cell[key]}, \
+                (cell["w"], cell["n"], key)
+    assert [cache.cache_info().currsize for cache in caches] == [0] * 5
+
+
 # sha256 of the blocks of every cell (w, n) with 1 <= w <= 6, 0 <= n <= w, in that
 # order, each partition lambda of n in `_partitions` order: the non-pivot columns of
 # the H0 quotient and the H1 kernel vectors, as sorted (index, coefficient) lists,
@@ -695,13 +712,13 @@ def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
     # for tau' = 1, each row (y', tau') read at most once per tau for all the S_n
     # blocks, at most two tau' != 1 for an adjacent tau, and every y' an S_n-orbit
     # representative of Hom(w - 1, n), its outputs first occurring in order
-    act, calls = catlie._act_in_basis, []
+    act, calls = catlie._act_in_terms, []
 
     def counting(bm, sigma):
         calls.append((bm, sigma))
         return act(bm, sigma)
 
-    monkeypatch.setattr(mudelta, "_act_in_basis", counting)
+    monkeypatch.setattr(mudelta, "_act_in_terms", counting)
     total = 0
     for w in range(2, 7):
         adjacent = [tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, w + 1))
@@ -726,19 +743,17 @@ def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
 
 
 def test_h1_read_rejects_an_image_outside_the_kernel(monkeypatch):
-    # a sign error in the block reading of the action on delta1, on the block of
-    # lone input 1: the image leaves the kernel span (a sign flip of every column
-    # would not, since it is minus the action)
-    columns = schur_oracle.delta1_act_in_columns
+    # a sign error in the act_in terms that the action on delta1 reads through the
+    # cut: the blocks with tau' = 1 are relabellings and keep their sign, so the
+    # image leaves the kernel span (a sign flip of every column would not, since
+    # it is minus the action)
+    terms = mudelta._act_in_terms
 
-    def wrong_sign(m, n, tau, support):
-        out = columns(m, n, tau, support)
-        for s in out:
-            if delta1_basis(m, n)[1][s].f[0] == n + 1:
-                out[s] = {j: -c for j, c in out[s].items()}
-        return out
+    def wrong_sign(bm, sigma):
+        f, per_output = terms(bm, sigma)
+        return f, [tuple((p, -c) for p, c in per_output[0])] + per_output[1:]
 
-    monkeypatch.setattr(schur_oracle, "delta1_act_in_columns", wrong_sign)
+    monkeypatch.setattr(mudelta, "_act_in_terms", wrong_sign)
     # the columns are read on the delta1 representatives only, once for all the
     # S_n blocks; at n = 3 the (2, 1) block has d_lambda = 2
     for w, n, shape in [(4, 2, (2,)), (4, 2, (1, 1)), (6, 3, (2, 1))]:

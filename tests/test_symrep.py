@@ -34,7 +34,7 @@ def _matrix(shape, sigma):
 
 def test_partitions_and_tableaux():
     assert [len(_partitions(n)) for n in range(8)] == [1, 1, 2, 3, 5, 7, 11, 15]
-    assert _partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+    assert _partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert set(standard_tableaux((2, 1))) == {((1, 2), (3,)), ((1, 3), (2,))}
     for n in range(8):
         # Wedderburn: sum of d_lambda^2 is |S_n|
