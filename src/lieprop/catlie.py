@@ -314,24 +314,23 @@ def first_occurrence(bm, lo, hi):
 def act_in(f, tau):
     """Right action of S_m on Hom(m, n): compose(f, perm_hom(tau)) in closed
     form.  The value list becomes f o tau and each comb word is relabelled
-    by tau^{-1} and read in the comb basis by `freelie.comb_coords`.
+    by tau^{-1} and read in the comb basis by `freelie.comb_coords`: the
+    `_act_in_terms` of each basis morphism, numbered through `hom_index`.
     """
     tau = as_perm(tau, f.m)
-    basis = hom_basis(f.m, f.n)
-    return HomElem(f.m, f.n, combine(f.coords, lambda i: _act_in_basis(basis[i], tau)))
+    basis, index = hom_basis(f.m, f.n), hom_index(f.m, f.n)
+    return HomElem(f.m, f.n, combine(f.coords,
+                                     lambda i: _product(f.n, *_act_in_terms(basis[i], tau), index)))
 
 
 @functools.cache
 def _act_in_terms(bm, tau):
     """(f o tau, terms) of act_in(bm, tau): per output, the (tree index,
     coefficient) pairs of its comb word relabelled by tau^{-1}; cached, so
-    read-only."""
+    read-only.  The one reading of tau, numbered on basis indices by
+    `_product` and on the S_n-orbit representatives by `_orbit_row`, on Hom
+    and, through the cut, on delta1 (`mudelta._delta1_cut_act_in`)."""
     inv = {t: i for i, t in enumerate(tau, start=1)}
     return (tuple(bm.f[t - 1] for t in tau),
             [freelie.comb_coords(tuple(inv[x] for x in freelie.leaves(tree)))
              for tree in basis_trees(bm)])
-
-
-@functools.cache
-def _act_in_basis(bm, tau):
-    return _product(bm.n, *_act_in_terms(bm, tau), hom_index(bm.m, bm.n))

@@ -14,16 +14,17 @@ Hom(m-1, n), y = (a, y'): (g boxplus 1) o y is the left composite g o y'
 (`_left_composite`) glued back, one for all m positions of a; x o F is the
 right term of F at the lone input b of x (`_right_term`), x' o F' with F's
 fiber over b glued back, F cut once per (b, F) for every x'.
-The right action of tau in S_m is cut too, and read one cut block at a time: the
-block of a, all y = (a, y'), goes to y' o tau' with a glued back at a' = tau^{-1}(a),
-tau' = tau: [m] - {a'} -> [m] - {a} relabelled in order.  So the block is the act_in
-matrix of tau' on Hom(m-1, n) with its indices moved by the glue map at a'
-(`delta1_act_in_columns`), and blocks with the same tau' share its rows.  For
-adjacent tau = (k, k+1), tau' is 1 for a = k, k+1, whose blocks are relabellings,
-and one of at most two adjacent transpositions for every other a.
-On the S_n-orbit representatives (a, y') the cut numbers delta1 with no table
-(`_delta1_starts`), and `_delta1_orbit_rows` reads tau on them over Z[S_n]: the
-terms of y' o tau' go to block a', through `catlie._orbit_position`.
+The right action of tau in S_m is cut too: y = (a, y') goes to y' o tau' with a
+glued back at a' = tau^{-1}(a), tau' = tau: [m] - {a'} -> [m] - {a} relabelled in
+order.  One reader, `_delta1_cut_act_in`, works out tau' and a' once per lone
+input a and reads the act_in terms of y' o tau' (`catlie._act_in_terms`) once per
+(y', tau'); a block with tau' = 1 is a relabelling and reads no act_in.  For
+adjacent tau = (k, k+1), tau' is 1 for a = k, k+1 and one of at most two adjacent
+transpositions for every other a.  The terms have two numberings: on basis
+indices, `delta1_act_in_columns` glues n+1 back at a' and reads them through
+`catlie._product`; on the S_n-orbit representatives, numbered with no table
+(`_delta1_starts`), `_delta1_orbit_rows` reads them over Z[S_n] through
+`catlie._orbit_row` from the starts of block a'.
 
 mu(n) in Hom(n+1, n) is the sum of the n basis morphisms that restrict
 to the identity on the first n inputs and bracket the extra input onto
@@ -83,8 +84,8 @@ import functools
 from math import prod
 
 from . import freelie
-from .catlie import (BasisMorphism, HomElem, _act_in_basis, _act_in_terms, _check_arities,
-                     _orbit_row, as_perm, basis_trees, boxplus, compose, compose_basis, emit,
+from .catlie import (BasisMorphism, HomElem, _act_in_terms, _check_arities, _orbit_row,
+                     _product, as_perm, basis_trees, boxplus, compose, compose_basis, emit,
                      hom_basis, hom_dim, hom_index, identity, orbit_offsets, perm_hom)
 from .exactla import SparseElem, axpy, combine
 from .freelie import bracket_leaf_table
@@ -221,22 +222,32 @@ def _delta1_starts(m, n):
     return out
 
 
-def _delta1_orbit_rows(m, n, tau, reps):
-    """{j: row over Z[S_n] of (a, y') o tau} for reps = {j: (a, y')}, through
-    the cut (module docstring): the terms of y' o tau', read once per
-    (y', tau') and numbered by `catlie._orbit_row` from `_delta1_starts`[a'];
-    a block with tau' = 1 is a relabelling and reads no act_in."""
-    starts, ident = _delta1_starts(m, n), tuple(range(1, m))
-    blocks, acts, orbit, out = {}, {}, {}, {}
-    for j, (a, y) in reps.items():
-        if a not in blocks:     # tau' and the starts of block a'
-            blocks[a] = tuple(t - (t > a) for t in tau if t != a), starts[tau.index(a) + 1]
-        sigma, start = blocks[a]
+def _delta1_cut_act_in(m, tau, cuts):
+    """(j, a', (f', terms)) for cuts = {j: (a, y')}: (a, y') o tau through the cut
+    (module docstring), with (f', terms) the `catlie._act_in_terms` of y' o tau'
+    on Hom(m-1, n) and a' = tau^{-1}(a) the lone input to glue back.  tau' and a'
+    are worked out once per lone input a and the terms read once per (y', tau');
+    a block with tau' = 1 is a relabelling, read as the identity terms of y'.  The
+    one reading of tau on delta1, for `delta1_act_in_columns` and
+    `_delta1_orbit_rows`."""
+    ident, blocks, acts = tuple(range(1, m)), {}, {}
+    for j, (a, y) in cuts.items():
+        if a not in blocks:
+            blocks[a] = tau.index(a) + 1, tuple(t - (t > a) for t in tau if t != a)
+        a2, sigma = blocks[a]
         if (y, sigma) not in acts:
             acts[y, sigma] = ((y.f, [((t, 1),) for t in y.trees]) if sigma == ident
                               else _act_in_terms(y, sigma))
-        out[j] = _orbit_row(m - 1, n, *acts[y, sigma], start, orbit)
-    return out
+        yield j, a2, acts[y, sigma]
+
+
+def _delta1_orbit_rows(m, n, tau, reps):
+    """{j: row over Z[S_n] of (a, y') o tau} for the representatives reps = {j: (a,
+    y')}: the terms of `_delta1_cut_act_in` numbered by `catlie._orbit_row` from
+    `_delta1_starts`[a']."""
+    starts, orbit = _delta1_starts(m, n), {}
+    return {j: _orbit_row(m - 1, n, *terms, starts[a2], orbit)
+            for j, a2, terms in _delta1_cut_act_in(m, tau, reps)}
 
 
 def _mu_tilde_1_terms(f, a, n):
@@ -394,53 +405,29 @@ def delta1_act_right(z, f):
     return Delta1Elem(f.m, z.n, _act_right(z, f))
 
 
-@functools.cache
-def _delta1_blocks(m, n):
-    """The cut block (a, i) of each delta1(m, n) index s = (a, y'_i), y'_i the basis
-    element i of Hom(m-1, n): the inverse of `_delta1_indices`; read-only."""
-    out = [None] * delta1_dim(m, n)
-    for a in range(1, m + 1):
-        for i, s in enumerate(_delta1_indices(m, n, a)):
-            out[s] = (a, i)
-    return out
-
-
 def delta1_act_in_columns(m, n, tau, support):
-    """The right action of tau on delta1(m, n), one cut block at a time (module
-    docstring): {s: coordinates of s o tau} for the indices s in support, as fresh
-    dicts.  tau must permute 1..m (`catlie.as_perm`) and support must lie in
-    range(delta1_dim(m, n)), else ValueError.  Per lone input a met in support,
-    tau' and the glue map at a' = tau^{-1}(a) are worked out once; the
-    block's columns are the act_in rows `_act_in_basis(y', tau')` with their indices
-    moved by the glue map, each read once per (y', tau') and shared by the blocks
-    with the same tau'.  A block with tau' = 1 is a relabelling and reads no act_in."""
-    tau, blocks, acts, out = as_perm(tau, m), {}, {}, {}
+    """The right action of tau on delta1(m, n): {s: coordinates of s o tau} for the
+    indices s in support, as fresh dicts.  tau must permute 1..m (`catlie.as_perm`)
+    and support must lie in range(delta1_dim(m, n)), else ValueError.  Each s is cut
+    at n+1 into (a, y'), and the terms of `_delta1_cut_act_in` are numbered by
+    `catlie._product` on f' with n+1 put in at a'."""
+    tau = as_perm(tau, m)
     if not support:             # builds no table for a zero module
-        return out
-    where, ys = _delta1_blocks(m, n), hom_basis(m - 1, n)
+        return {}
+    _, zb, index = delta1_basis(m, n)
+    cuts = {}
     for s in support:
-        if not 0 <= s < len(where):
+        if not 0 <= s < len(zb):
             raise ValueError("delta1(%d, %d) has no index %r" % (m, n, s))
-        a, i = where[s]
-        blocks.setdefault(a, []).append((s, i))
-    for a, members in blocks.items():
-        up = _delta1_indices(m, n, tau.index(a) + 1)
-        sigma = tuple(t - (t > a) for t in tau if t != a)     # tau'
-        if sigma == tuple(range(1, m)):
-            out.update((s, {up[i]: 1}) for s, i in members)
-            continue
-        rows = acts.setdefault(sigma, {})
-        for s, i in members:
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = _act_in_basis(ys[i], sigma)
-            out[s] = {up[j]: c for j, c in row.items()}
-    return out
+        (a,), _, y = _cut(zb[s], n + 1)
+        cuts[s] = a, y
+    return {s: _product(n + 1, f[:a2 - 1] + (n + 1,) + f[a2 - 1:], terms + [((0, 1),)], index)
+            for s, a2, (f, terms) in _delta1_cut_act_in(m, tau, cuts)}
 
 
 def delta1_act_in(z, tau):
     """Right action of S_m on delta1(m, n): the sum of the columns of its support,
-    read block by block by `delta1_act_in_columns`."""
+    read through the cut by `delta1_act_in_columns`."""
     _check_type(z, Delta1Elem)
     columns = delta1_act_in_columns(z.m, z.n, tau, z.coords)
     return Delta1Elem(z.m, z.n, combine(z.coords, columns.__getitem__))

@@ -437,8 +437,9 @@ def h_modules(w, n):
     tau acts on the representatives by rows over Z[S_n], kept for the blocks
     of the last tau and numbered as M with no basis table: the
     `catlie._act_in_terms` of the Hom representatives read by
-    `catlie._orbit_row`, and `mudelta._delta1_orbit_rows`; a block reads them
-    as it reads M, for every n.  H0_lambda reduces its images against the
+    `catlie._orbit_row`, and `mudelta._delta1_orbit_rows`, the reading of tau
+    through the cut that `delta1_act_in_columns` numbers on basis indices; a
+    block reads them as it reads M, for every n.  H0_lambda reduces its images against the
     echelon.  H1_lambda pushes each kernel vector v_r, times L = lcm of the
     v_r[f_r], through them in one int loop: the free column f_r = max(v_r)
     is zero on every other v_s, so L c_r = (L z)[f_r] / v_r[f_r], checked as

@@ -217,7 +217,6 @@ def test_act_in_composes_nothing(monkeypatch):
     for mod, name in [(catlie, "compose"), (catlie, "compose_basis"), (mudelta, "compose"),
                       (freelie, "graft"), (freelie, "normalize_tree")]:
         monkeypatch.setattr(mod, name, forbidden)
-    catlie._act_in_basis.cache_clear()
     catlie._act_in_terms.cache_clear()
     freelie.comb_coords.cache_clear()
     for n in range(6):

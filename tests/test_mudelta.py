@@ -1,14 +1,15 @@
 import itertools
 import random
+from math import factorial
 
 import pytest
 
 from lieprop import catlie, cecomplex, dgcat, freelie, mudelta, schur_oracle
 from lieprop.catlie import (BasisMorphism, HomElem, boxplus, compose,
-                            hom_basis, hom_dim, identity, perm_hom)
+                            hom_basis, hom_dim, identity, perm_hom, tree_tuples)
 from lieprop.cli import suite_mudelta
 from lieprop.exactla import Echelon
-from lieprop.mudelta import (Delta1Elem, adjoint_append, check_centrality,
+from lieprop.mudelta import (Delta1Elem, _delta1_value_lists, adjoint_append, check_centrality,
                              check_dg_square, check_lie_action,
                              delta1_act_in, delta1_act_in_columns, delta1_act_left,
                              delta1_act_right, delta1_basis, delta1_dim,
@@ -229,17 +230,21 @@ def test_delta1_act_in_checks_tau():
     assert delta1_act_in(z, [2, 1, 4, 3]) == delta1_act_in(z, (2, 1, 4, 3))
 
 
+def _taus(w):
+    """The w - 1 adjacent transpositions of S_w and the w-cycle (2, ..., w, 1)."""
+    return ([tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, w + 1)) for k in range(1, w)]
+            + [tuple(range(2, w + 1)) + (1,)])
+
+
 def test_block_columns_match_the_action_of_perm_hom():
-    # every delta1(w, n) column with w <= 6, n <= 3, read block by block, against the
+    # every delta1(w, n) column with w <= 6, n <= 3, read through the cut, against the
     # definition delta1_act_right(z, perm_hom(tau)), under the w - 1 adjacent
     # transpositions and the w-cycle (2, ..., w, 1), which is not its own inverse
     count = 0
     for w in range(1, 7):
-        taus = [tuple(range(1, k)) + (k + 1, k) + tuple(range(k + 2, w + 1)) for k in range(1, w)]
-        taus.append(tuple(range(2, w + 1)) + (1,))
         for n in range(min(w, 4)):
             dim = delta1_dim(w, n)
-            for tau in taus:
+            for tau in _taus(w):
                 columns = delta1_act_in_columns(w, n, tau, range(dim))
                 assert sorted(columns) == list(range(dim))
                 for s, column in columns.items():
@@ -268,6 +273,68 @@ def test_block_columns_reject_indices_outside_delta1():
         with pytest.raises(ValueError, match="no index"):
             delta1_act_in_columns(3, 1, (2, 1, 3), support)
     assert sorted(delta1_act_in_columns(3, 1, (2, 1, 3), [0, 2])) == [0, 2]
+
+
+def test_block_columns_read_tau_through_the_shared_reader(monkeypatch):
+    # the basis path reads act_in through mudelta's one reading of tau on the cut:
+    # no act_in for tau' = 1 and each (y', tau') once per tau, (2w - 3) tau' != 1
+    # over the adjacent transpositions and the w-cycle, each on all of Hom(w - 1, n)
+    act, calls = catlie._act_in_terms, []
+
+    def counting(bm, sigma):
+        calls.append((bm, sigma))
+        return act(bm, sigma)
+
+    monkeypatch.setattr(mudelta, "_act_in_terms", counting)
+    total = 0
+    for w in range(2, 7):
+        for n in range(3):
+            for tau in _taus(w):
+                calls.clear()
+                delta1_act_in_columns(w, n, tau, range(delta1_dim(w, n)))
+                assert tuple(range(1, w)) not in {sigma for _, sigma in calls}, (w, n, tau)
+                assert len(set(calls)) == len(calls), (w, n, tau)
+                total += len(calls)
+    assert total == sum((2 * w - 3) * hom_dim(w - 1, n) for w in range(3, 7) for n in range(3))
+    assert total == 1361
+
+
+def _check_act_in_numberings(m, n):
+    """The number of (representative, tau) pairs of delta1(m, n), tau in `_taus(m)`,
+    on which the two numberings of `mudelta._delta1_cut_act_in` agree: each entry
+    {number: {sigma: c}} of the Z[S_n] row `_delta1_orbit_rows` of (a, y'), spread to
+    the basis element sigma . rep, rep the representative with that number, gives
+    the `delta1_act_in_columns` column of (a, y')."""
+    index = delta1_basis(m, n)[2]
+    reps = [(a, BasisMorphism(m - 1, n, g, trees))
+            for _, g, a in _delta1_value_lists(m, n) for trees in tree_tuples(g, n)]
+    basis = [BasisMorphism(m, n + 1, y.f[:a - 1] + (n + 1,) + y.f[a - 1:], y.trees + (0,))
+             for a, y in reps]
+    count = 0
+    for tau in _taus(m):
+        columns = delta1_act_in_columns(m, n, tau, [index[bm] for bm in basis])
+        rows = mudelta._delta1_orbit_rows(m, n, tau, dict(enumerate(reps)))
+        for j, bm in enumerate(basis):
+            spread = {}
+            for number, entry in rows[j].items():
+                rep = basis[number]
+                for sigma, c in entry.items():
+                    moved = BasisMorphism(m, n + 1, tuple(sigma[v - 1] if v <= n else v for v in rep.f),
+                                          tuple(rep.trees[sigma.index(k)] for k in range(1, n + 1))
+                                          + (0,))
+                    spread[index[moved]] = spread.get(index[moved], 0) + c
+            assert spread == columns[index[bm]], (m, n, tau, bm)
+            count += 1
+    return count
+
+
+def test_orbit_rows_and_block_columns_agree():
+    # the Z[S_n] rows of the representatives and the basis columns are two numberings
+    # of one reading of tau, compared on every representative of delta1(w, n), w <= 6,
+    # under its w taus, tau' != 1 included
+    count = sum(_check_act_in_numberings(w, n) for w in range(1, 7) for n in range(w))
+    assert count == sum(w * delta1_dim(w, n) // factorial(n) for w in range(1, 7) for n in range(w))
+    assert count == 5039
 
 
 def test_h1_generators_act_on_one_input_less(monkeypatch):

@@ -664,11 +664,12 @@ def test_characters_equal_the_pinned_table():
 
 def test_h_modules_build_no_full_basis_table():
     # the S_w action is read on the representatives and numbered with no table: no
-    # hom basis, hom index, delta1 basis, cut block or glue map is built, and the
-    # characters still equal the pinned table
+    # hom basis, hom index, delta1 basis or glue map is built, and no basis element
+    # is cut, so h_modules never takes the per-index path of delta1_act_in_columns;
+    # the characters still equal the pinned table
     with open(Path(__file__).with_name("characters_w6.json")) as fh:
         cells = json.load(fh)
-    caches = [catlie.hom_basis, catlie.hom_index, delta1_basis, mudelta._delta1_blocks,
+    caches = [catlie.hom_basis, catlie.hom_index, delta1_basis, mudelta._cut,
               mudelta._glue]
     for cache in caches + [h_modules]:
         cache.cache_clear()
@@ -708,7 +709,7 @@ def test_h_modules_rejects_negative_arities():
 
 
 def test_h1_action_reads_each_act_in_row_once_per_tau(monkeypatch):
-    # act1 takes the columns of the delta1 representatives block by block: no act_in
+    # act1 reads tau on the delta1 representatives through the cut: no act_in
     # for tau' = 1, each row (y', tau') read at most once per tau for all the S_n
     # blocks, at most two tau' != 1 for an adjacent tau, and every y' an S_n-orbit
     # representative of Hom(w - 1, n), its outputs first occurring in order
